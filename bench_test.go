@@ -11,11 +11,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/arma"
-	"repro/internal/btree"
 	"repro/internal/clean"
 	"repro/internal/dataset"
 	"repro/internal/density"
@@ -195,46 +193,6 @@ func benchViewBuild(b *testing.B, parallelism int, cache bool) {
 	for i := 0; i < b.N; i++ {
 		if _, err := builder.Generate(tuples); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablation: B-tree vs sorted-slice floor lookup (the sigma-cache's
-// former container; the cache now uses O(1) geometric rung addressing,
-// so this compares the standalone internal/btree against a sorted slice) -
-
-func BenchmarkBTreeFloorLookup(b *testing.B) {
-	tree, err := btree.New[int](btree.DefaultDegree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		tree.Insert(float64(i), i)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := rng.Float64() * n
-		if _, _, ok := tree.Floor(q); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
-func BenchmarkSortedSliceFloorLookup(b *testing.B) {
-	const n = 1000
-	keys := make([]float64, n)
-	for i := range keys {
-		keys[i] = float64(i)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := rng.Float64() * n
-		idx := sort.SearchFloat64s(keys, q)
-		if idx == 0 && keys[0] > q {
-			b.Fatal("miss")
 		}
 	}
 }

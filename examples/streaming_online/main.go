@@ -68,5 +68,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("materialised view: %d rows over %d tuples\n", len(pv.Rows), len(pv.Times()))
+	fmt.Printf("materialised view: %d rows over %d tuples\n", pv.NumRows(), pv.NumTimes())
 }

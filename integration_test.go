@@ -77,7 +77,7 @@ func TestIntegrationCacheMatchesNaiveWithinTolerance(t *testing.T) {
 	// the Hellinger constraint.
 	car := dataset.Car(dataset.CarConfig{N: 500})
 
-	build := func(cache string) *repro.ProbTable {
+	build := func(cache string) []repro.Row {
 		engine := repro.NewEngine()
 		if err := engine.RegisterSeries("raw_values", car); err != nil {
 			t.Fatal(err)
@@ -88,16 +88,16 @@ func TestIntegrationCacheMatchesNaiveWithinTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.View
+		return res.View.SnapshotRows()
 	}
 	naive := build("")
 	cached := build("CACHE DISTANCE 0.005")
-	if len(naive.Rows) != len(cached.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(naive.Rows), len(cached.Rows))
+	if len(naive) != len(cached) {
+		t.Fatalf("row counts differ: %d vs %d", len(naive), len(cached))
 	}
 	maxDiff := 0.0
-	for i := range naive.Rows {
-		d := math.Abs(naive.Rows[i].Prob - cached.Rows[i].Prob)
+	for i := range naive {
+		d := math.Abs(naive[i].Prob - cached[i].Prob)
 		if d > maxDiff {
 			maxDiff = d
 		}
@@ -166,7 +166,7 @@ func TestQuickPipelineAlwaysValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, r := range res.View.Rows {
+		for _, r := range res.View.SnapshotRows() {
 			if r.Prob < 0 || r.Prob > 1 || math.IsNaN(r.Prob) {
 				return false
 			}

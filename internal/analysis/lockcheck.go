@@ -14,12 +14,11 @@ import (
 // core.Stream, wal.Log, the obs registry internals, ...):
 //
 //  1. Guarded-field access: fields declared BELOW the struct's (first)
-//     mutex — plus any field named in the mutex's "guards ..." line
-//     comment, which is how ProbTable marks Rows — may only be touched by
-//     methods that acquire the mutex (directly, or via a helper whose
-//     name contains "lock", like ProbTable.rlockIndexed). Fields ABOVE
-//     the mutex are construction-time immutable: reading them unlocked is
-//     fine, but writing them from a method is flagged.
+//     mutex may only be touched by methods that acquire the mutex
+//     (directly, or via a helper whose name contains "lock", like
+//     ProbTable.rlockLoaded). Fields ABOVE the mutex are construction-time
+//     immutable: reading them unlocked is fine, but writing them from a
+//     method is flagged.
 //  2. Write-under-read-lock: a method that only ever RLocks must not
 //     write a guarded field.
 //  3. Leaked locks: a return statement lexically between a non-deferred
@@ -78,8 +77,7 @@ func runLockCheck(prog *Program, report Reporter) error {
 
 // structInfo maps each named struct type declared in pkg that has a direct
 // mutex field to its lock layout. The positional rule: fields after the
-// first mutex are guarded; fields before it are immutable-by-construction
-// unless the mutex's own comment says "guards <field> ...".
+// first mutex are guarded; fields before it are immutable-by-construction.
 func structInfo(pkg *Pkg) map[*types.Named]*structLocks {
 	out := make(map[*types.Named]*structLocks)
 	for _, f := range pkg.Files {
@@ -101,12 +99,6 @@ func structInfo(pkg *Pkg) map[*types.Named]*structLocks {
 				return true
 			}
 			info := &structLocks{guarded: make(map[string]bool)}
-			fieldNames := make(map[string]bool)
-			for _, fld := range stype.Fields.List {
-				for _, name := range fld.Names {
-					fieldNames[name.Name] = true
-				}
-			}
 			seenMutex := false
 			for _, fld := range stype.Fields.List {
 				ftype := pkg.Info.Types[fld.Type].Type
@@ -117,13 +109,6 @@ func structInfo(pkg *Pkg) map[*types.Named]*structLocks {
 					seenMutex = true
 					for _, name := range fld.Names {
 						info.mutexes = append(info.mutexes, name.Name)
-					}
-					// "mu sync.RWMutex // guards Rows + index" marks
-					// fields above the mutex as guarded anyway.
-					for _, word := range guardsClause(fld) {
-						if fieldNames[word] {
-							info.guarded[word] = true
-						}
 					}
 					continue
 				}
@@ -141,31 +126,6 @@ func structInfo(pkg *Pkg) map[*types.Named]*structLocks {
 		})
 	}
 	return out
-}
-
-// guardsClause extracts candidate field names from a mutex field comment
-// of the form "// guards A + B, C ...".
-func guardsClause(fld *ast.Field) []string {
-	var texts []string
-	if fld.Doc != nil {
-		texts = append(texts, fld.Doc.Text())
-	}
-	if fld.Comment != nil {
-		texts = append(texts, fld.Comment.Text())
-	}
-	var words []string
-	for _, t := range texts {
-		lower := strings.ToLower(t)
-		i := strings.Index(lower, "guards")
-		if i < 0 {
-			continue
-		}
-		rest := t[i+len("guards"):]
-		words = append(words, strings.FieldsFunc(rest, func(r rune) bool {
-			return !(r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9')
-		})...)
-	}
-	return words
 }
 
 // --- copied locks -------------------------------------------------------
@@ -363,7 +323,7 @@ func (st *lockCheckState) checkGuardedAccess(file *ast.File, fd *ast.FuncDecl) {
 		return
 	}
 	if strings.Contains(strings.ToLower(fd.Name.Name), "lock") {
-		return // lock-management helper (rlockIndexed, appendLocked, ...)
+		return // lock-management helper (rlockLoaded, appendLocked, ...)
 	}
 	if st.commentExempt(file, fd) {
 		return
@@ -493,7 +453,7 @@ func isFieldSyncExempt(pkg *Pkg, e ast.Expr) bool {
 
 // acquisitionLevel scans the body for acquisitions of the receiver's own
 // mutex: recv.mu.Lock() (write), recv.mu.RLock() (read), or a call to a
-// receiver method whose name contains "lock" (a helper like rlockIndexed
+// receiver method whose name contains "lock" (a helper like rlockLoaded
 // that encapsulates the acquisition — treated as read-level).
 func (st *lockCheckState) acquisitionLevel(fd *ast.FuncDecl, recvName string, info *structLocks) acquireLevel {
 	level := acquireNone
@@ -532,7 +492,7 @@ func (st *lockCheckState) acquisitionLevel(fd *ast.FuncDecl, recvName string, in
 				level = acquireRead
 			}
 		default:
-			// recv.rlockIndexed() and friends.
+			// recv.rlockLoaded() and friends.
 			if id, ok := sel.X.(*ast.Ident); ok && id.Name == recvName &&
 				strings.Contains(strings.ToLower(sel.Sel.Name), "lock") {
 				if level < acquireRead {

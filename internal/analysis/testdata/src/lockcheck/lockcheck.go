@@ -14,15 +14,6 @@ type Table struct {
 	idx  map[int]int
 }
 
-// Catalog mirrors the "guards ..." comment form: Rows sits above the mutex
-// (it must stay exported-first for gob) but the comment marks it guarded.
-type Catalog struct {
-	Rows []int
-
-	mu  sync.RWMutex // guards Rows
-	gen int
-}
-
 func (t *Table) Len() int {
 	return len(t.rows) // want `Len reads t\.rows without holding t\.mu`
 }
@@ -50,10 +41,6 @@ func (t *Table) First() (int, bool) {
 	v := t.rows[0]
 	t.mu.RUnlock()
 	return v, true
-}
-
-func (c *Catalog) NumRows() int {
-	return len(c.Rows) // want `NumRows reads c\.Rows without holding c\.mu`
 }
 
 func snapshot(t Table) int { // want `snapshot parameter passes a lock`

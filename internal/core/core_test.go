@@ -30,8 +30,8 @@ func TestEngineOfflineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.View == nil || len(res.View.Rows) != 101*6 {
-		t.Fatalf("view rows = %d", len(res.View.Rows))
+	if res.View == nil || res.View.NumRows() != 101*6 {
+		t.Fatalf("view = %+v", res.View)
 	}
 	pv, err := e.View("pv")
 	if err != nil {
@@ -152,8 +152,8 @@ func TestEngineOnlineStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pv.Rows) != 110*4 {
-		t.Errorf("view rows = %d, want %d", len(pv.Rows), 110*4)
+	if pv.NumRows() != 110*4 {
+		t.Errorf("view rows = %d, want %d", pv.NumRows(), 110*4)
 	}
 	// The raw table grew too.
 	raw, err := e.DB().RawTable("live")

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/view"
 )
 
 // TestEngineParallelismDeterministic proves the Parallelism knob changes
@@ -13,7 +15,7 @@ func TestEngineParallelismDeterministic(t *testing.T) {
 		OMEGA delta=0.5, n=6 WINDOW 90 CACHE DISTANCE 0.01
 		FROM raw_values WHERE t >= 100 AND t <= 250`
 
-	build := func(parallelism int) []interface{} {
+	build := func(parallelism int) []view.Row {
 		t.Helper()
 		e := NewEngineWith(Config{Parallelism: parallelism})
 		if e.Parallelism() != parallelism {
@@ -26,11 +28,7 @@ func TestEngineParallelismDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]interface{}, len(res.View.Rows))
-		for i, r := range res.View.Rows {
-			out[i] = r
-		}
-		return out
+		return res.View.SnapshotRows()
 	}
 
 	want := build(1)

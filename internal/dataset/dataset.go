@@ -222,15 +222,21 @@ func InjectErrors(s *timeseries.Series, count int, magnitude float64, minIndex i
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	// Sample distinct indices uniformly at random.
+	// Sample distinct indices uniformly at random, then visit them in
+	// ascending order: the signs below come from the same rng, so a map's
+	// iteration order would make one seed yield different series.
 	chosen := make(map[int]bool, count)
 	for len(chosen) < count {
-		idx := minIndex + rng.Intn(n-minIndex)
-		chosen[idx] = true
+		chosen[minIndex+rng.Intn(n-minIndex)] = true
 	}
+	indices := make([]int, 0, count)
+	for idx := range chosen {
+		indices = append(indices, idx)
+	}
+	sort.Ints(indices)
 	out := s.Clone()
 	injections := make([]Injection, 0, count)
-	for idx := range chosen {
+	for _, idx := range indices {
 		p, err := s.At(idx)
 		if err != nil {
 			return nil, nil, err
@@ -249,7 +255,6 @@ func InjectErrors(s *timeseries.Series, count int, magnitude float64, minIndex i
 		}
 		injections = append(injections, Injection{Index: idx, Old: p.V, New: newV})
 	}
-	sort.Slice(injections, func(i, j int) bool { return injections[i].Index < injections[j].Index })
 	return out, injections, nil
 }
 

@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/garch"
@@ -163,6 +164,28 @@ func TestInjectErrors(t *testing.T) {
 	for i := 1; i < len(injs); i++ {
 		if injs[i].Index <= injs[i-1].Index {
 			t.Error("injections not sorted or not distinct")
+		}
+	}
+}
+
+// TestInjectErrorsDeterministic pins that one seed means one dirty series:
+// the outlier signs are drawn in index order, not map-iteration order.
+func TestInjectErrorsDeterministic(t *testing.T) {
+	s := Campus(CampusConfig{N: 1000, Seed: 1})
+	wantDirty, wantInjs, err := InjectErrors(s, 40, 20, 100, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 20; trial++ {
+		dirty, injs, err := InjectErrors(s, 40, 20, 100, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(injs, wantInjs) {
+			t.Fatalf("trial %d: injections differ for one seed", trial)
+		}
+		if !reflect.DeepEqual(dirty.Values(), wantDirty.Values()) {
+			t.Fatalf("trial %d: series differ for one seed", trial)
 		}
 	}
 }

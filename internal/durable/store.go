@@ -287,11 +287,8 @@ func (s *Store) apply(payload []byte) error {
 	case recAppendRaw:
 		return db.AppendRaw(r.name, r.pt)
 	case recStoreView:
-		p := &storage.ProbTable{
-			Name: r.name, Source: r.source, MetricName: r.metric,
-			Omega: r.omega, Rows: r.rows,
-		}
-		if err := db.StoreView(p); err != nil {
+		meta := storage.ViewMeta{Name: r.name, Source: r.source, MetricName: r.metric, Omega: r.omega}
+		if err := db.StoreView(storage.NewProbTable(meta, r.rows)); err != nil {
 			return err
 		}
 		s.noteStoreView(r.name)

@@ -1,187 +1,27 @@
 package probdb
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"repro/internal/storage"
-	"repro/internal/view"
-)
-
-// Row-at-a-time aggregate path: every consumer below walks the view's
-// timestamp group index (storage.ProbTable.ForEachGroup) and hands each
-// tuple's rows to the per-tuple []view.Row kernels through closures. This
-// was the hot path through PR 6; the columnar batch kernels in columnar.go
-// have since taken over the public names, and this file is kept as the
-// independent oracle the property and fuzz tests pin the batch kernels
-// against (byte-identical results, matching errors). It shares no inner
-// loops with the columnar path, which is what makes the cross-check
-// meaningful.
-
 // TimeSeriesPoint pairs a timestamp with a per-tuple scalar.
 type TimeSeriesPoint struct {
 	T     int64
 	Value float64
 }
 
-// eachTuple runs query on every tuple of the view within [tLo, tHi] in one
-// indexed pass and feeds each scalar to fn; it guards the nil view and
-// reports ErrNoRows when the range holds no tuples.
-func eachTuple(p *storage.ProbTable, tLo, tHi int64, query func(rows []view.Row) (float64, error), fn func(t int64, v float64) error) error {
-	if p == nil {
-		return fmt.Errorf("%w: nil view", ErrBadArg)
-	}
-	n := 0
-	err := p.ForEachGroup(tLo, tHi, func(t int64, rows []view.Row) error {
-		v, err := query(rows)
-		if err != nil {
-			return err
-		}
-		n++
-		return fn(t, v)
-	})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return ErrNoRows
-	}
-	return nil
-}
-
-// seriesOver collects query's per-tuple scalar over [tLo, tHi] as a series.
-func seriesOver(p *storage.ProbTable, tLo, tHi int64, query func(rows []view.Row) (float64, error)) ([]TimeSeriesPoint, error) {
-	var out []TimeSeriesPoint
-	err := eachTuple(p, tLo, tHi, query, func(t int64, v float64) error {
-		out = append(out, TimeSeriesPoint{T: t, Value: v})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// rowExpectedSeries is the row-at-a-time oracle for ExpectedSeries.
-func rowExpectedSeries(p *storage.ProbTable, tLo, tHi int64) ([]TimeSeriesPoint, error) {
-	return seriesOver(p, tLo, tHi, Expected)
-}
-
-// rowProbSeries is the row-at-a-time oracle for ProbSeries.
-func rowProbSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]TimeSeriesPoint, error) {
-	return seriesOver(p, tLo, tHi, func(rows []view.Row) (float64, error) {
-		return RangeProb(rows, lo, hi)
-	})
-}
-
-// eachProb runs fn over the per-tuple probability P(lo < R_t <= hi) for every
-// timestamp in [tLo, tHi] in one indexed pass, without materialising the
-// series.
-func eachProb(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, fn func(q float64) error) error {
-	return eachTuple(p, tLo, tHi,
-		func(rows []view.Row) (float64, error) { return RangeProb(rows, lo, hi) },
-		func(_ int64, q float64) error { return fn(q) })
-}
-
-// rowExpectedCount is the row-at-a-time oracle for ExpectedCount.
-func rowExpectedCount(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
-	sum := 0.0
-	if err := eachProb(p, tLo, tHi, lo, hi, func(q float64) error {
-		sum += q
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	return sum, nil
-}
-
-// errStopScan is the sentinel an aggregate callback returns once its result
-// is decided, ending the indexed pass early without surfacing an error.
-var errStopScan = errors.New("probdb: stop scan")
-
-// rowAnyInRange is the row-at-a-time oracle for AnyInRange.
-func rowAnyInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
-	// Work in log space to stay accurate when many tuples are involved.
-	logNone, certain := 0.0, false
-	err := eachProb(p, tLo, tHi, lo, hi, func(q float64) error {
-		if 1-q <= 0 {
-			certain = true
-			return errStopScan // a certain tuple decides the disjunction
-		}
-		logNone += math.Log(1 - q)
-		return nil
-	})
-	if certain {
-		return 1, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return 1 - math.Exp(logNone), nil
-}
-
-// rowAllInRange is the row-at-a-time oracle for AllInRange.
-func rowAllInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
-	logAll, impossible := 0.0, false
-	err := eachProb(p, tLo, tHi, lo, hi, func(q float64) error {
-		if q <= 0 {
-			impossible = true
-			return errStopScan // an impossible tuple decides the conjunction
-		}
-		logAll += math.Log(q)
-		return nil
-	})
-	if impossible {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return math.Exp(logAll), nil
-}
-
-// rowExceedanceCountDistribution is the row-at-a-time oracle for
-// ExceedanceCountDistribution.
-func rowExceedanceCountDistribution(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]float64, error) {
-	series, err := rowProbSeries(p, tLo, tHi, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	probs := make([]float64, len(series))
-	for i, pt := range series {
-		probs[i] = pt.Value
-	}
-	return poissonBinomialPMF(probs), nil
-}
-
 // poissonBinomialPMF runs the exact Poisson-binomial dynamic program over
-// the per-tuple probabilities. Entry k of the result is P(count = k). Shared
-// by the oracle and the columnar path: the DP is not a scan, so there is
-// nothing columnar about it, and sharing it keeps the cross-check focused on
-// the scans that differ.
-func poissonBinomialPMF(probs []float64) []float64 {
-	pmf := make([]float64, len(probs)+1)
+// the per-tuple probabilities in series. Entry k of the result is
+// P(count = k). Shared with the row oracle: the DP is not a scan, so there
+// is nothing columnar about it, and sharing it keeps the cross-check focused
+// on the scans that differ.
+func poissonBinomialPMF(series []TimeSeriesPoint) []float64 {
+	pmf := make([]float64, len(series)+1)
 	pmf[0] = 1
-	for _, q := range probs {
+	for _, pt := range series {
+		q := pt.Value
 		for k := len(pmf) - 1; k >= 1; k-- {
 			pmf[k] = pmf[k]*(1-q) + pmf[k-1]*q
 		}
 		pmf[0] *= 1 - q
 	}
 	return pmf
-}
-
-// rowCountAtLeast is the row-at-a-time oracle for CountAtLeast.
-func rowCountAtLeast(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, k int) (float64, error) {
-	if k < 0 {
-		return 0, fmt.Errorf("%w: k=%d", ErrBadArg, k)
-	}
-	pmf, err := rowExceedanceCountDistribution(p, tLo, tHi, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return pmfTailSum(pmf, k), nil
 }
 
 // pmfTailSum sums pmf[k:], clamped to 1 against rounding drift.
@@ -197,68 +37,4 @@ func pmfTailSum(pmf []float64, k int) float64 {
 		sum = 1 // rounding guard
 	}
 	return sum
-}
-
-// atGroup runs fn on the row span of timestamp t, returning ErrNoRows when
-// the view has no tuple at t.
-func atGroup(p *storage.ProbTable, t int64, fn func(rows []view.Row) error) error {
-	if p == nil {
-		return fmt.Errorf("%w: nil view", ErrBadArg)
-	}
-	found := false
-	err := p.ForEachGroup(t, t, func(_ int64, rows []view.Row) error {
-		found = true
-		return fn(rows)
-	})
-	if err != nil {
-		return err
-	}
-	if !found {
-		return ErrNoRows
-	}
-	return nil
-}
-
-// rowRangeProbAt is the row-at-a-time oracle for RangeProbAt.
-func rowRangeProbAt(p *storage.ProbTable, t int64, lo, hi float64) (float64, error) {
-	var out float64
-	err := atGroup(p, t, func(rows []view.Row) error {
-		pr, err := RangeProb(rows, lo, hi)
-		out = pr
-		return err
-	})
-	return out, err
-}
-
-// rowExpectedAt is the row-at-a-time oracle for ExpectedAt.
-func rowExpectedAt(p *storage.ProbTable, t int64) (float64, error) {
-	var out float64
-	err := atGroup(p, t, func(rows []view.Row) error {
-		e, err := Expected(rows)
-		out = e
-		return err
-	})
-	return out, err
-}
-
-// rowTopKAt is the row-at-a-time oracle for TopKAt.
-func rowTopKAt(p *storage.ProbTable, t int64, k int) ([]view.Row, error) {
-	var out []view.Row
-	err := atGroup(p, t, func(rows []view.Row) error {
-		top, err := TopK(rows, k)
-		out = top
-		return err
-	})
-	return out, err
-}
-
-// rowBucketQueryAt is the row-at-a-time oracle for BucketQueryAt.
-func rowBucketQueryAt(p *storage.ProbTable, t int64, buckets []Bucket) ([]BucketProb, error) {
-	var out []BucketProb
-	err := atGroup(p, t, func(rows []view.Row) error {
-		ps, err := BucketQuery(rows, buckets)
-		out = ps
-		return err
-	})
-	return out, err
 }

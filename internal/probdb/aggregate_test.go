@@ -13,16 +13,21 @@ import (
 // t=1: P((0,1]) = 0.5, P((1,2]) = 0.5
 // t=2: P((0,1]) = 0.2, P((1,2]) = 0.8
 func twoTupleTable() *storage.ProbTable {
-	return &storage.ProbTable{
-		Name:  "pv",
-		Omega: view.Omega{Delta: 1, N: 2},
-		Rows: []view.Row{
-			{T: 1, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.5},
-			{T: 1, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.5},
-			{T: 2, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.2},
-			{T: 2, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.8},
-		},
+	return tableOf(twoTupleRows())
+}
+
+func twoTupleRows() []view.Row {
+	return []view.Row{
+		{T: 1, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.5},
+		{T: 1, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.5},
+		{T: 2, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.2},
+		{T: 2, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.8},
 	}
+}
+
+// tableOf builds a view named pv over rows.
+func tableOf(rows []view.Row) *storage.ProbTable {
+	return storage.NewProbTable(storage.ViewMeta{Name: "pv", Omega: view.Omega{Delta: 1, N: 2}}, rows)
 }
 
 func TestExpectedSeries(t *testing.T) {
@@ -86,9 +91,10 @@ func TestAnyAllInRange(t *testing.T) {
 		t.Errorf("AllInRange = %v", all)
 	}
 	// Degenerate: a certain tuple makes Any = 1.
-	pt := twoTupleTable()
-	pt.Rows[2].Prob = 0
-	pt.Rows[3].Prob = 1
+	certain := twoTupleRows()
+	certain[2].Prob = 0
+	certain[3].Prob = 1
+	pt := tableOf(certain)
 	any, err = AnyInRange(pt, 1, 2, 1, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -2,25 +2,16 @@ package probdb
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/storage"
 	"repro/internal/view"
 )
 
-// Benchmarks for the range aggregates, three generations of the same scan:
-//
-//	columnar — the batch kernels over the struct-of-arrays columns (public
-//	           path since PR 7)
-//	indexed  — the PR 4 row-at-a-time path (ForEachGroup + per-tuple closure),
-//	           kept as the oracle in aggregate.go
-//	legacy   — the pre-index flat scan (full Times() walk, per-timestamp
-//	           binary search plus a row copy), reproduced inline below
-//
-// Each sub-benchmark reports rows/s over the 200k-row view so the CI bench
-// gate (cmd/benchgate) can pin the trajectory. Run with -benchmem: allocs/op
-// is part of the gated schema.
+// Benchmarks for the range aggregates. The "columnar" sub-benchmark names
+// are the keys BENCH_BASELINE.json gates. Each reports rows/s over the
+// 200k-row view so the CI bench gate (cmd/benchgate) can pin the trajectory.
+// Run with -benchmem: allocs/op is part of the gated schema.
 
 const (
 	benchTuples = 25000
@@ -45,65 +36,6 @@ func benchView(tb testing.TB) *storage.ProbTable {
 	return p
 }
 
-// flatTimes / flatRowsAt are the pre-index accessor internals, inlined over
-// a flat snapshot of the rows.
-func flatTimes(rows []view.Row) []int64 {
-	var out []int64
-	var last int64
-	for i, r := range rows {
-		if i == 0 || r.T != last {
-			out = append(out, r.T)
-			last = r.T
-		}
-	}
-	return out
-}
-
-func flatRowsAt(rows []view.Row, t int64) []view.Row {
-	i := sort.Search(len(rows), func(i int) bool { return rows[i].T >= t })
-	var out []view.Row
-	for ; i < len(rows) && rows[i].T == t; i++ {
-		out = append(out, rows[i])
-	}
-	return out
-}
-
-func flatExpectedSeries(rows []view.Row, tLo, tHi int64) ([]TimeSeriesPoint, error) {
-	var out []TimeSeriesPoint
-	for _, t := range flatTimes(rows) {
-		if t < tLo || t > tHi {
-			continue
-		}
-		e, err := Expected(flatRowsAt(rows, t))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TimeSeriesPoint{T: t, Value: e})
-	}
-	if len(out) == 0 {
-		return nil, ErrNoRows
-	}
-	return out, nil
-}
-
-func flatProbSeries(rows []view.Row, tLo, tHi int64, lo, hi float64) ([]TimeSeriesPoint, error) {
-	var out []TimeSeriesPoint
-	for _, t := range flatTimes(rows) {
-		if t < tLo || t > tHi {
-			continue
-		}
-		pr, err := RangeProb(flatRowsAt(rows, t), lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TimeSeriesPoint{T: t, Value: pr})
-	}
-	if len(out) == 0 {
-		return nil, ErrNoRows
-	}
-	return out, nil
-}
-
 // reportRowsPerSec attaches the gated throughput metric: total view rows
 // scanned per second of benchmark time.
 func reportRowsPerSec(b *testing.B) {
@@ -124,26 +56,6 @@ func BenchmarkExpectedSeries(b *testing.B) {
 		}
 		reportRowsPerSec(b)
 	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rowExpectedSeries(p, 0, benchTuples); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
-	b.Run("legacy", func(b *testing.B) {
-		rows := p.SnapshotRows()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := flatExpectedSeries(rows, 0, benchTuples); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
 }
 
 func BenchmarkProbSeries(b *testing.B) {
@@ -152,26 +64,6 @@ func BenchmarkProbSeries(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ProbSeries(p, 0, benchTuples, 2, 6); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rowProbSeries(p, 0, benchTuples, 2, 6); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
-	b.Run("legacy", func(b *testing.B) {
-		rows := p.SnapshotRows()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := flatProbSeries(rows, 0, benchTuples, 2, 6); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -192,15 +84,6 @@ func BenchmarkExpectedCount(b *testing.B) {
 		}
 		reportRowsPerSec(b)
 	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rowExpectedCount(p, 0, benchTuples, 2, 6); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
 }
 
 func BenchmarkRangeProbAt(b *testing.B) {
@@ -214,20 +97,15 @@ func BenchmarkRangeProbAt(b *testing.B) {
 }
 
 // TestBenchPathsIdentical pins the acceptance criterion directly: over the
-// benchmark view the columnar, indexed and legacy scans return byte-identical
+// benchmark view the column kernels and the row oracle return byte-identical
 // series.
 func TestBenchPathsIdentical(t *testing.T) {
 	p := benchView(t)
-	rows := p.SnapshotRows()
 	gotE, err := ExpectedSeries(p, 0, benchTuples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowE, err := rowExpectedSeries(p, 0, benchTuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantE, err := flatExpectedSeries(rows, 0, benchTuples)
+	wantE, err := rowExpectedSeries(p, 0, benchTuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +113,7 @@ func TestBenchPathsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowP, err := rowProbSeries(p, 0, benchTuples, 2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantP, err := flatProbSeries(rows, 0, benchTuples, 2, 6)
+	wantP, err := rowProbSeries(p, 0, benchTuples, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +122,7 @@ func TestBenchPathsIdentical(t *testing.T) {
 	}
 	for i := range gotE {
 		if gotE[i] != wantE[i] || gotP[i] != wantP[i] {
-			t.Fatalf("index %d: columnar/legacy series diverge", i)
-		}
-		if gotE[i] != rowE[i] || gotP[i] != rowP[i] {
-			t.Fatalf("index %d: columnar/indexed series diverge", i)
+			t.Fatalf("index %d: column kernel and row oracle diverge", i)
 		}
 	}
 }

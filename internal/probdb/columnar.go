@@ -9,20 +9,22 @@ import (
 	"repro/internal/view"
 )
 
-// Columnar batch kernels: the public aggregate and point-query entry points,
-// rewritten over the struct-of-arrays projection that storage.ProbTable
-// maintains next to its row slice. Each range aggregate is one
+// Column kernels: the public aggregate and point-query entry points over
+// the columns a storage.ProbTable consists of. Window series (ExpectedSeries,
+// ProbSeries and everything built on them) are projections of the one
+// chunked pass, FusedSeries in parallel.go. The early-stop reducers
+// (ExpectedCount, AnyInRange, AllInRange) share scanProbs: one
 // storage.RangeCols call — a single read-lock acquisition handing back the
-// group spans and the Lo/Hi/Prob column slices — and then a plain double
-// loop: groups outside, a branch-light column scan inside, with bounds
-// checks hoisted by reslicing and no per-row (or per-group) function-call
-// dispatch. Point helpers use the per-group form, ForEachGroupCols.
+// group spans and the Lo/Hi/Prob columns — and a plain double loop, groups
+// outside, a branch-light column scan inside, with bounds checks hoisted by
+// reslicing, no per-row or per-group dispatch and no allocation. Point
+// helpers use the per-group form, ForEachGroupCols.
 //
-// Results are bit-identical to the row-at-a-time path in aggregate.go: the
-// kernels perform the same floating-point operations in the same order, they
-// just read operands from columns instead of 40-byte Row structs. The
-// zero-width point-mass semantics of RangeProb (a row with Hi == Lo counts
-// fully iff lo < Lo <= hi) carry over unchanged. The property tests and
+// Results are bit-identical to the row oracle in oracle_test.go: the kernels
+// perform the same floating-point operations in the same order, they just
+// read operands from columns instead of view.Row structs. The zero-width
+// point-mass semantics of RangeProb (a row with Hi == Lo counts fully iff
+// lo < Lo <= hi) carry over unchanged. The property tests and
 // FuzzColumnarKernels pin this equivalence, including matching errors.
 
 // errRange builds RangeProb's invalid-range error; shared so the columnar
@@ -39,8 +41,8 @@ var (
 )
 
 // validRange reports whether (lo, hi] is a usable query range (ordered,
-// NaN-free). Hoisted out of the scan loops: the row path re-validates per
-// tuple inside RangeProb, the columnar path validates once per query.
+// NaN-free). Hoisted out of the scan loops: RangeProb re-validates per
+// tuple, the kernels validate once per query.
 func validRange(lo, hi float64) bool {
 	return lo <= hi && !math.IsNaN(lo) && !math.IsNaN(hi)
 }
@@ -107,70 +109,18 @@ func expectedCols(rlo, rhi, prob []float64) (float64, error) {
 
 // ExpectedSeries returns the expected true value at every timestamp of the
 // view within [tLo, tHi] — the model-based view abstraction of MauveDB
-// (reference [25]) recovered from the probabilistic database.
+// (reference [25]) recovered from the probabilistic database. It is the
+// fused pass on the calling goroutine.
 func ExpectedSeries(p *storage.ProbTable, tLo, tHi int64) ([]TimeSeriesPoint, error) {
-	if p == nil {
-		return nil, errNilView
-	}
-	var out []TimeSeriesPoint
-	err := p.RangeCols(tLo, tHi, func(groups []storage.TimeGroup, c storage.Cols) error {
-		noteScan(groups)
-		if len(groups) == 0 {
-			return nil
-		}
-		out = make([]TimeSeriesPoint, 0, len(groups))
-		for _, g := range groups {
-			end := g.Off + g.Len
-			v, err := expectedCols(c.Lo[g.Off:end], c.Hi[g.Off:end], c.Prob[g.Off:end])
-			if err != nil {
-				return err
-			}
-			out = append(out, TimeSeriesPoint{T: g.T, Value: v})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, ErrNoRows
-	}
-	return out, nil
+	out, _, err := ExpectedSeriesPar(p, tLo, tHi, 1)
+	return out, err
 }
 
 // ProbSeries returns P(lo < R_t <= hi) at every timestamp of the view within
-// [tLo, tHi].
+// [tLo, tHi]: the fused pass on the calling goroutine.
 func ProbSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]TimeSeriesPoint, error) {
-	if p == nil {
-		return nil, errNilView
-	}
-	var out []TimeSeriesPoint
-	err := p.RangeCols(tLo, tHi, func(groups []storage.TimeGroup, c storage.Cols) error {
-		noteScan(groups)
-		if len(groups) == 0 {
-			return nil
-		}
-		// Argument validation sits behind the empty-range check on purpose:
-		// like the row path, a range with no tuples reports ErrNoRows even
-		// when lo/hi are malformed.
-		if !validRange(lo, hi) {
-			return errRange(lo, hi)
-		}
-		out = make([]TimeSeriesPoint, 0, len(groups))
-		for _, g := range groups {
-			end := g.Off + g.Len
-			q := rangeProbCols(c.Lo[g.Off:end], c.Hi[g.Off:end], c.Prob[g.Off:end], lo, hi)
-			out = append(out, TimeSeriesPoint{T: g.T, Value: q})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, ErrNoRows
-	}
-	return out, nil
+	out, _, err := ProbSeriesPar(p, tLo, tHi, lo, hi, 1)
+	return out, err
 }
 
 // scanProbs runs one columnar pass over [tLo, tHi], computing each tuple's
@@ -210,38 +160,6 @@ func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func
 		return 0, ErrNoRows
 	}
 	return n, nil
-}
-
-// probsOver collects the per-tuple probabilities P(lo < R_t <= hi) over
-// [tLo, tHi] for the Poisson-binomial consumers, which need the whole
-// vector. An empty result means no tuples.
-func probsOver(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]float64, error) {
-	if p == nil {
-		return nil, errNilView
-	}
-	var out []float64
-	err := p.RangeCols(tLo, tHi, func(groups []storage.TimeGroup, c storage.Cols) error {
-		noteScan(groups)
-		if len(groups) == 0 {
-			return nil
-		}
-		if !validRange(lo, hi) {
-			return errRange(lo, hi)
-		}
-		out = make([]float64, 0, len(groups))
-		for _, g := range groups {
-			end := g.Off + g.Len
-			out = append(out, rangeProbCols(c.Lo[g.Off:end], c.Hi[g.Off:end], c.Prob[g.Off:end], lo, hi))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, ErrNoRows
-	}
-	return out, nil
 }
 
 // ExpectedCount returns the expected number of timestamps in [tLo, tHi]
@@ -310,11 +228,11 @@ func AllInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, 
 // by the exact Poisson-binomial dynamic program over the per-tuple
 // probabilities. Entry k of the result is P(count = k).
 func ExceedanceCountDistribution(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]float64, error) {
-	probs, err := probsOver(p, tLo, tHi, lo, hi)
+	series, err := ProbSeries(p, tLo, tHi, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return poissonBinomialPMF(probs), nil
+	return poissonBinomialPMF(series), nil
 }
 
 // CountAtLeast returns P(count >= k) from the Poisson-binomial distribution
@@ -347,7 +265,7 @@ func atGroupCols(p *storage.ProbTable, t int64, fn func(g storage.GroupCols) err
 	found := false
 	err := p.ForEachGroupCols(t, t, func(g storage.GroupCols) error {
 		found = true
-		noteScanGroup(len(g.Rows))
+		noteScanGroup(len(g.Prob))
 		return fn(g)
 	})
 	if err != nil {
@@ -405,15 +323,16 @@ func TopKAt(p *storage.ProbTable, t int64, k int) ([]view.Row, error) {
 			if g.Prob[ia] != g.Prob[ib] {
 				return g.Prob[ia] > g.Prob[ib]
 			}
-			return g.Rows[ia].Lambda < g.Rows[ib].Lambda
+			return g.Lambda[ia] < g.Lambda[ib]
 		})
 		m := k
 		if m > n {
 			m = n
 		}
 		out = make([]view.Row, m)
-		for i := 0; i < m; i++ {
-			out[i] = g.Rows[idx[i]]
+		for i := range out {
+			j := idx[i]
+			out[i] = view.Row{T: g.T, Lambda: g.Lambda[j], Lo: g.Lo[j], Hi: g.Hi[j], Prob: g.Prob[j]}
 		}
 		return nil
 	})

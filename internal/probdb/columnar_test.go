@@ -12,8 +12,8 @@ import (
 	"repro/internal/view"
 )
 
-// Property tests pinning every columnar batch kernel byte-identical to the
-// row-at-a-time oracle in aggregate.go — same values (reflect.DeepEqual, no
+// Property tests pinning every column kernel byte-identical to the
+// row-at-a-time oracle in oracle_test.go — same values (reflect.DeepEqual, no
 // tolerance), same errors — over randomized tables that include zero-width
 // point masses, zero-probability ranges and query windows with no groups.
 
@@ -168,26 +168,18 @@ func TestColumnarKernelsMatchRowOracle(t *testing.T) {
 	}
 }
 
-// TestColumnarKernelsDirectAssignment covers the lazily-indexed path: Rows
-// assigned directly (offline build / gob decode shape), columns built on
-// first access.
+// TestColumnarKernelsDirectAssignment covers tables built whole by
+// NewProbTable (offline build / gob decode shape) instead of grown by
+// AppendRows.
 func TestColumnarKernelsDirectAssignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		src := randomView(rng, 1+rng.Intn(20))
-		p := &storage.ProbTable{Name: "pv", Omega: src.Omega, Rows: src.SnapshotRows()}
+		p := storage.NewProbTable(src.Meta(), src.SnapshotRows())
 		times := src.Times()
 		maxT := times[len(times)-1]
 		checkKernelsMatch(t, p, 0, maxT, 1, 4)
 		checkPointHelpersMatch(t, p, times[rng.Intn(len(times))], 1, 4)
-
-		// Wholesale replacement of Rows must rebuild the columns, not serve
-		// stale ones.
-		repl := randomView(rng, 1+rng.Intn(20))
-		p.Rows = repl.SnapshotRows()
-		rtimes := repl.Times()
-		rmax := rtimes[len(rtimes)-1]
-		checkKernelsMatch(t, p, 0, rmax, 1, 4)
 	}
 }
 

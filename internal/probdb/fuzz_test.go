@@ -122,9 +122,13 @@ func FuzzColumnarKernels(f *testing.F) {
 		rows = append(rows, g1...)
 		for _, r := range g2 {
 			r.T = 2
+			// Descending, gapped lambdas: the second tuple's probability
+			// ties (fuzzRows repeats p1/p2) must break on the stored
+			// Lambda, not on the row's position in its group.
+			r.Lambda = int(n2) - 3*r.Lambda
 			rows = append(rows, r)
 		}
-		p := &storage.ProbTable{Name: "pv", Rows: rows}
+		p := storage.NewProbTable(storage.ViewMeta{Name: "pv"}, rows)
 		tLo, tHi := int64(tLo8), int64(tHi8)
 
 		gotE, errE := ExpectedSeries(p, tLo, tHi)
@@ -199,10 +203,12 @@ func FuzzColumnarKernels(f *testing.F) {
 			t.Fatalf("ExpectedAt: columnar (%v, %v) vs oracle (%v, %v)", gotExp, errExp, wantExp, werrExp)
 		}
 
-		gotTop, errTop := TopKAt(p, at, int(n1%4)+1)
-		wantTop, werrTop := rowTopKAt(p, at, int(n1%4)+1)
-		if (errTop != nil) != (werrTop != nil) || !reflect.DeepEqual(gotTop, wantTop) {
-			t.Fatalf("TopKAt: columnar (%v, %v) vs oracle (%v, %v)", gotTop, errTop, wantTop, werrTop)
+		for _, tt := range []int64{at, 2} {
+			gotTop, errTop := TopKAt(p, tt, int(n1%4)+1)
+			wantTop, werrTop := rowTopKAt(p, tt, int(n1%4)+1)
+			if (errTop != nil) != (werrTop != nil) || !reflect.DeepEqual(gotTop, wantTop) {
+				t.Fatalf("TopKAt(%d): columnar (%v, %v) vs oracle (%v, %v)", tt, gotTop, errTop, wantTop, werrTop)
+			}
 		}
 
 		buckets := []Bucket{

@@ -11,59 +11,6 @@ import (
 	"repro/internal/view"
 )
 
-// Legacy flat-scan aggregate implementations: the pre-index shape (Times()
-// full scan + per-timestamp RowsAt copy + per-timestamp query). The indexed
-// single-pass rewrites must stay byte-identical to them — same float
-// operations in the same order, so reflect.DeepEqual, not tolerance.
-
-func legacyExpectedSeries(p *storage.ProbTable, tLo, tHi int64) ([]TimeSeriesPoint, error) {
-	var out []TimeSeriesPoint
-	for _, t := range p.Times() {
-		if t < tLo || t > tHi {
-			continue
-		}
-		e, err := Expected(p.RowsAt(t))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TimeSeriesPoint{T: t, Value: e})
-	}
-	if len(out) == 0 {
-		return nil, ErrNoRows
-	}
-	return out, nil
-}
-
-func legacyProbSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]TimeSeriesPoint, error) {
-	var out []TimeSeriesPoint
-	for _, t := range p.Times() {
-		if t < tLo || t > tHi {
-			continue
-		}
-		pr, err := RangeProb(p.RowsAt(t), lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TimeSeriesPoint{T: t, Value: pr})
-	}
-	if len(out) == 0 {
-		return nil, ErrNoRows
-	}
-	return out, nil
-}
-
-func legacyExpectedCount(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
-	series, err := legacyProbSeries(p, tLo, tHi, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, pt := range series {
-		sum += pt.Value
-	}
-	return sum, nil
-}
-
 // randomView builds a probabilistic view with randomized tuples, including
 // degenerate rows: zero-width point masses and zero-probability ranges.
 func randomView(rng *rand.Rand, tuples int) *storage.ProbTable {
@@ -91,6 +38,9 @@ func randomView(rng *rand.Rand, tuples int) *storage.ProbTable {
 	return p
 }
 
+// TestIndexedAggregatesMatchLegacyScan sweeps random windows against the row
+// oracle — a flat scan over materialised rows — and checks the point helpers
+// against the per-tuple row functions on RowsAt.
 func TestIndexedAggregatesMatchLegacyScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -104,7 +54,7 @@ func TestIndexedAggregatesMatchLegacyScan(t *testing.T) {
 			hi := lo + rng.Float64()*3
 
 			gotE, errE := ExpectedSeries(p, tLo, tHi)
-			wantE, werrE := legacyExpectedSeries(p, tLo, tHi)
+			wantE, werrE := rowExpectedSeries(p, tLo, tHi)
 			if (errE != nil) != (werrE != nil) {
 				t.Fatalf("ExpectedSeries err %v vs %v", errE, werrE)
 			}
@@ -113,7 +63,7 @@ func TestIndexedAggregatesMatchLegacyScan(t *testing.T) {
 			}
 
 			gotP, errP := ProbSeries(p, tLo, tHi, lo, hi)
-			wantP, werrP := legacyProbSeries(p, tLo, tHi, lo, hi)
+			wantP, werrP := rowProbSeries(p, tLo, tHi, lo, hi)
 			if (errP != nil) != (werrP != nil) {
 				t.Fatalf("ProbSeries err %v vs %v", errP, werrP)
 			}
@@ -122,7 +72,7 @@ func TestIndexedAggregatesMatchLegacyScan(t *testing.T) {
 			}
 
 			gotC, errC := ExpectedCount(p, tLo, tHi, lo, hi)
-			wantC, werrC := legacyExpectedCount(p, tLo, tHi, lo, hi)
+			wantC, werrC := rowExpectedCount(p, tLo, tHi, lo, hi)
 			if (errC != nil) != (werrC != nil) || gotC != wantC {
 				t.Fatalf("trial %d: ExpectedCount = %v (%v), flat scan %v (%v)", trial, gotC, errC, wantC, werrC)
 			}
@@ -162,9 +112,8 @@ func TestIndexedAggregatesMatchLegacyScan(t *testing.T) {
 	}
 }
 
-// TestIndexedAggregatesUnderConcurrentAppend runs the single-pass aggregates
-// while AppendRows extends the view; under -race this pins the zero-copy
-// iterator's locking. Aggregate values must always reflect whole tuples.
+// TestIndexedAggregatesUnderConcurrentAppend runs the window aggregates
+// while AppendRows extends the view; under -race this pins the locking. Aggregate values must always reflect whole tuples.
 func TestIndexedAggregatesUnderConcurrentAppend(t *testing.T) {
 	const tuples = 300
 	p := &storage.ProbTable{Name: "pv", Omega: view.Omega{Delta: 1, N: 2}}

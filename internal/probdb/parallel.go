@@ -21,15 +21,17 @@ import (
 // these give the same guarantee shape as the PR 1 parallel view builder:
 // byte-identical output at any worker count.
 //
-// FusedSeries is the second half: one pass over colLo/colHi/colProb that
-// computes any subset of {ExpectedSeries, ProbSeries, ExpectedCount}
-// simultaneously, per accumulator performing the same operations in the
-// same order as the three independent kernels — a dashboard issuing all
-// three statistics pays one scan instead of three. ExpectedSeriesPar,
-// ProbSeriesPar and ExpectedCountPar are its single-statistic projections.
+// FusedSeries is the second half and the only window kernel: one pass over
+// the Lo/Hi/Prob columns that computes any subset of {expected series, prob
+// series, expected count} simultaneously, per accumulator performing the
+// same operations in the same order as the row oracle — a dashboard issuing
+// all three statistics pays one scan instead of three. ExpectedSeriesPar,
+// ProbSeriesPar and ExpectedCountPar are its single-statistic projections,
+// and ExpectedSeries and ProbSeries those at workers=1.
 //
-// AnyInRange and AllInRange stay sequential on purpose: their early-stop
-// reducers decide the answer mid-scan, which chunking would forfeit.
+// ExpectedCount, AnyInRange and AllInRange (columnar.go) stay on the
+// sequential scanProbs reducer on purpose: they allocate nothing, and the
+// latter two decide the answer mid-scan, which chunking would forfeit.
 
 // parCutoffRows is the sequential fast-path threshold: a window covering
 // fewer rows runs on the calling goroutine, so small queries pay zero pool
@@ -142,12 +144,11 @@ func expectedAccumCols(rlo, rhi, prob []float64) (num, den float64) {
 
 // fusedChunk evaluates one contiguous chunk of groups into preallocated,
 // chunk-owned output slots: outE[i]/outP[i]/outQ[i] belong to groups[i].
-// A nil slice deselects that statistic. Each selected statistic runs the
-// standalone group loop over the group's rows — the second loop hits rows
-// still hot in L1 (groups are a handful of rows), so a fused pass pays the
-// column memory traffic once and each statistic is bit-identical to its
-// standalone kernel by construction. Like the sequential ExpectedSeries,
-// the first zero-mass group stops the chunk.
+// A nil slice deselects that statistic. Each selected statistic runs its
+// own loop over the group's rows — the second loop hits rows still hot in
+// L1 (groups are a handful of rows), so a fused pass pays the column memory
+// traffic once and each statistic is the same arithmetic whatever else is
+// selected. The first zero-mass group stops the chunk.
 //
 //tspdb:kernel
 func fusedChunk(groups []storage.TimeGroup, c storage.Cols, lo, hi float64, outE, outP []TimeSeriesPoint, outQ []float64) error {
@@ -205,33 +206,32 @@ func (s FusedStats) n() int {
 }
 
 // FusedResult holds the statistics of one fused pass; deselected fields
-// stay zero.
+// stay zero, and a failed pass returns the zero value.
 type FusedResult struct {
 	Expected []TimeSeriesPoint
 	Prob     []TimeSeriesPoint
 	Count    float64
 }
 
-// FusedSeries computes any subset of {ExpectedSeries, ProbSeries,
-// ExpectedCount} over [tLo, tHi] in a single chunked column scan. lo/hi are
+// FusedSeries computes any subset of {expected series, prob series,
+// expected count} over [tLo, tHi] in a single chunked column scan. lo/hi are
 // the value range of the Prob and Count statistics (ignored, and not
-// validated, when neither is selected — like ExpectedSeries, which takes no
-// range). Results are byte-identical to the standalone kernels at any
-// worker count; workers <= 1, or a window below the chunk cutoff, runs
-// sequentially on the calling goroutine.
+// validated, when neither is selected). Results are byte-identical to the
+// row oracle at any worker count; workers <= 1, or a window below the chunk
+// cutoff, runs sequentially on the calling goroutine.
 //
-// Error shape matches the standalone kernels: nil view and an empty
-// selection are ErrBadArg, an empty window is ErrNoRows and wins over an
-// invalid value range, an invalid range (when Prob or Count is selected)
-// and a zero-mass group (when Expected is selected) are ErrBadArg. The
-// pass is all-or-nothing — one statistic's error fails the whole call.
-func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want FusedStats, workers int) (*FusedResult, ScanPlan, error) {
+// Error shape: nil view and an empty selection are ErrBadArg, an empty
+// window is ErrNoRows and wins over an invalid value range, an invalid range
+// (when Prob or Count is selected) and a zero-mass group (when Expected is
+// selected) are ErrBadArg. The pass is all-or-nothing — one statistic's
+// error fails the whole call.
+func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want FusedStats, workers int) (FusedResult, ScanPlan, error) {
 	var plan ScanPlan
 	if p == nil {
-		return nil, plan, errNilView
+		return FusedResult{}, plan, errNilView
 	}
 	if want.n() == 0 {
-		return nil, plan, errNoStats
+		return FusedResult{}, plan, errNoStats
 	}
 	if want.n() > 1 {
 		metFusedScans.Inc()
@@ -245,7 +245,7 @@ func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want Fuse
 		}
 		found = true
 		// Validation sits behind the empty-window check on purpose: like
-		// the sequential kernels, a window with no tuples reports ErrNoRows
+		// RangeProb over no rows, a window with no tuples reports ErrNoRows
 		// even when lo/hi are malformed.
 		if (want.Prob || want.Count) && !validRange(lo, hi) {
 			return errRange(lo, hi)
@@ -284,7 +284,7 @@ func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want Fuse
 		res.Expected, res.Prob = outE, outP
 		if want.Count {
 			// Sequential in-order fold: the exact addition sequence of the
-			// single-threaded ExpectedCount, so the sum is bit-identical at
+			// sequential ExpectedCount, so the sum is bit-identical at
 			// any worker count. The parallel phase only filled the
 			// per-group terms.
 			sum := 0.0
@@ -302,12 +302,12 @@ func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want Fuse
 		return nil
 	})
 	if err != nil {
-		return nil, plan, err
+		return FusedResult{}, plan, err
 	}
 	if !found {
-		return nil, plan, ErrNoRows
+		return FusedResult{}, plan, ErrNoRows
 	}
-	return &res, plan, nil
+	return res, plan, nil
 }
 
 // ExpectedSeriesPar is ExpectedSeries on the chunked worker pool: identical
@@ -315,29 +315,20 @@ func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want Fuse
 // plan for explain output.
 func ExpectedSeriesPar(p *storage.ProbTable, tLo, tHi int64, workers int) ([]TimeSeriesPoint, ScanPlan, error) {
 	res, plan, err := FusedSeries(p, tLo, tHi, 0, 0, FusedStats{Expected: true}, workers)
-	if err != nil {
-		return nil, plan, err
-	}
-	return res.Expected, plan, nil
+	return res.Expected, plan, err
 }
 
 // ProbSeriesPar is ProbSeries on the chunked worker pool.
 func ProbSeriesPar(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, workers int) ([]TimeSeriesPoint, ScanPlan, error) {
 	res, plan, err := FusedSeries(p, tLo, tHi, lo, hi, FusedStats{Prob: true}, workers)
-	if err != nil {
-		return nil, plan, err
-	}
-	return res.Prob, plan, nil
+	return res.Prob, plan, err
 }
 
 // ExpectedCountPar is ExpectedCount on the chunked worker pool. The
 // per-group probabilities are computed in parallel; the sum folds
-// sequentially in group order, so the result is bit-identical to the
-// sequential kernel.
+// sequentially in group order, so the result is bit-identical to
+// ExpectedCount's.
 func ExpectedCountPar(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, workers int) (float64, ScanPlan, error) {
 	res, plan, err := FusedSeries(p, tLo, tHi, lo, hi, FusedStats{Count: true}, workers)
-	if err != nil {
-		return 0, plan, err
-	}
-	return res.Count, plan, nil
+	return res.Count, plan, err
 }

@@ -269,13 +269,12 @@ func execCreateView(db *storage.DB, s *CreateViewStmt, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	table := &storage.ProbTable{
+	table := storage.NewProbTable(storage.ViewMeta{
 		Name:       s.ViewName,
 		Source:     s.From,
 		MetricName: metric.Name(),
 		Omega:      v.Omega,
-		Rows:       v.Rows,
-	}
+	}, v.Rows)
 	if err := db.StoreView(table); err != nil {
 		return nil, err
 	}

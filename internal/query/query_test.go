@@ -221,8 +221,8 @@ func TestExecCreateViewEndToEnd(t *testing.T) {
 		t.Errorf("default metric = %q", res.View.MetricName)
 	}
 	// 51 timestamps x 8 ranges.
-	if len(res.View.Rows) != 51*8 {
-		t.Errorf("rows = %d, want %d", len(res.View.Rows), 51*8)
+	if res.View.NumRows() != 51*8 {
+		t.Errorf("rows = %d, want %d", res.View.NumRows(), 51*8)
 	}
 	// The view must be fetchable from the catalog.
 	if _, err := db.View("pv"); err != nil {
@@ -458,7 +458,7 @@ func TestExecWindowBelowMinimumIsRaised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.View.Rows) == 0 {
+	if res.View.NumRows() == 0 {
 		t.Error("no rows generated")
 	}
 }

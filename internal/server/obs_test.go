@@ -94,6 +94,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	leRE := regexp.MustCompile(`,?le="[^"]*"`)
 	typeOf := map[string]string{} // family -> counter|gauge|histogram
 	seen := map[string]bool{}     // duplicate series detection
+	value := map[string]float64{} // series key -> value
 	lastCum := map[string]int64{} // histogram key -> last cumulative bucket
 	infCum := map[string]int64{}  // histogram key -> +Inf bucket value
 	series := 0
@@ -135,6 +136,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 			t.Errorf("duplicate series %s", key)
 		}
 		seen[key] = true
+		value[key] = val
 		series++
 
 		// Resolve the family: histogram series carry a suffix.
@@ -199,6 +201,15 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	if series == 0 {
 		t.Fatal("scrape contained no series")
+	}
+	// Both views are resident: 81 built tuples and 5 streamed ones, 8 rows
+	// each, at no less than the columns' 32 B/row.
+	const rows = (81 + 5) * 8
+	if got := value["tspdb_storage_view_resident_rows"]; got != rows {
+		t.Errorf("resident rows gauge = %v, want %d", got, rows)
+	}
+	if got := value["tspdb_storage_view_resident_bytes"]; got < 32*rows {
+		t.Errorf("resident bytes gauge = %v, want at least %d", got, 32*rows)
 	}
 }
 

@@ -84,16 +84,16 @@ func (s *Server) handleRangeProb(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	series, err := probdb.ProbSeries(pv, from, to, lo, hi)
+	// The window form is SQL's PROB(lo, hi): same kernel entry, same workers.
+	workers := query.ResolveParallelism(s.engine.Parallelism())
+	series, plan, err := probdb.ProbSeriesPar(pv, from, to, lo, hi, workers)
 	if err != nil {
 		return err
 	}
-	resp.Series = make([]TimeValueJSON, len(series))
-	for i, pt := range series {
-		resp.Series[i] = TimeValueJSON{T: pt.T, Value: pt.Value}
-	}
+	resp.Series = timeValuesJSON(series)
 	if explainRequested(r) {
 		resp.Stats = probStats("rangeprob", pv, from, to, start)
+		resp.Stats.Workers, resp.Stats.Chunks = plan.Workers, plan.Chunks
 	}
 	return writeJSON(w, http.StatusOK, resp)
 }

@@ -16,15 +16,14 @@ import (
 // divided by its zero width into NaN or silently dropped.
 func TestRangeProbZeroWidthRowOverHTTP(t *testing.T) {
 	_, client, engine := newTestServer(t, Config{})
-	pv := &storage.ProbTable{
+	pv := storage.NewProbTable(storage.ViewMeta{
 		Name: "degenerate", Source: "campus", MetricName: "TEST",
 		Omega: view.Omega{Delta: 1, N: 2},
-		Rows: []view.Row{
-			{T: 7, Lambda: -1, Lo: 4, Hi: 4, Prob: 0.25}, // point mass at 4
-			{T: 7, Lambda: 0, Lo: 4, Hi: 5, Prob: 0.75},
-			{T: 8, Lambda: -1, Lo: 4, Hi: 4, Prob: 1}, // tuple of only a point mass
-		},
-	}
+	}, []view.Row{
+		{T: 7, Lambda: -1, Lo: 4, Hi: 4, Prob: 0.25}, // point mass at 4
+		{T: 7, Lambda: 0, Lo: 4, Hi: 5, Prob: 0.75},
+		{T: 8, Lambda: -1, Lo: 4, Hi: 4, Prob: 1}, // tuple of only a point mass
+	})
 	if err := engine.DB().StoreView(pv); err != nil {
 		t.Fatal(err)
 	}

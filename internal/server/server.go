@@ -108,6 +108,12 @@ func New(engine *core.Engine, cfg Config) *Server {
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reg.GaugeFunc("tspdbd_goroutines", "Current goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
+	s.reg.GaugeFunc("tspdb_storage_view_resident_rows",
+		"View rows resident in memory; rows still behind a lazy segment load are not.",
+		func() float64 { rows, _ := engine.DB().ViewResident(); return float64(rows) })
+	s.reg.GaugeFunc("tspdb_storage_view_resident_bytes",
+		"Bytes the resident view rows occupy: capacity of every view's columns and group index.",
+		func() float64 { _, bytes := engine.DB().ViewResident(); return float64(bytes) })
 	s.handle("GET /healthz", s.handleHealthz)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("PUT /tables/{table}", s.handleCreateTable)

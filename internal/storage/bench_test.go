@@ -6,9 +6,9 @@ import (
 	"repro/internal/view"
 )
 
-// Storage-layer kernels under the CI bench gate: the cost of maintaining
-// the group index + columnar projection during online appends, and the raw
-// scan throughput of the row iterator vs the columnar iterators.
+// Storage-layer kernels under the CI bench gate: the cost of an online
+// append (columns + group index), and the raw scan throughput of the two
+// column iterators.
 
 const (
 	benchTuples = 25000
@@ -35,8 +35,7 @@ func benchTable(tb testing.TB) *ProbTable {
 	return p
 }
 
-// BenchmarkAppendRowsIndexed measures one online ingest batch including the
-// incremental index + column maintenance.
+// BenchmarkAppendRowsIndexed measures one online ingest batch.
 func BenchmarkAppendRowsIndexed(b *testing.B) {
 	p := &ProbTable{Name: "pv", Omega: view.Omega{Delta: 0.5, N: benchPerT}}
 	batch := make([]view.Row, benchPerT)
@@ -56,28 +55,9 @@ func BenchmarkAppendRowsIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkScanGroupsRows / BenchmarkScanGroupsCols measure pure scan
-// throughput over the 200k-row table: summing one field through the row
-// iterator vs the per-group columns vs the bulk RangeCols form.
-func BenchmarkScanGroupsRows(b *testing.B) {
-	p := benchTable(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := 0.0
-		err := p.ForEachGroup(0, benchTuples, func(_ int64, rows []view.Row) error {
-			for j := range rows {
-				sum += rows[j].Prob
-			}
-			return nil
-		})
-		if err != nil || sum == 0 {
-			b.Fatalf("scan: sum=%v err=%v", sum, err)
-		}
-	}
-	reportScanRate(b)
-}
-
+// BenchmarkScanGroupsCols / BenchmarkScanRangeCols measure pure scan
+// throughput over the 200k-row table: summing one column through the
+// per-group iterator vs the bulk RangeCols form.
 func BenchmarkScanGroupsCols(b *testing.B) {
 	p := benchTable(b)
 	b.ReportAllocs()

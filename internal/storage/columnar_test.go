@@ -9,31 +9,30 @@ import (
 	"repro/internal/view"
 )
 
-// Tests for the columnar (struct-of-arrays) projection: the columns must
-// mirror Rows exactly through every path that mutates the table — online
-// appends, direct Rows assignment, wholesale replacement, lazy loads — and
-// the two columnar iterators must hand out spans consistent with
-// ForEachGroup.
+// Tests for the column iterators: the spans RangeCols and ForEachGroupCols
+// hand out must agree with the rows the table materialises, through online
+// appends and lazy loads. TestTableMatchesRowModel (model_test.go) is the
+// exhaustive version against an independent model.
 
 // checkColumnsMirrorRows walks the whole table through RangeCols and
-// verifies every column entry against the row it projects.
+// verifies every column entry against the row SnapshotRows materialises.
 func checkColumnsMirrorRows(t *testing.T, p *ProbTable) {
 	t.Helper()
 	rows := p.SnapshotRows()
 	var minT, maxT int64 = -1 << 62, 1 << 62
 	err := p.RangeCols(minT, maxT, func(groups []TimeGroup, c Cols) error {
-		if len(c.T) != len(rows) || len(c.Lo) != len(rows) || len(c.Hi) != len(rows) || len(c.Prob) != len(rows) {
-			t.Fatalf("column lengths %d/%d/%d/%d, want %d rows",
-				len(c.T), len(c.Lo), len(c.Hi), len(c.Prob), len(rows))
-		}
-		for i, r := range rows {
-			if c.T[i] != r.T || c.Lo[i] != r.Lo || c.Hi[i] != r.Hi || c.Prob[i] != r.Prob {
-				t.Fatalf("column %d = (%d, %v, %v, %v), row = %+v",
-					i, c.T[i], c.Lo[i], c.Hi[i], c.Prob[i], r)
-			}
+		if len(c.Lo) != len(rows) || len(c.Hi) != len(rows) || len(c.Prob) != len(rows) {
+			t.Fatalf("column lengths %d/%d/%d, want %d rows", len(c.Lo), len(c.Hi), len(c.Prob), len(rows))
 		}
 		n := 0
 		for _, g := range groups {
+			for i := g.Off; i < g.Off+g.Len; i++ {
+				// Lambda is not a scan column; ForEachGroupCols carries it.
+				got := view.Row{T: g.T, Lambda: rows[i].Lambda, Lo: c.Lo[i], Hi: c.Hi[i], Prob: c.Prob[i]}
+				if got != rows[i] {
+					t.Fatalf("column %d = %+v, row = %+v", i, got, rows[i])
+				}
+			}
 			n += g.Len
 		}
 		if n != len(rows) {
@@ -84,20 +83,6 @@ func TestColumnsMirrorRowsIncrementalAppend(t *testing.T) {
 	}
 }
 
-func TestColumnsAfterDirectAssignmentAndReplacement(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	p := &ProbTable{Name: "pv", Rows: randomRows(rng, 10)}
-	checkColumnsMirrorRows(t, p)
-
-	// Wholesale replacement (different backing array) must rebuild columns.
-	p.Rows = randomRows(rng, 7)
-	checkColumnsMirrorRows(t, p)
-
-	// Shrink must rebuild too.
-	p.Rows = p.Rows[:len(p.Rows)/2]
-	checkColumnsMirrorRows(t, p)
-}
-
 func TestColumnsAfterLazyLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rows := randomRows(rng, 8)
@@ -112,7 +97,7 @@ func TestColumnsAfterLazyLoad(t *testing.T) {
 	}
 	checkColumnsMirrorRows(t, p)
 
-	// A failed load surfaces through the columnar iterators like ForEachGroup.
+	// A failed load surfaces through the column iterators.
 	bad := &ProbTable{Name: "pv2"}
 	wantErr := errors.New("segment gone")
 	bad.SetLoader(3, func() ([]view.Row, error) { return nil, wantErr })
@@ -126,65 +111,9 @@ func TestColumnsAfterLazyLoad(t *testing.T) {
 	}
 }
 
-// TestForEachGroupColsMatchesForEachGroup pins the two iterators against
-// each other: same groups, and per group the column spans mirror the row
-// span element-wise.
-func TestForEachGroupColsMatchesForEachGroup(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	p := &ProbTable{Name: "pv", Rows: randomRows(rng, 25)}
-	times := p.Times()
-	spans := map[int64][]view.Row{}
-	if err := p.ForEachGroup(0, 1<<62, func(tt int64, rows []view.Row) error {
-		cp := make([]view.Row, len(rows))
-		copy(cp, rows)
-		spans[tt] = cp
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	if err := p.ForEachGroupCols(0, 1<<62, func(g GroupCols) error {
-		seen++
-		want := spans[g.T]
-		if len(g.Lo) != len(want) || len(g.Hi) != len(want) || len(g.Prob) != len(want) || len(g.Rows) != len(want) {
-			t.Fatalf("t=%d: span lengths diverge", g.T)
-		}
-		for i, r := range want {
-			if g.Lo[i] != r.Lo || g.Hi[i] != r.Hi || g.Prob[i] != r.Prob || g.Rows[i] != r {
-				t.Fatalf("t=%d row %d: columns (%v, %v, %v) vs row %+v", g.T, i, g.Lo[i], g.Hi[i], g.Prob[i], r)
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(times) {
-		t.Fatalf("visited %d groups, want %d", seen, len(times))
-	}
-
-	// Sub-range iteration agrees with GroupsRange.
-	mid := times[len(times)/2]
-	var got []int64
-	if err := p.ForEachGroupCols(mid, 1<<62, func(g GroupCols) error {
-		got = append(got, g.T)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := p.GroupsRange(mid, 1<<62)
-	if len(got) != len(want) {
-		t.Fatalf("sub-range visited %d groups, want %d", len(got), len(want))
-	}
-	for i, g := range want {
-		if got[i] != g.T {
-			t.Fatalf("sub-range group %d: t=%d, want %d", i, got[i], g.T)
-		}
-	}
-}
-
-// TestColumnsUnderConcurrentAppend hammers the columnar readers while a
+// TestColumnsUnderConcurrentAppend hammers the column readers while a
 // writer appends; under -race this pins the locking, and every observed
-// column span must be internally consistent with its row span.
+// group must be a whole batch with its columns in step.
 func TestColumnsUnderConcurrentAppend(t *testing.T) {
 	p := &ProbTable{Name: "pv"}
 	const tuples = 400
@@ -212,12 +141,12 @@ func TestColumnsUnderConcurrentAppend(t *testing.T) {
 				default:
 				}
 				err := p.ForEachGroupCols(0, tuples, func(g GroupCols) error {
-					if len(g.Lo) != 2 || len(g.Rows) != 2 {
-						t.Errorf("t=%d: torn group of %d rows", g.T, len(g.Rows))
+					if len(g.Lo) != 2 || len(g.Lambda) != 2 {
+						t.Errorf("t=%d: torn group of %d rows", g.T, len(g.Lo))
 						return nil
 					}
-					if g.Lo[0] != float64(g.T) || g.Prob[0] != 0.5 || g.Rows[1].Lambda != 0 {
-						t.Errorf("t=%d: columns diverge from rows", g.T)
+					if g.Lo[0] != float64(g.T) || g.Prob[0] != 0.5 || g.Lambda[1] != 0 {
+						t.Errorf("t=%d: columns out of step", g.T)
 					}
 					return nil
 				})

@@ -262,8 +262,8 @@ func TestLazyLoaderMaterialises(t *testing.T) {
 	if err := bad.LoadErr(); !errors.Is(err, boom) {
 		t.Fatalf("LoadErr = %v", err)
 	}
-	if err := bad.ForEachGroup(0, 100, func(int64, []view.Row) error { return nil }); !errors.Is(err, boom) {
-		t.Fatalf("ForEachGroup = %v", err)
+	if err := bad.ForEachGroupCols(0, 100, func(GroupCols) error { return nil }); !errors.Is(err, boom) {
+		t.Fatalf("ForEachGroupCols = %v", err)
 	}
 	if err := bad.AppendRows([]view.Row{{T: 1}}); !errors.Is(err, boom) {
 		t.Fatalf("AppendRows = %v", err)

@@ -98,20 +98,17 @@ func TestGroupIndexMatchesFlatScan(t *testing.T) {
 			}
 			// The iterator must visit exactly the flat-scan rows, in order.
 			var iterated []view.Row
-			if err := p.ForEachGroup(lo, hi, func(gt int64, rows []view.Row) error {
-				for _, r := range rows {
-					if r.T != gt {
-						t.Fatalf("group %d contains row of t=%d", gt, r.T)
-					}
+			if err := p.ForEachGroupCols(lo, hi, func(g GroupCols) error {
+				for i := range g.Prob {
+					iterated = append(iterated, view.Row{T: g.T, Lambda: g.Lambda[i], Lo: g.Lo[i], Hi: g.Hi[i], Prob: g.Prob[i]})
 				}
-				iterated = append(iterated, rows...)
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 			if want := legacyRowsRange(flat, lo, hi); len(iterated) != len(want) ||
 				(len(iterated) > 0 && !reflect.DeepEqual(iterated, want)) {
-				t.Fatalf("trial %d: ForEachGroup(%d,%d) yielded %d rows, want %d",
+				t.Fatalf("trial %d: ForEachGroupCols(%d,%d) yielded %d rows, want %d",
 					trial, lo, hi, len(iterated), len(want))
 			}
 		}
@@ -138,39 +135,10 @@ func TestGroupsRangeLayout(t *testing.T) {
 	}
 }
 
-// TestIndexAfterDirectRowsAssignment covers the offline-build and gob-decode
-// path: Rows assigned wholesale without going through AppendRows.
-func TestIndexAfterDirectRowsAssignment(t *testing.T) {
-	p := &ProbTable{
-		Name: "pv",
-		Rows: []view.Row{{T: 1, Lambda: 0}, {T: 1, Lambda: 1}, {T: 5, Lambda: 0}},
-	}
-	if got := p.Times(); !reflect.DeepEqual(got, []int64{1, 5}) {
-		t.Fatalf("Times = %v", got)
-	}
-	if got := p.RowsAt(1); len(got) != 2 {
-		t.Fatalf("RowsAt(1) = %v", got)
-	}
-	// Appends after the lazy build continue the same index.
-	p.AppendRows([]view.Row{{T: 9, Lambda: 0}})
-	if got := p.GroupsRange(1, 9); !reflect.DeepEqual(got, []TimeGroup{
-		{T: 1, Off: 0, Len: 2}, {T: 5, Off: 2, Len: 1}, {T: 9, Off: 3, Len: 1},
-	}) {
-		t.Fatalf("GroupsRange = %+v", got)
-	}
-	// Direct shrink forces a rebuild rather than a stale (or panicking) index.
-	p.Rows = p.Rows[:1]
-	if got := p.Times(); !reflect.DeepEqual(got, []int64{1}) {
-		t.Fatalf("Times after shrink = %v", got)
-	}
-}
-
-// TestIndexAfterLoadFileAppendRows pins the snapshot-restore path next to
-// the direct-assignment case above: LoadFile replaces the catalog with
-// gob-decoded tables whose Rows were assigned wholesale (never through
-// AppendRows), and appends through the reloaded handle must extend the
-// lazily-built group index — not serve stale offsets, and not lose the
-// batch. The durable-store side of the same contract (appends after a
+// TestIndexAfterLoadFileAppendRows pins the snapshot-restore path:
+// LoadFile replaces the catalog with tables built from gob-decoded rows,
+// and appends through the reloaded handle must extend the same group
+// index. The durable-store side of the same contract (appends after a
 // snapshot load must be re-logged) is covered in internal/durable.
 func TestIndexAfterLoadFileAppendRows(t *testing.T) {
 	db := NewDB()
@@ -192,8 +160,6 @@ func TestIndexAfterLoadFileAppendRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read first so the index is built lazily over the decoded Rows, then
-	// append: the exact sequence that would expose a stale index.
 	if got := q.Times(); !reflect.DeepEqual(got, []int64{1, 2}) {
 		t.Fatalf("Times after load = %v", got)
 	}
@@ -229,34 +195,17 @@ func TestInvertedRangeIsEmpty(t *testing.T) {
 		t.Fatalf("GroupsRange(5,3) = %v", got)
 	}
 	called := false
-	if err := p.ForEachGroup(5, 3, func(int64, []view.Row) error {
+	if err := p.ForEachGroupCols(5, 3, func(GroupCols) error {
 		called = true
 		return nil
 	}); err != nil || called {
-		t.Fatalf("ForEachGroup(5,3): err=%v called=%v", err, called)
-	}
-}
-
-// TestIndexDetectsRowsReplacement pins the backing-array identity check:
-// replacing Rows wholesale with an equally long slice (not just growing or
-// shrinking it) must invalidate the index rather than serve stale offsets.
-func TestIndexDetectsRowsReplacement(t *testing.T) {
-	p := &ProbTable{Name: "pv", Rows: []view.Row{{T: 1, Lambda: 0}, {T: 2, Lambda: 0}}}
-	if got := p.Times(); !reflect.DeepEqual(got, []int64{1, 2}) {
-		t.Fatalf("Times = %v", got)
-	}
-	p.Rows = []view.Row{{T: 10, Lambda: 0}, {T: 20, Lambda: 0}} // same length, new array
-	if got := p.Times(); !reflect.DeepEqual(got, []int64{10, 20}) {
-		t.Fatalf("Times after replacement = %v (stale index)", got)
-	}
-	if got := p.RowsAt(10); len(got) != 1 || got[0].T != 10 {
-		t.Fatalf("RowsAt(10) after replacement = %v", got)
+		t.Fatalf("ForEachGroupCols(5,3): err=%v called=%v", err, called)
 	}
 }
 
 // TestGroupIndexUnderConcurrentAppend races the zero-copy iterator and the
 // point/range accessors against AppendRows; run under -race this pins the
-// index maintenance inside the existing write lock. Readers must always see
+// index maintenance inside the write lock. Readers must always see
 // whole batches (the append granularity) with groups intact.
 func TestGroupIndexUnderConcurrentAppend(t *testing.T) {
 	const (
@@ -288,9 +237,9 @@ func TestGroupIndexUnderConcurrentAppend(t *testing.T) {
 					return
 				default:
 				}
-				err := p.ForEachGroup(0, batches+1, func(gt int64, rows []view.Row) error {
-					if len(rows) != perT {
-						t.Errorf("torn group at t=%d: %d rows", gt, len(rows))
+				err := p.ForEachGroupCols(0, batches+1, func(g GroupCols) error {
+					if len(g.Prob) != perT {
+						t.Errorf("torn group at t=%d: %d rows", g.T, len(g.Prob))
 					}
 					return nil
 				})

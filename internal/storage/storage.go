@@ -1,8 +1,10 @@
 // Package storage provides the in-memory database substrate of the
 // framework: a catalog of raw-value tables (the raw_values table of Fig. 1)
-// and materialised probabilistic view tables (prob_view). Tables support
-// time-range scans, online appends, CSV import/export and gob snapshots for
-// durability. All catalog operations are safe for concurrent use.
+// and materialised probabilistic view tables (prob_view). A view table is
+// held as four columns plus a timestamp group index and nothing else;
+// view.Row values are built from the columns when a caller asks for rows.
+// Tables support time-range scans, online appends and gob snapshots. All
+// catalog operations are safe for concurrent use.
 package storage
 
 import (
@@ -12,8 +14,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/timeseries"
 	"repro/internal/view"
@@ -80,53 +84,38 @@ type RawTable struct {
 // ProbTable is a materialised probabilistic view: the tuple-level
 // probabilistic database of Definition 2.
 //
-// A view that backs an online stream grows while readers scan it, so every
-// access to Rows after the table is stored in a catalog must go through the
-// accessor methods, which serialise on a per-table lock. Readers always see
-// a consistent prefix of the appended rows; appends never block readers of
-// other tables.
+// The table is its columns. Row i of the view is (colLambda[i], colLo[i],
+// colHi[i], colProb[i]) — 32 B/row — and its timestamp lives in the group
+// index: one TimeGroup{T, Off, Len} per distinct timestamp (24 B/tuple)
+// saying that rows [Off, Off+Len) belong to T, in the order they arrived.
+// Rows are in ascending-timestamp order, all rows of a timestamp contiguous.
+// There is no []view.Row copy: view.Row is the interchange type (WAL
+// records, segments, JSON), and RowsAt, RowsRange, SnapshotRows and the
+// checkpoint capture build rows from the columns on demand, one allocation
+// of exactly the rows asked for.
 //
-// Physical layout: Rows is one flat slice in ascending-timestamp order, with
-// all rows of a timestamp (one per Omega range, in lambda order) stored
-// contiguously. Alongside it the table maintains a timestamp group index —
-// one TimeGroup{T, Off, Len} per distinct timestamp — kept current
-// incrementally by AppendRows and built lazily for tables whose Rows were
-// assigned directly (offline builds, gob decode, tests). Point and range
-// accessors binary-search the index (O(log T) in the number of tuples, not
-// rows) and the ForEachGroup iterator walks it in one pass, handing out
-// zero-copy row spans.
+// Rows enter only by being appended — NewProbTable, AppendRows,
+// DB.CommitStep and the lazy loader all end in appendCols — so the index
+// and the columns cannot drift apart and nothing is ever rebuilt. A view
+// that backs an online stream grows while readers scan it: every accessor
+// serialises on the per-table lock, readers see a whole number of appended
+// batches, and appends never block readers of other tables. Point and range
+// accessors binary-search the group index (O(log T) in tuples, not rows);
+// ForEachGroupCols and RangeCols hand the batch kernels in internal/probdb
+// zero-copy column spans under the read lock.
 //
-// The table also maintains a columnar (struct-of-arrays) projection of Rows:
-// parallel slices colT/colLo/colHi/colProb with colLo[i] == Rows[i].Lo and so
-// on. The columns are maintained in lockstep with the group index — extended
-// incrementally on append, rebuilt whenever the index is rebuilt — and are
-// what the batch aggregate kernels in internal/probdb scan: three contiguous
-// float64 streams instead of 40-byte Row structs, no per-row dispatch.
-// ForEachGroupCols and RangeCols expose them under the same locking contract
-// as ForEachGroup.
+// The zero value with the identity fields set is an empty view, ready for
+// AppendRows or StoreView.
 type ProbTable struct {
 	Name       string
 	Source     string // raw table the view was derived from
 	MetricName string // dynamic density metric used
 	Omega      view.Omega
-	Rows       []view.Row
 
-	mu sync.RWMutex // guards Rows + index once the table is shared (gob ignores it)
+	mu sync.RWMutex // guards every field below
 
-	// groups is the timestamp group index over Rows[:indexed]; indexed lags
-	// len(Rows) only when Rows was assigned directly, and the first accessor
-	// to notice catches the index up under the write lock. head remembers
-	// the indexed backing array's first element so a wholesale replacement
-	// of Rows (not just growth) is detected and triggers a rebuild instead
-	// of silently serving stale offsets.
-	groups  []TimeGroup
-	indexed int
-	head    *view.Row
-
-	// Columnar projection of Rows[:indexed], maintained in lockstep with
-	// groups by extendIndex: colT[i], colLo[i], colHi[i], colProb[i] mirror
-	// Rows[i]. The batch kernels scan these instead of the row structs.
-	colT         []int64
+	groups       []TimeGroup
+	colLambda    []int
 	colLo, colHi []float64
 	colProb      []float64
 
@@ -143,15 +132,25 @@ type ProbTable struct {
 	loadErr error
 }
 
+// NewProbTable returns a view table holding rows (ascending timestamps,
+// each timestamp's rows contiguous) — the way a finished offline build, a
+// decoded snapshot or a replayed store-view record becomes a table. The
+// rows are copied into the columns; the caller keeps its slice.
+func NewProbTable(meta ViewMeta, rows []view.Row) *ProbTable {
+	p := &ProbTable{Name: meta.Name, Source: meta.Source, MetricName: meta.MetricName, Omega: meta.Omega}
+	p.appendCols(rows) // not yet shared: no lock needed
+	return p
+}
+
 // Meta returns the view's identity (everything but the rows). The fields
 // are immutable after construction, so no lock is needed.
 func (p *ProbTable) Meta() ViewMeta {
 	return ViewMeta{Name: p.Name, Source: p.Source, MetricName: p.MetricName, Omega: p.Omega}
 }
 
-// SetLoader arms lazy materialisation: the table reports n rows but
-// fetches them through load only on first access that needs them. Used by
-// recovery to open segment-backed views without reading the segments.
+// SetLoader makes the table's content n rows that load will fetch on the
+// first access that needs them. Used by recovery to open segment-backed
+// views without reading the segments.
 func (p *ProbTable) SetLoader(n int, load RowsLoader) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -159,13 +158,13 @@ func (p *ProbTable) SetLoader(n int, load RowsLoader) {
 	p.pending = n
 	p.loadErr = nil
 	metIndexGroups.Add(-float64(len(p.groups)))
-	p.groups, p.indexed, p.head = nil, 0, nil
-	p.colT, p.colLo, p.colHi, p.colProb = nil, nil, nil, nil
+	p.groups = nil
+	p.colLambda, p.colLo, p.colHi, p.colProb = nil, nil, nil, nil
 }
 
 // LoadErr reports a failed lazy materialisation. Accessors on a table in
-// this state return empty results; appends and ForEachGroup surface the
-// error.
+// this state return empty results; appends and the column iterators
+// surface the error.
 func (p *ProbTable) LoadErr() error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -178,80 +177,64 @@ func (p *ProbTable) setLogger(l CommitLog) {
 	p.mu.Unlock()
 }
 
-// TimeGroup locates the rows of one timestamp inside the flat row slice:
-// Rows[Off : Off+Len] are exactly the rows with timestamp T, in lambda order.
+// TimeGroup locates the rows of one timestamp inside the columns: positions
+// [Off, Off+Len) are exactly the rows with timestamp T, in arrival order.
 type TimeGroup struct {
 	T        int64
 	Off, Len int
 }
 
-// indexStale reports whether the group index lags Rows: a lazy load is
-// pending, rows were appended, or Rows was shrunk or replaced wholesale
-// (different backing array). Caller holds the lock (read or write).
-func (p *ProbTable) indexStale() bool {
-	return p.load != nil || p.indexed != len(p.Rows) || (p.indexed > 0 && p.head != &p.Rows[0])
-}
-
-// extendIndex catches the group index and the columnar projection up with
-// Rows. Caller holds the write lock. Appends are incremental: only rows past
-// the indexed watermark are visited, so maintaining index and columns during
-// online ingest is O(batch); a shrink or a backing-array change (growth
-// realloc or wholesale replacement) triggers a full rebuild — the same
-// linear cost the reallocation itself just paid.
-func (p *ProbTable) extendIndex() {
-	if load := p.load; load != nil {
-		// Materialise the pending lazy load exactly once; a failure is
-		// sticky and leaves pending in place so the row count holds.
-		p.load = nil
-		rows, err := load()
-		if err != nil {
-			p.loadErr = err
-		} else {
-			p.Rows = append(rows, p.Rows...)
-			p.pending = 0
-		}
-		metIndexLazyLoads.Inc()
-	}
-	if p.indexed > len(p.Rows) || (p.indexed > 0 && p.head != &p.Rows[0]) {
-		metIndexGroups.Add(-float64(len(p.groups)))
-		metIndexRebuilds.Inc()
-		p.groups, p.indexed = nil, 0
-		p.colT, p.colLo, p.colHi, p.colProb = p.colT[:0], p.colLo[:0], p.colHi[:0], p.colProb[:0]
-	}
-	groupsBefore := len(p.groups)
-	for i := p.indexed; i < len(p.Rows); i++ {
-		r := &p.Rows[i]
-		t := r.T
-		p.colT = append(p.colT, t)
+// appendCols is the one place rows become resident: it extends the four
+// columns and the group index by rows. Caller holds the write lock (or the
+// table is not yet shared).
+func (p *ProbTable) appendCols(rows []view.Row) {
+	off, groupsBefore := len(p.colProb), len(p.groups)
+	p.colLambda = slices.Grow(p.colLambda, len(rows))
+	p.colLo = slices.Grow(p.colLo, len(rows))
+	p.colHi = slices.Grow(p.colHi, len(rows))
+	p.colProb = slices.Grow(p.colProb, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		p.colLambda = append(p.colLambda, r.Lambda)
 		p.colLo = append(p.colLo, r.Lo)
 		p.colHi = append(p.colHi, r.Hi)
 		p.colProb = append(p.colProb, r.Prob)
-		if n := len(p.groups); n > 0 && p.groups[n-1].T == t {
+		if n := len(p.groups); n > 0 && p.groups[n-1].T == r.T {
 			p.groups[n-1].Len++
 		} else {
-			p.groups = append(p.groups, TimeGroup{T: t, Off: i, Len: 1})
+			p.groups = append(p.groups, TimeGroup{T: r.T, Off: off + i, Len: 1})
 		}
 	}
-	p.indexed = len(p.Rows)
-	if len(p.Rows) > 0 {
-		p.head = &p.Rows[0]
-	} else {
-		p.head = nil
-	}
-	if d := len(p.groups) - groupsBefore; d != 0 {
-		metIndexGroups.Add(float64(d))
-	}
+	metIndexGroups.Add(float64(len(p.groups) - groupsBefore))
 }
 
-// rlockIndexed takes the read lock with the group index guaranteed current,
-// upgrading to the write lock first when Rows was assigned directly (e.g. by
-// an offline build or a snapshot load). Callers must release with mu.RUnlock.
-func (p *ProbTable) rlockIndexed() {
+// loadLocked runs a pending lazy load, exactly once; a failure is sticky
+// and leaves pending in place so the row count holds. Caller holds the
+// write lock.
+func (p *ProbTable) loadLocked() {
+	load := p.load
+	if load == nil {
+		return
+	}
+	p.load = nil
+	metIndexLazyLoads.Inc()
+	rows, err := load()
+	if err != nil {
+		p.loadErr = err
+		return
+	}
+	p.pending = 0
+	p.appendCols(rows)
+}
+
+// rlockLoaded takes the read lock with any pending lazy load done, taking
+// the write lock for the load itself. Callers must release with mu.RUnlock.
+func (p *ProbTable) rlockLoaded() {
 	p.mu.RLock()
-	for p.indexStale() {
+	for p.load != nil {
 		p.mu.RUnlock()
 		p.mu.Lock()
-		p.extendIndex()
+		p.loadLocked()
 		p.mu.Unlock()
 		p.mu.RLock()
 	}
@@ -273,22 +256,16 @@ func (p *ProbTable) AppendRows(rows []view.Row) error {
 // appendLocked logs (optionally) and applies one row batch. Caller holds
 // the write lock.
 func (p *ProbTable) appendLocked(rows []view.Row, logIt bool) error {
-	p.extendIndex() // materialise a pending lazy load; catch up direct assignment
+	p.loadLocked() // a batch lands after the durable rows, never before
 	if p.loadErr != nil {
 		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
 	if logIt && p.logger != nil {
-		if err := p.logger.AppendRows(p.Name, len(p.Rows), rows); err != nil {
+		if err := p.logger.AppendRows(p.Name, len(p.colProb), rows); err != nil {
 			return err
 		}
 	}
-	p.Rows = append(p.Rows, rows...)
-	// The append preserves the indexed prefix even when it reallocates the
-	// backing array, so refresh the identity watermark before extending:
-	// otherwise the realloc would look like a wholesale Rows replacement and
-	// trigger a full rebuild under the write lock.
-	p.head = &p.Rows[0]
-	p.extendIndex()
+	p.appendCols(rows)
 	metRowsAppended.Add(int64(len(rows)))
 	return nil
 }
@@ -299,12 +276,27 @@ func (p *ProbTable) appendLocked(rows []view.Row, logIt bool) error {
 func (p *ProbTable) NumRows() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.pending + len(p.Rows)
+	return p.pending + len(p.colProb)
+}
+
+// ResidentBytes reports the memory the table's rows occupy: the capacity
+// of the four columns plus the group index. Rows pending behind a lazy
+// loader occupy none.
+func (p *ProbTable) ResidentBytes() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.residentBytesLocked()
+}
+
+func (p *ProbTable) residentBytesLocked() int {
+	return int(unsafe.Sizeof(int(0)))*cap(p.colLambda) +
+		8*(cap(p.colLo)+cap(p.colHi)+cap(p.colProb)) +
+		int(unsafe.Sizeof(TimeGroup{}))*cap(p.groups)
 }
 
 // NumTimes returns the current count of distinct timestamps (tuples).
 func (p *ProbTable) NumTimes() int {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	return len(p.groups)
 }
@@ -312,7 +304,7 @@ func (p *ProbTable) NumTimes() int {
 // LastTime returns the view's most recent timestamp, or ok=false for an
 // empty view.
 func (p *ProbTable) LastTime() (t int64, ok bool) {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	if len(p.groups) == 0 {
 		return 0, false
@@ -320,24 +312,33 @@ func (p *ProbTable) LastTime() (t int64, ok bool) {
 	return p.groups[len(p.groups)-1].T, true
 }
 
-// SnapshotRows returns a copy of all rows, isolated from later appends,
-// materialising a pending lazy load first. A failed load yields an empty
-// copy — callers that must distinguish use snapshotRows.
+// rowsOf materialises the rows of a contiguous group span: one allocation
+// of exactly that many rows. Caller holds the lock (read or write).
+func (p *ProbTable) rowsOf(groups []TimeGroup) []view.Row {
+	out := make([]view.Row, 0, SpanRows(groups))
+	for _, g := range groups {
+		for i := g.Off; i < g.Off+g.Len; i++ {
+			out = append(out, view.Row{T: g.T, Lambda: p.colLambda[i], Lo: p.colLo[i], Hi: p.colHi[i], Prob: p.colProb[i]})
+		}
+	}
+	return out
+}
+
+// SnapshotRows returns all rows as a fresh slice, isolated from later
+// appends, materialising a pending lazy load first. A failed load yields an
+// empty slice — callers that must distinguish use snapshotRows.
 func (p *ProbTable) SnapshotRows() []view.Row {
 	out, _ := p.snapshotRows()
 	return out
 }
 
 func (p *ProbTable) snapshotRows() ([]view.Row, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.extendIndex()
+	p.rlockLoaded()
+	defer p.mu.RUnlock()
 	if p.loadErr != nil {
 		return nil, fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
-	out := make([]view.Row, len(p.Rows))
-	copy(out, p.Rows)
-	return out, nil
+	return p.rowsOf(p.groups), nil
 }
 
 // groupSpan returns the index positions [lo, hi) of the groups with
@@ -353,37 +354,29 @@ func (p *ProbTable) groupSpan(tLo, tHi int64) (lo, hi int) {
 	return lo, hi
 }
 
-// RowsRange returns a copy of the rows with timestamp in [tLo, tHi].
+// RowsRange returns the rows with timestamp in [tLo, tHi] as a fresh slice.
 func (p *ProbTable) RowsRange(tLo, tHi int64) []view.Row {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(tLo, tHi)
-	if lo >= hi {
-		return []view.Row{}
-	}
-	first, last := p.groups[lo], p.groups[hi-1]
-	out := make([]view.Row, last.Off+last.Len-first.Off)
-	copy(out, p.Rows[first.Off:last.Off+last.Len])
-	return out
+	return p.rowsOf(p.groups[lo:hi])
 }
 
-// RowsAt returns the view rows for timestamp t in lambda order.
+// RowsAt returns the view rows for timestamp t in arrival (lambda) order,
+// nil when the view has no tuple at t.
 func (p *ProbTable) RowsAt(t int64) []view.Row {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(t, t)
 	if lo >= hi {
 		return nil
 	}
-	g := p.groups[lo]
-	out := make([]view.Row, g.Len)
-	copy(out, p.Rows[g.Off:g.Off+g.Len])
-	return out
+	return p.rowsOf(p.groups[lo:hi])
 }
 
 // Times returns the distinct timestamps present in the view, ascending.
 func (p *ProbTable) Times() []int64 {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	if len(p.groups) == 0 {
 		return nil
@@ -399,20 +392,16 @@ func (p *ProbTable) Times() []int64 {
 // [tLo, tHi] — the scan size a range query will touch — at O(log T) cost.
 // Query explain output uses it to report work without re-walking the range.
 func (p *ProbTable) RangeSize(tLo, tHi int64) (groups, rows int) {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(tLo, tHi)
-	if lo >= hi {
-		return 0, 0
-	}
-	first, last := p.groups[lo], p.groups[hi-1]
-	return hi - lo, last.Off + last.Len - first.Off
+	return hi - lo, SpanRows(p.groups[lo:hi])
 }
 
 // GroupsRange returns a copy of the group index entries with timestamp in
 // [tLo, tHi]: the physical layout of the requested range, without the rows.
 func (p *ProbTable) GroupsRange(tLo, tHi int64) []TimeGroup {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(tLo, tHi)
 	out := make([]TimeGroup, hi-lo)
@@ -420,56 +409,32 @@ func (p *ProbTable) GroupsRange(tLo, tHi int64) []TimeGroup {
 	return out
 }
 
-// ForEachGroup calls fn once per distinct timestamp in [tLo, tHi], ascending,
-// passing the timestamp's rows as a zero-copy span of the table's backing
-// array. The whole range is visited in one indexed pass under a single read
-// lock: no per-timestamp search, no row copies.
-//
-// The span is valid only for the duration of the call — fn must not retain or
-// mutate it, and must not call back into the table (the lock is held). A
-// non-nil error from fn stops the iteration and is returned.
-func (p *ProbTable) ForEachGroup(tLo, tHi int64, fn func(t int64, rows []view.Row) error) error {
-	p.rlockIndexed()
-	defer p.mu.RUnlock()
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
-	lo, hi := p.groupSpan(tLo, tHi)
-	for _, g := range p.groups[lo:hi] {
-		if err := fn(g.T, p.Rows[g.Off:g.Off+g.Len:g.Off+g.Len]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GroupCols is the columnar (struct-of-arrays) projection of one timestamp's
-// rows: Lo[i], Hi[i], Prob[i] describe the tuple's i-th Omega range, in the
-// same order as the row layout. Rows is the identical span in row form, for
-// consumers that also need per-row identity (Lambda). All slices are
-// zero-copy views of the table's backing arrays.
+// GroupCols is one timestamp's rows as column spans: Lambda[i], Lo[i],
+// Hi[i], Prob[i] describe the tuple's i-th Omega range. All slices are
+// zero-copy views of the table's columns.
 type GroupCols struct {
 	T            int64
+	Lambda       []int
 	Lo, Hi, Prob []float64
-	Rows         []view.Row
 }
 
-// Cols is the whole-table columnar projection handed to RangeCols: parallel
-// slices over every row of the table, addressed through TimeGroup spans
-// (Lo[g.Off : g.Off+g.Len] are the lows of group g, and so on).
+// Cols is the whole table's value columns as handed to RangeCols, addressed
+// through TimeGroup spans (Lo[g.Off : g.Off+g.Len] are the lows of group g,
+// and so on).
 type Cols struct {
-	T            []int64
 	Lo, Hi, Prob []float64
-	Rows         []view.Row
 }
 
-// ForEachGroupCols is ForEachGroup in columnar form: fn is called once per
-// distinct timestamp in [tLo, tHi], ascending, with the timestamp's rows as
-// struct-of-arrays column slices. Same contract as ForEachGroup: one indexed
-// pass under a single read lock, spans valid only for the duration of the
-// call, no callbacks into the table.
+// ForEachGroupCols calls fn once per distinct timestamp in [tLo, tHi],
+// ascending, with the timestamp's rows as column spans. The whole range is
+// visited in one indexed pass under a single read lock: no per-timestamp
+// search, no copies.
+//
+// The spans are valid only for the duration of the call — fn must not
+// retain or mutate them, and must not call back into the table (the lock is
+// held). A non-nil error from fn stops the iteration and is returned.
 func (p *ProbTable) ForEachGroupCols(tLo, tHi int64, fn func(g GroupCols) error) error {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	if p.loadErr != nil {
 		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
@@ -478,11 +443,11 @@ func (p *ProbTable) ForEachGroupCols(tLo, tHi int64, fn func(g GroupCols) error)
 	for _, g := range p.groups[lo:hi] {
 		end := g.Off + g.Len
 		gc := GroupCols{
-			T:    g.T,
-			Lo:   p.colLo[g.Off:end:end],
-			Hi:   p.colHi[g.Off:end:end],
-			Prob: p.colProb[g.Off:end:end],
-			Rows: p.Rows[g.Off:end:end],
+			T:      g.T,
+			Lambda: p.colLambda[g.Off:end:end],
+			Lo:     p.colLo[g.Off:end:end],
+			Hi:     p.colHi[g.Off:end:end],
+			Prob:   p.colProb[g.Off:end:end],
 		}
 		if err := fn(gc); err != nil {
 			return err
@@ -498,19 +463,13 @@ func (p *ProbTable) ForEachGroupCols(tLo, tHi int64, fn func(g GroupCols) error)
 // per-group dispatch. The slices are valid only for the duration of the
 // call; fn must not retain or mutate them, nor call back into the table.
 func (p *ProbTable) RangeCols(tLo, tHi int64, fn func(groups []TimeGroup, c Cols) error) error {
-	p.rlockIndexed()
+	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	if p.loadErr != nil {
 		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
 	lo, hi := p.groupSpan(tLo, tHi)
-	return fn(p.groups[lo:hi], Cols{
-		T:    p.colT,
-		Lo:   p.colLo,
-		Hi:   p.colHi,
-		Prob: p.colProb,
-		Rows: p.Rows,
-	})
+	return fn(p.groups[lo:hi], Cols{Lo: p.colLo, Hi: p.colHi, Prob: p.colProb})
 }
 
 // DB is the catalog.
@@ -689,7 +648,7 @@ func (db *DB) CommitStep(source string, pt timeseries.Point, table *ProbTable, r
 	}
 	table.mu.Lock()
 	defer table.mu.Unlock()
-	table.extendIndex() // surface a failed lazy load before logging anything
+	table.loadLocked() // surface a failed lazy load before logging anything
 	if table.loadErr != nil {
 		return fmt.Errorf("view %q: %w", table.Name, table.loadErr)
 	}
@@ -895,10 +854,36 @@ func (db *DB) List() []TableInfo {
 	return out
 }
 
+// ViewResident sums over the catalog's views the rows resident in memory
+// (pending lazy loads excluded) and the bytes ResidentBytes reports for
+// them — what the resident-rows and resident-bytes gauges export.
+func (db *DB) ViewResident() (rows, bytes int) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, p := range db.prob {
+		p.mu.RLock()
+		rows += len(p.colProb)
+		bytes += p.residentBytesLocked()
+		p.mu.RUnlock()
+	}
+	return rows, bytes
+}
+
 // snapshot is the gob wire format.
 type snapshot struct {
 	Raw  []rawSnapshot
-	Prob []*ProbTable
+	Prob []probSnapshot
+}
+
+// probSnapshot is a view on the wire. gob matches fields by name, and these
+// are the names ProbTable had when it was encoded directly with its rows, so
+// snapshot files written before the table became columns still load.
+type probSnapshot struct {
+	Name       string
+	Source     string
+	MetricName string
+	Omega      view.Omega
+	Rows       []view.Row
 }
 
 type rawSnapshot struct {
@@ -934,7 +919,7 @@ func (db *DB) Save(w io.Writer) error {
 			if err != nil {
 				break
 			}
-			snap.Prob = append(snap.Prob, &ProbTable{
+			snap.Prob = append(snap.Prob, probSnapshot{
 				Name:       p.Name,
 				Source:     p.Source,
 				MetricName: p.MetricName,
@@ -1020,8 +1005,9 @@ func (db *DB) Load(r io.Reader) error {
 		raw[rs.Name] = &RawTable{Name: rs.Name, TimeCol: rs.TimeCol, ValueCol: rs.ValueCol, Series: s}
 	}
 	prob := make(map[string]*ProbTable, len(snap.Prob))
-	for _, p := range snap.Prob {
-		prob[p.Name] = p
+	for _, ps := range snap.Prob {
+		meta := ViewMeta{Name: ps.Name, Source: ps.Source, MetricName: ps.MetricName, Omega: ps.Omega}
+		prob[ps.Name] = NewProbTable(meta, ps.Rows)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -1034,8 +1020,8 @@ func (db *DB) Load(r io.Reader) error {
 				return err
 			}
 		}
-		for _, p := range snap.Prob {
-			if err := db.log.StoreView(p.Meta(), p.Rows); err != nil {
+		for _, ps := range snap.Prob {
+			if err := db.log.StoreView(prob[ps.Name].Meta(), ps.Rows); err != nil {
 				return err
 			}
 		}
@@ -1121,10 +1107,10 @@ func (db *DB) CaptureCheckpoint(rotate func() error, rawFrom, viewFrom func(name
 	return raws, views, nil
 }
 
-// captureState copies the table's suffix past from for a checkpoint.
+// captureState materialises the table's suffix past from for a checkpoint.
 func (p *ProbTable) captureState(from int) ViewState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	st := ViewState{Meta: p.Meta()}
 	if p.load != nil || p.loadErr != nil {
 		// Rows are not resident: everything the table holds is already
@@ -1134,15 +1120,17 @@ func (p *ProbTable) captureState(from int) ViewState {
 		st.Err = p.loadErr
 		return st
 	}
-	total := len(p.Rows)
+	total := len(p.colProb)
 	if from < 0 {
 		from = 0
 	}
 	if from > total {
 		from = total
 	}
-	rows := make([]view.Row, total-from)
-	copy(rows, p.Rows[from:])
-	st.From, st.Rows, st.Total = from, rows, total
+	// Materialise from the group holding row from, then drop the part of
+	// that group already durable (at most one group's rows).
+	gi := sort.Search(len(p.groups), func(i int) bool { return p.groups[i].Off+p.groups[i].Len > from })
+	rows := p.rowsOf(p.groups[gi:])
+	st.From, st.Rows, st.Total = from, rows[len(rows)-(total-from):], total
 	return st
 }

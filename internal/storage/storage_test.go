@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -90,19 +92,20 @@ func TestAppendRaw(t *testing.T) {
 	}
 }
 
+var probTableRows = []view.Row{
+	{T: 1, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.4},
+	{T: 1, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.5},
+	{T: 2, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.3},
+	{T: 2, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.6},
+}
+
 func makeProbTable(name string) *ProbTable {
-	return &ProbTable{
+	return NewProbTable(ViewMeta{
 		Name:       name,
 		Source:     "raw_values",
 		MetricName: "ARMA-GARCH",
 		Omega:      view.Omega{Delta: 1, N: 2},
-		Rows: []view.Row{
-			{T: 1, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.4},
-			{T: 1, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.5},
-			{T: 2, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.3},
-			{T: 2, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.6},
-		},
-	}
+	}, probTableRows)
 }
 
 func TestStoreAndFetchView(t *testing.T) {
@@ -114,8 +117,8 @@ func TestStoreAndFetchView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MetricName != "ARMA-GARCH" || len(got.Rows) != 4 {
-		t.Errorf("view = %+v", got)
+	if got.MetricName != "ARMA-GARCH" || got.NumRows() != 4 {
+		t.Errorf("view = %+v", got.Meta())
 	}
 	if _, err := db.View("missing"); !errors.Is(err, ErrNotFound) {
 		t.Error("missing view found")
@@ -158,6 +161,40 @@ func TestProbTableRowsAtAndTimes(t *testing.T) {
 	times := p.Times()
 	if len(times) != 2 || times[0] != 1 || times[1] != 2 {
 		t.Errorf("Times = %v", times)
+	}
+}
+
+// TestResidentBytesPerRow pins what a resident row costs: four 8-byte
+// columns plus a 24-byte group entry per tuple, with append's growth slack
+// on top. A table that also kept its []view.Row would be at 72 B/row before
+// any slack.
+func TestResidentBytesPerRow(t *testing.T) {
+	const tuples, n = 12500, 8 // 100k rows
+	db := NewDB()
+	p := &ProbTable{Name: "pv", Omega: view.Omega{Delta: 0.5, N: n}}
+	if err := db.StoreView(p); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]view.Row, n)
+	for i := 1; i <= tuples; i++ {
+		for l := range batch {
+			batch[l] = view.Row{T: int64(i), Lambda: l - n/2, Lo: float64(l), Hi: float64(l) + 1, Prob: 1.0 / n}
+		}
+		if err := p.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRow := float64(p.ResidentBytes()) / float64(p.NumRows())
+	if perRow < 32+24.0/n || perRow > 48 {
+		t.Errorf("resident bytes per row = %.1f, want within [35, 48]", perRow)
+	}
+	if rows, bytes := db.ViewResident(); rows != tuples*n || bytes != p.ResidentBytes() {
+		t.Errorf("ViewResident = %d rows, %d bytes; table holds %d rows, %d bytes", rows, bytes, p.NumRows(), p.ResidentBytes())
+	}
+	// A pending lazy load holds nothing.
+	p.SetLoader(tuples*n, func() ([]view.Row, error) { return nil, nil })
+	if got := p.ResidentBytes(); got != 0 {
+		t.Errorf("resident bytes behind a pending load = %d, want 0", got)
 	}
 }
 
@@ -226,8 +263,55 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pv.Rows) != 4 || pv.Omega.Delta != 1 {
-		t.Errorf("restored view = %+v", pv)
+	if pv.Meta() != makeProbTable("pv").Meta() {
+		t.Errorf("restored view = %+v", pv.Meta())
+	}
+	if got := pv.SnapshotRows(); !reflect.DeepEqual(got, probTableRows) {
+		t.Errorf("restored rows = %+v", got)
+	}
+}
+
+// TestLoadSnapshotWrittenBeforeColumns decodes testdata/snapshot_pr15.gob,
+// written by DB.Save at the last commit whose ProbTable was gob-encoded
+// directly with a Rows field (commit cecfb71; CHANGES.md PR 16 says what was
+// saved): files written by that code must keep loading.
+func TestLoadSnapshotWrittenBeforeColumns(t *testing.T) {
+	db := NewDB()
+	if err := db.LoadFile("testdata/snapshot_pr15.gob"); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.RawTable("raw_values")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.TimeCol != "time" || tab.ValueCol != "temp" || !reflect.DeepEqual(tab.Series.Values(), []float64{20.5, 21, 19.25}) {
+		t.Errorf("raw table = %+v %v", tab, tab.Series.Values())
+	}
+	pv, err := db.View("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMeta := ViewMeta{Name: "pv", Source: "raw_values", MetricName: "ARMA-GARCH", Omega: view.Omega{Delta: 0.5, N: 3}}
+	if pv.Meta() != wantMeta {
+		t.Errorf("meta = %+v, want %+v", pv.Meta(), wantMeta)
+	}
+	want := []view.Row{
+		{T: 1, Lambda: -1, Lo: 19.5, Hi: 20, Prob: 0.25},
+		{T: 1, Lambda: 0, Lo: 20, Hi: 20.5, Prob: 0.5},
+		{T: 1, Lambda: 1, Lo: 20.5, Hi: 21, Prob: 0.25},
+		{T: 2, Lambda: 7, Lo: 21, Hi: 21, Prob: 1},
+		{T: 4, Lambda: -3, Lo: math.Inf(-1), Hi: 19, Prob: 0.125},
+		{T: 4, Lambda: 5, Lo: 19, Hi: math.Inf(1), Prob: 0.875},
+	}
+	if got := pv.SnapshotRows(); !sameRows(got, want) {
+		t.Errorf("rows = %+v, want %+v", got, want)
+	}
+	empty, err := db.View("empty_pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.NumRows() != 0 || empty.Omega.N != 2 {
+		t.Errorf("empty view = %+v, %d rows", empty.Meta(), empty.NumRows())
 	}
 }
 

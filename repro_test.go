@@ -159,8 +159,8 @@ func TestPublicAPIOnlineStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pv.Rows) != 60*4 {
-		t.Errorf("view rows = %d", len(pv.Rows))
+	if pv.NumRows() != 60*4 {
+		t.Errorf("view rows = %d", pv.NumRows())
 	}
 }
 
