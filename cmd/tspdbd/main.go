@@ -5,8 +5,7 @@
 // Usage:
 //
 //	tspdbd [-addr :8080] [-data-dir dir] [-fsync=true] \
-//	       [-load table=path.csv]... [-restore snap] \
-//	       [-snapshot snap] [-snapshot-on-exit] [-parallel N] \
+//	       [-load table=path.csv]... [-parallel N] \
 //	       [-max-builds N] [-max-batch N] \
 //	       [-log-level info] [-log-format text] [-slow-query 0] \
 //	       [-debug-addr addr]
@@ -19,14 +18,8 @@
 // (default true) additionally syncs the log on every commit, extending
 // the guarantee from process death to power loss. POST /checkpoint
 // flushes the log into segments on demand; a byte-threshold background
-// checkpointer does the same automatically.
-//
-// -restore loads a gob snapshot (written by POST /snapshot, GET /snapshot or
-// tspdb) before serving; combined with -data-dir the loaded catalog is
-// immediately checkpointed, making the import durable. -snapshot names the
-// path POST /snapshot writes to; with -snapshot-on-exit the daemon also
-// persists there on graceful shutdown (SIGINT/SIGTERM). The gob snapshot
-// surface is kept alongside -data-dir as a portable export/import format.
+// checkpointer does the same automatically. Without -data-dir the
+// catalog lives in memory only and nothing survives a restart.
 //
 // Range aggregates over views (GET /views/{v}/rangeprob?from=&to=, SELECT
 // EXPECTED/PROB/... via POST /query) run as one indexed pass over the
@@ -84,9 +77,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + segments); empty = in-memory")
 	fsync := flag.Bool("fsync", true, "sync the WAL on every commit (with -data-dir)")
-	restore := flag.String("restore", "", "load a catalog snapshot before serving")
-	snapshot := flag.String("snapshot", "", "path POST /snapshot persists the catalog to")
-	snapOnExit := flag.Bool("snapshot-on-exit", false, "write a snapshot on graceful shutdown (requires -snapshot)")
 	parallel := flag.Int("parallel", 0, "view-generation and read-kernel workers (0 = all cores, 1 = sequential)")
 	maxBuilds := flag.Int("max-builds", 2, "concurrent CREATE VIEW materialisations")
 	maxBatch := flag.Int("max-batch", 10000, "max points per ingest request")
@@ -107,7 +97,6 @@ func main() {
 	cfg := repro.EngineConfig{Parallelism: *parallel, DataDir: *dataDir, Fsync: *fsync}
 	opts := runOptions{
 		loads: loads, addr: *addr, engine: cfg,
-		restore: *restore, snapshot: *snapshot, snapOnExit: *snapOnExit,
 		maxBuilds: *maxBuilds, maxBatch: *maxBatch, grace: *grace,
 		slowQuery: *slowQuery, debugAddr: *debugAddr,
 	}
@@ -136,23 +125,17 @@ func newLogger(level, format string) (*slog.Logger, error) {
 }
 
 type runOptions struct {
-	loads      loadFlags
-	addr       string
-	engine     repro.EngineConfig
-	restore    string
-	snapshot   string
-	snapOnExit bool
-	maxBuilds  int
-	maxBatch   int
-	grace      time.Duration
-	slowQuery  time.Duration
-	debugAddr  string
+	loads     loadFlags
+	addr      string
+	engine    repro.EngineConfig
+	maxBuilds int
+	maxBatch  int
+	grace     time.Duration
+	slowQuery time.Duration
+	debugAddr string
 }
 
 func run(logger *slog.Logger, o runOptions) error {
-	if o.snapOnExit && o.snapshot == "" {
-		return fmt.Errorf("-snapshot-on-exit requires -snapshot")
-	}
 	engine, err := repro.OpenEngine(o.engine)
 	if err != nil {
 		return fmt.Errorf("open data dir %s: %w", o.engine.DataDir, err)
@@ -168,19 +151,6 @@ func run(logger *slog.Logger, o runOptions) error {
 			"torn_tail_truncated", st.TornTail,
 			"replay_duration", st.Duration,
 			"fsync", o.engine.Fsync)
-	}
-	if o.restore != "" {
-		if err := engine.DB().LoadFile(o.restore); err != nil {
-			return fmt.Errorf("restore %s: %w", o.restore, err)
-		}
-		logger.Info("restored snapshot", "path", o.restore, "tables", len(engine.DB().List()))
-		if engine.Durable() {
-			// Fold the imported catalog into segments right away so the
-			// replacement does not live only in the WAL.
-			if err := engine.Checkpoint(); err != nil {
-				return fmt.Errorf("checkpoint after restore: %w", err)
-			}
-		}
 	}
 	for _, spec := range o.loads {
 		name, path, ok := strings.Cut(spec, "=")
@@ -203,7 +173,6 @@ func run(logger *slog.Logger, o runOptions) error {
 	}
 
 	srv := repro.NewServer(engine, repro.ServerConfig{
-		SnapshotPath:  o.snapshot,
 		MaxViewBuilds: o.maxBuilds,
 		MaxBatch:      o.maxBatch,
 		Logger:        logger,
@@ -230,12 +199,5 @@ func run(logger *slog.Logger, o runOptions) error {
 		return fmt.Errorf("close data dir: %w", err)
 	}
 	logger.Info("tspdbd shut down cleanly")
-	if o.snapOnExit {
-		n, err := engine.DB().SaveFile(o.snapshot)
-		if err != nil {
-			return fmt.Errorf("exit snapshot: %w", err)
-		}
-		logger.Info("wrote exit snapshot", "path", o.snapshot, "bytes", n)
-	}
 	return nil
 }

@@ -1,15 +1,16 @@
 package repro_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"repro"
 	"repro/internal/dataset"
+	"repro/internal/probdb"
 )
 
 // End-to-end invariants that cut across modules: whatever the data and the
@@ -107,8 +108,17 @@ func TestIntegrationCacheMatchesNaiveWithinTolerance(t *testing.T) {
 	}
 }
 
+// TestIntegrationSaveLoadPreservesQueries saves a catalog the one way the
+// engine persists it — Close checkpoints the data directory into segments —
+// and loads it back by reopening the directory: query answers over the
+// reopened view must be identical to the ones before, cell for cell, and the
+// expected series under them bit for bit.
 func TestIntegrationSaveLoadPreservesQueries(t *testing.T) {
-	engine := repro.NewEngine()
+	dir := t.TempDir()
+	engine, err := repro.OpenEngine(repro.EngineConfig{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
 	campus := dataset.Campus(dataset.CampusConfig{N: 300})
 	if err := engine.RegisterSeries("raw_values", campus); err != nil {
 		t.Fatal(err)
@@ -117,31 +127,50 @@ func TestIntegrationSaveLoadPreservesQueries(t *testing.T) {
 		OMEGA delta=0.5, n=8 WINDOW 90 FROM raw_values WHERE t >= 100 AND t <= 150`); err != nil {
 		t.Fatal(err)
 	}
-	before, err := engine.Exec("SELECT EXPECTED FROM pv WHERE t >= 100 AND t <= 150")
+	const q = "SELECT EXPECTED FROM pv WHERE t >= 100 AND t <= 150"
+	before, err := engine.Exec(q)
 	if err != nil {
+		t.Fatal(err)
+	}
+	beforeSeries := expectedSeries(t, engine)
+	if err := engine.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := engine.DB().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := repro.NewEngine()
-	if err := restored.DB().Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	after, err := restored.Exec("SELECT EXPECTED FROM pv WHERE t >= 100 AND t <= 150")
+	restored, err := repro.OpenEngine(repro.EngineConfig{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(before.Rows) != len(after.Rows) {
-		t.Fatalf("row counts differ after restore: %d vs %d", len(before.Rows), len(after.Rows))
+	defer restored.Close()
+	after, err := restored.Exec(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range before.Rows {
-		if before.Rows[i][1] != after.Rows[i][1] {
-			t.Fatalf("row %d differs after restore", i)
+	if len(before.Rows) == 0 || !reflect.DeepEqual(before.Rows, after.Rows) {
+		t.Fatalf("answers differ after reopen:\n before %q\n after  %q", before.Rows, after.Rows)
+	}
+	afterSeries := expectedSeries(t, restored)
+	if len(afterSeries) != len(beforeSeries) {
+		t.Fatalf("expected series has %d points after reopen, %d before", len(afterSeries), len(beforeSeries))
+	}
+	for i, b := range beforeSeries {
+		if a := afterSeries[i]; a.T != b.T || math.Float64bits(a.Value) != math.Float64bits(b.Value) {
+			t.Fatalf("point %d after reopen = %+v, before %+v", i, a, b)
 		}
 	}
+}
+
+func expectedSeries(t *testing.T, e *repro.Engine) []probdb.TimeSeriesPoint {
+	t.Helper()
+	pv, err := e.View("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := repro.ExpectedSeries(pv, 100, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // Property: for random AR-ish series and random omega parameters, the

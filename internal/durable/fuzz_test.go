@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/storage"
@@ -31,22 +32,24 @@ func FuzzWALReplay(f *testing.F) {
 	valid = wal.AppendFrame(valid, encodeAppendRows("pv", 2,
 		[]view.Row{{T: 4, Lambda: 1, Lo: 2, Hi: 3, Prob: 0.2}}))
 	valid = wal.AppendFrame(valid, encodeDrop("pv"))
-	valid = wal.AppendFrame(valid, encodeReset())
 	f.Add(valid)
 	// …and with degenerate shapes the mutators grow from.
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/2])                              // torn tail
-	f.Add(wal.AppendFrame(nil, []byte{recReset, 0xff}))      // trailing junk in a record
+	f.Add(wal.AppendFrame(nil, []byte{recDrop, 0, 0xff}))    // trailing junk in a record
 	f.Add(wal.AppendFrame(nil, []byte{0x7f}))                // unknown kind
 	f.Add(wal.AppendFrame(nil, encodeDrop("ghost")))         // drop of a missing table
 	f.Add(append(append([]byte(nil), valid...), 0xde, 0xad)) // valid log + garbage
+	// Kind 7 was Reset, written only by the removed gob snapshot load: a log
+	// holding one must fail recovery as a bad record, never skip it.
+	retired := wal.AppendFrame(append([]byte(nil), valid...), []byte{7})
+	if _, _, err := openWAL(retired); !errors.Is(err, ErrBadRecord) {
+		f.Fatalf("kind-7 record: Open = %v, want ErrBadRecord", err)
+	}
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fs := faultfs.New()
-		fs.MkdirAll("data")
-		fs.MkdirAll("data/wal")
-		fs.WriteExisting("data/wal/"+wal.FileName(1), data)
-		st, err := Open(fs, "data", Options{CheckpointBytes: -1})
+		fs, st, err := openWAL(data)
 		if err != nil {
 			return // rejected cleanly at the first bad record
 		}
@@ -71,4 +74,14 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// openWAL recovers a store from data as its only WAL file.
+func openWAL(data []byte) (*faultfs.FS, *Store, error) {
+	fs := faultfs.New()
+	fs.MkdirAll("data")
+	fs.MkdirAll("data/wal")
+	fs.WriteExisting("data/wal/"+wal.FileName(1), data)
+	st, err := Open(fs, "data", Options{CheckpointBytes: -1})
+	return fs, st, err
 }

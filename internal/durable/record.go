@@ -31,7 +31,6 @@ const (
 	recAppendRows
 	recStep
 	recDrop
-	recReset
 )
 
 // record is the decoded form of one WAL payload; which fields are
@@ -127,8 +126,6 @@ func encodeStep(source string, p timeseries.Point, viewName string, rows []view.
 func encodeDrop(name string) []byte {
 	return appendStr([]byte{recDrop}, name)
 }
-
-func encodeReset() []byte { return []byte{recReset} }
 
 // dec is a bounds-checked cursor over one record payload. Every read
 // reports failure through ok; decode checks once at the end, so a
@@ -266,7 +263,6 @@ func decodeRecord(b []byte) (record, error) {
 		r.rows = d.rowBatch()
 	case recDrop:
 		r.name = d.str()
-	case recReset:
 	default:
 		return record{}, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, r.kind)
 	}

@@ -321,11 +321,6 @@ func (s *Store) apply(payload []byte) error {
 			return err
 		}
 		s.noteDrop(r.name)
-	case recReset:
-		if err := db.Reset(); err != nil {
-			return err
-		}
-		s.noteReset()
 	default:
 		return fmt.Errorf("%w: kind %d", ErrBadRecord, r.kind)
 	}
@@ -388,14 +383,6 @@ func (s *Store) Drop(name string) error {
 	return nil
 }
 
-func (s *Store) Reset() error {
-	if err := s.append(encodeReset()); err != nil {
-		return err
-	}
-	s.noteReset()
-	return nil
-}
-
 // --- durability bookkeeping -------------------------------------------
 
 // bump stamps a table with a fresh generation so a checkpoint that
@@ -430,19 +417,6 @@ func (s *Store) noteDrop(name string) {
 	delete(s.viewWM, name)
 	delete(s.viewSegs, name)
 	s.bump(name)
-}
-
-func (s *Store) noteReset() {
-	s.wmMu.Lock()
-	defer s.wmMu.Unlock()
-	for name := range s.gen {
-		s.genSeq++
-		s.gen[name] = s.genSeq
-	}
-	s.rawWM = make(map[string]int)
-	s.viewWM = make(map[string]int)
-	s.rawSegs = make(map[string][]string)
-	s.viewSegs = make(map[string][]string)
 }
 
 // --- checkpoints -------------------------------------------------------

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -302,49 +301,123 @@ func TestStoreViewReplacementInvalidatesSegments(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotIntoDurableStore is the end-to-end half of the
-// LoadFile+AppendRows regression: a gob snapshot loaded into a durable
-// catalog, then appended to, must recover both the loaded and the
-// appended rows.
-func TestLoadSnapshotIntoDurableStore(t *testing.T) {
-	src := storage.NewDB()
-	s0, err := timeseries.New([]timeseries.Point{{T: 1, V: 1}})
-	if err != nil {
+// edgeRows holds the row shapes a streamed view never produces: Lambda
+// that is not the in-group position, a zero-width row, infinite bounds,
+// and NaN and negative-zero probabilities.
+func edgeRows() []view.Row {
+	return []view.Row{
+		{T: 1, Lambda: -1, Lo: 19.5, Hi: 20, Prob: 0.25},
+		{T: 1, Lambda: 0, Lo: 20, Hi: 20.5, Prob: math.NaN()},
+		{T: 1, Lambda: 1, Lo: 20.5, Hi: 21, Prob: math.Copysign(0, -1)},
+		{T: 2, Lambda: 7, Lo: 21, Hi: 21, Prob: 1},
+		{T: 4, Lambda: -3, Lo: math.Inf(-1), Hi: 19, Prob: 0.125},
+		{T: 4, Lambda: 5, Lo: 19, Hi: math.Inf(1), Prob: 0.875},
+	}
+}
+
+// sameBits compares rows bit for bit: reflect.DeepEqual cannot, since
+// NaN != NaN, and == would let -0 pass for +0.
+func sameBits(a, b []view.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.T != y.T || x.Lambda != y.Lambda ||
+			math.Float64bits(x.Lo) != math.Float64bits(y.Lo) ||
+			math.Float64bits(x.Hi) != math.Float64bits(y.Hi) ||
+			math.Float64bits(x.Prob) != math.Float64bits(y.Prob) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReopenPreservesEdgeRows stores the edge shapes and an empty view,
+// then recovers them twice — from the WAL alone (crash before any
+// checkpoint) and from segments (Close checkpoints) — comparing every row
+// bit for bit and the group index exactly.
+func TestReopenPreservesEdgeRows(t *testing.T) {
+	fs := faultfs.New()
+	st := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
+	meta := storage.ViewMeta{Name: "pv", Source: "raw_values", MetricName: "ARMA-GARCH", Omega: view.Omega{Delta: 0.5, N: 3}}
+	if err := st.DB().StoreView(storage.NewProbTable(meta, edgeRows())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.CreateRawTable("sensor", "", "", s0); err != nil {
+	empty := storage.ViewMeta{Name: "empty_pv", Source: "raw_values", Omega: view.Omega{Delta: 1, N: 2}}
+	if err := st.DB().StoreView(storage.NewProbTable(empty, nil)); err != nil {
 		t.Fatal(err)
 	}
+	wantGroups := []storage.TimeGroup{{T: 1, Off: 0, Len: 3}, {T: 2, Off: 3, Len: 1}, {T: 4, Off: 4, Len: 2}}
+	check := func(how string, db *storage.DB) {
+		t.Helper()
+		pv := mustView(t, db, "pv")
+		if pv.Meta() != meta {
+			t.Fatalf("%s: meta = %+v, want %+v", how, pv.Meta(), meta)
+		}
+		if got := pv.SnapshotRows(); !sameBits(got, edgeRows()) {
+			t.Fatalf("%s: rows = %v, want %v", how, got, edgeRows())
+		}
+		if err := pv.LoadErr(); err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		if got := pv.GroupsRange(math.MinInt64, math.MaxInt64); !reflect.DeepEqual(got, wantGroups) {
+			t.Fatalf("%s: groups = %+v, want %+v", how, got, wantGroups)
+		}
+		e := mustView(t, db, "empty_pv")
+		if e.Meta() != empty || e.NumRows() != 0 {
+			t.Fatalf("%s: empty view = %+v with %d rows", how, e.Meta(), e.NumRows())
+		}
+	}
+
+	st2 := openStore(t, fs.CrashImage(), Options{Fsync: true})
+	check("WAL replay", st2.DB())
+	st2.Close()
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st3 := openStore(t, fs, Options{Fsync: true})
+	defer st3.Close()
+	check("segments", st3.DB())
+}
+
+// TestAppendAfterReopenExtendsLazyView: a view recovered from segments is
+// loaded lazily, and an append that arrives before anything has read it
+// must both extend its group index and be logged — a crash right after the
+// append recovers segment rows and appended rows alike.
+func TestAppendAfterReopenExtendsLazyView(t *testing.T) {
+	fs := faultfs.New()
+	st := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
 	pv := &storage.ProbTable{Name: "pv", Source: "sensor", Omega: view.Omega{Delta: 1, N: 2}}
-	pv.AppendRows([]view.Row{{T: 1, Lambda: 0, Prob: 1}})
-	if err := src.StoreView(pv); err != nil {
+	pv.AppendRows([]view.Row{{T: 1, Lambda: 0, Prob: 0.5}, {T: 1, Lambda: 1, Prob: 0.5}, {T: 2, Lambda: 0, Prob: 1}})
+	if err := st.DB().StoreView(pv); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	fs := faultfs.New()
-	st := openStore(t, fs, Options{Fsync: true})
-	if err := st.DB().Load(&buf); err != nil {
-		t.Fatal(err)
+	st2 := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
+	defer st2.Close()
+	q := mustView(t, st2.DB(), "pv")
+	if rows, _ := st2.DB().ViewResident(); rows != 0 || q.NumRows() != 3 {
+		t.Fatalf("reopened view: %d resident of %d rows before any read, want a pending lazy load", rows, q.NumRows())
 	}
-	q := mustView(t, st.DB(), "pv")
 	if err := q.AppendRows([]view.Row{{T: 5, Lambda: 0, Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	want := dumpDB(t, st.DB())
-
-	img := fs.CrashImage()
-	st2 := openStore(t, img, Options{Fsync: true})
-	defer st2.Close()
-	got := dumpDB(t, st2.DB())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot+append lost on recovery:\n got %+v\nwant %+v", got, want)
+	if got := q.GroupsRange(1, 9); !reflect.DeepEqual(got, []storage.TimeGroup{
+		{T: 1, Off: 0, Len: 2}, {T: 2, Off: 2, Len: 1}, {T: 5, Off: 3, Len: 1},
+	}) {
+		t.Fatalf("GroupsRange after append = %+v", got)
 	}
-	if times := mustView(t, st2.DB(), "pv").Times(); !reflect.DeepEqual(times, []int64{1, 5}) {
-		t.Fatalf("recovered times = %v", times)
+	want := dumpDB(t, st2.DB())
+
+	st3 := openStore(t, fs.CrashImage(), Options{Fsync: true})
+	defer st3.Close()
+	if got := dumpDB(t, st3.DB()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("append after lazy reopen lost on recovery:\n got %+v\nwant %+v", got, want)
 	}
 }
 

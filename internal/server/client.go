@@ -238,12 +238,3 @@ func (c *Client) Series(view, stats string, lo, hi float64, from, to int64) (*Se
 func (c *Client) Checkpoint() error {
 	return c.do(http.MethodPost, "/checkpoint", nil, nil)
 }
-
-// Snapshot asks the server to persist its catalog to the configured path.
-func (c *Client) Snapshot() (*SnapshotResponse, error) {
-	var out SnapshotResponse
-	if err := c.do(http.MethodPost, "/snapshot", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}

@@ -20,11 +20,13 @@
 package server
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -41,9 +43,6 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// SnapshotPath is where POST /snapshot persists the catalog. Empty
-	// disables the endpoint (GET /snapshot streaming stays available).
-	SnapshotPath string
 	// MaxViewBuilds caps concurrent CREATE VIEW materialisations; further
 	// builds queue. 0 selects 2.
 	MaxViewBuilds int
@@ -77,7 +76,7 @@ type Server struct {
 }
 
 // New wraps an engine in a server. The engine may already hold tables and
-// open streams (e.g. restored from a snapshot).
+// open streams (e.g. recovered from a data directory).
 func New(engine *core.Engine, cfg Config) *Server {
 	if cfg.MaxViewBuilds <= 0 {
 		cfg.MaxViewBuilds = 2
@@ -126,15 +125,38 @@ func New(engine *core.Engine, cfg Config) *Server {
 	s.handle("GET /views/{view}/rangeprob", s.handleRangeProb)
 	s.handle("GET /views/{view}/topk", s.handleTopK)
 	s.handle("POST /views/{view}/buckets", s.handleBuckets)
-	s.handle("GET /snapshot", s.handleSnapshotGet)
-	s.handle("POST /snapshot", s.handleSnapshotPost)
 	s.handle("POST /checkpoint", s.handleCheckpoint)
 	return s
 }
 
-// Engine returns the wrapped engine (used by the daemon for shutdown
-// snapshots).
-func (s *Server) Engine() *core.Engine { return s.engine }
+// Run serves the handler on addr until ctx is cancelled, then shuts down
+// gracefully: in-flight requests get up to grace (default 10s) to finish.
+// It returns the error that stopped the listener, or nil on clean shutdown.
+func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) error {
+	if grace <= 0 {
+		grace = 10 * time.Second
+	}
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           s,
+		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
+		defer cancel()
+		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+			return err
+		}
+		<-errc // always http.ErrServerClosed after Shutdown
+		return nil
+	}
+}
 
 // handle registers an instrumented route. The wrapper is the server's whole
 // middleware stack: it assigns (or propagates) the X-Request-Id, recovers

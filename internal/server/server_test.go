@@ -307,70 +307,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestSnapshotEndpoints(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/catalog.snapshot"
-	_, client, engine := newTestServer(t, Config{SnapshotPath: path})
-	if _, err := client.Exec(`CREATE VIEW sv AS DENSITY r OVER t OMEGA delta=1, n=4 WINDOW 16 FROM campus WHERE t >= 40 AND t <= 80`); err != nil {
-		t.Fatal(err)
-	}
-
-	snap, err := client.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Path != path || snap.Bytes <= 0 {
-		t.Fatalf("unexpected snapshot response: %+v", snap)
-	}
-
-	restored := storage.NewDB()
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	want := engine.DB().List()
-	got := restored.List()
-	if len(got) != len(want) {
-		t.Fatalf("restored catalog has %d tables, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("table %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	pv, err := restored.View("sv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := engine.View("sv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pv.SnapshotRows()) != len(orig.SnapshotRows()) {
-		t.Fatalf("restored view rows %d != %d", len(pv.SnapshotRows()), len(orig.SnapshotRows()))
-	}
-
-	// GET /snapshot streams the same catalog.
-	resp, err := http.Get(client.Base + "/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	streamed := storage.NewDB()
-	if err := streamed.Load(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed.List()) != len(want) {
-		t.Fatalf("streamed catalog has %d tables, want %d", len(streamed.List()), len(want))
-	}
-
-	// Snapshot disabled without a configured path.
-	_, client2, _ := newTestServer(t, Config{})
-	var apiErr *APIError
-	if _, err := client2.Snapshot(); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("snapshot without path: got %v, want 400", err)
-	}
-}
-
 func TestIngestBatchLimit(t *testing.T) {
 	_, client, _ := newTestServer(t, Config{MaxBatch: 5})
 	if _, err := client.OpenStream("campus", OpenStreamRequest{View: "lim", H: 16, Delta: 1, N: 2}); err != nil {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -42,7 +41,6 @@ func (l *recLog) Step(source string, p timeseries.Point, view string, rows []vie
 	return l.op("step %s t=%d %s n=%d", source, p.T, view, len(rows))
 }
 func (l *recLog) Drop(name string) error { return l.op("drop %s", name) }
-func (l *recLog) Reset() error           { return l.op("reset") }
 
 func mustSeries(t *testing.T, pts ...timeseries.Point) *timeseries.Series {
 	t.Helper()
@@ -176,50 +174,6 @@ func TestCommitLogFailureLeavesStateUnchanged(t *testing.T) {
 	}
 	if _, err := db.View("pv"); err != nil {
 		t.Fatalf("refused drop removed the view: %v", err)
-	}
-}
-
-// TestLoadRelogsSnapshot is the durable half of the LoadFile+AppendRows
-// regression (see TestIndexAfterLoadFileAppendRows): loading a gob
-// snapshot into a logged catalog must re-log the whole replacement and
-// wire the loaded tables, so appends after the load are logged too — not
-// silently lost at the next recovery.
-func TestLoadRelogsSnapshot(t *testing.T) {
-	src := NewDB()
-	if _, err := src.CreateRawTable("raw", "", "", mustSeries(t, timeseries.Point{T: 1, V: 2})); err != nil {
-		t.Fatal(err)
-	}
-	p := &ProbTable{Name: "pv", Source: "raw"}
-	p.AppendRows([]view.Row{{T: 1, Lambda: 0}, {T: 1, Lambda: 1}})
-	if err := src.StoreView(p); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	db := NewDB()
-	log := &recLog{}
-	db.SetCommitLog(log)
-	if err := db.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := db.View("pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.AppendRows([]view.Row{{T: 2, Lambda: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"reset",
-		"create-raw raw t r n=1",
-		"store-view pv src=raw n=2",
-		"append-rows pv prior=2 n=1",
-	}
-	if !reflect.DeepEqual(log.ops, want) {
-		t.Fatalf("log ops:\n  got  %q\n  want %q", log.ops, want)
 	}
 }
 

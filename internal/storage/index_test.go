@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -132,50 +131,6 @@ func TestGroupsRangeLayout(t *testing.T) {
 	}
 	if p.NumTimes() != 3 {
 		t.Fatalf("NumTimes = %d", p.NumTimes())
-	}
-}
-
-// TestIndexAfterLoadFileAppendRows pins the snapshot-restore path:
-// LoadFile replaces the catalog with tables built from gob-decoded rows,
-// and appends through the reloaded handle must extend the same group
-// index. The durable-store side of the same contract (appends after a
-// snapshot load must be re-logged) is covered in internal/durable.
-func TestIndexAfterLoadFileAppendRows(t *testing.T) {
-	db := NewDB()
-	p := &ProbTable{Name: "pv", Omega: view.Omega{Delta: 1, N: 2}}
-	p.AppendRows([]view.Row{{T: 1, Lambda: 0}, {T: 1, Lambda: 1}, {T: 2, Lambda: 0}})
-	if err := db.StoreView(p); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snap.gob")
-	if _, err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := NewDB()
-	if err := db2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	q, err := db2.View("pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Times(); !reflect.DeepEqual(got, []int64{1, 2}) {
-		t.Fatalf("Times after load = %v", got)
-	}
-	if err := q.AppendRows([]view.Row{{T: 5, Lambda: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Times(); !reflect.DeepEqual(got, []int64{1, 2, 5}) {
-		t.Fatalf("Times after append = %v", got)
-	}
-	if got := q.GroupsRange(1, 9); !reflect.DeepEqual(got, []TimeGroup{
-		{T: 1, Off: 0, Len: 2}, {T: 2, Off: 2, Len: 1}, {T: 5, Off: 3, Len: 1},
-	}) {
-		t.Fatalf("GroupsRange after append = %+v", got)
-	}
-	if got := q.RowsAt(5); len(got) != 1 || got[0].T != 5 {
-		t.Fatalf("RowsAt(5) = %v", got)
 	}
 }
 

@@ -3,17 +3,14 @@
 // and materialised probabilistic view tables (prob_view). A view table is
 // held as four columns plus a timestamp group index and nothing else;
 // view.Row values are built from the columns when a caller asks for rows.
-// Tables support time-range scans, online appends and gob snapshots. All
+// Tables support time-range scans and online appends; durability lives in
+// internal/durable, which logs every mutation through CommitLog. All
 // catalog operations are safe for concurrent use.
 package storage
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -54,8 +51,6 @@ type CommitLog interface {
 	Step(source string, p timeseries.Point, view string, rows []view.Row) error
 	// Drop records the removal of a table.
 	Drop(name string) error
-	// Reset records a wholesale catalog replacement (snapshot load).
-	Reset() error
 }
 
 // ViewMeta is the identity of a probabilistic view without its rows —
@@ -133,8 +128,8 @@ type ProbTable struct {
 }
 
 // NewProbTable returns a view table holding rows (ascending timestamps,
-// each timestamp's rows contiguous) — the way a finished offline build, a
-// decoded snapshot or a replayed store-view record becomes a table. The
+// each timestamp's rows contiguous) — the way a finished offline build or
+// a replayed store-view record becomes a table. The
 // rows are copied into the columns; the caller keeps its slice.
 func NewProbTable(meta ViewMeta, rows []view.Row) *ProbTable {
 	p := &ProbTable{Name: meta.Name, Source: meta.Source, MetricName: meta.MetricName, Omega: meta.Omega}
@@ -813,25 +808,6 @@ func (db *DB) Drop(name string) error {
 	return fmt.Errorf("%w: %q", ErrNotFound, name)
 }
 
-// Reset empties the catalog. On a logged catalog a single Reset record is
-// logged first; the recovery replayer applies it by calling Reset on a
-// detached catalog.
-func (db *DB) Reset() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.log != nil {
-		if err := db.log.Reset(); err != nil {
-			return err
-		}
-	}
-	for _, p := range db.prob {
-		p.setLogger(nil)
-	}
-	db.raw = make(map[string]*RawTable)
-	db.prob = make(map[string]*ProbTable)
-	return nil
-}
-
 // TableInfo describes one catalog entry.
 type TableInfo struct {
 	Name string
@@ -867,173 +843,6 @@ func (db *DB) ViewResident() (rows, bytes int) {
 		p.mu.RUnlock()
 	}
 	return rows, bytes
-}
-
-// snapshot is the gob wire format.
-type snapshot struct {
-	Raw  []rawSnapshot
-	Prob []probSnapshot
-}
-
-// probSnapshot is a view on the wire. gob matches fields by name, and these
-// are the names ProbTable had when it was encoded directly with its rows, so
-// snapshot files written before the table became columns still load.
-type probSnapshot struct {
-	Name       string
-	Source     string
-	MetricName string
-	Omega      view.Omega
-	Rows       []view.Row
-}
-
-type rawSnapshot struct {
-	Name     string
-	TimeCol  string
-	ValueCol string
-	Points   []timeseries.Point
-}
-
-// Save serialises the whole catalog with gob. It is safe to call while
-// appends and reads are in flight: raw tables are copied under the catalog
-// lock and view rows under each table's lock, so every serialised table is a
-// consistent prefix of its live counterpart. The gob encoding itself runs on
-// the copies, outside any lock.
-func (db *DB) Save(w io.Writer) error {
-	db.mu.RLock()
-	var snap snapshot
-	var err error
-	for _, t := range db.raw {
-		var pts []timeseries.Point
-		pts, err = seriesPoints(t.Series)
-		if err != nil {
-			break
-		}
-		snap.Raw = append(snap.Raw, rawSnapshot{
-			Name: t.Name, TimeCol: t.TimeCol, ValueCol: t.ValueCol, Points: pts,
-		})
-	}
-	if err == nil {
-		for _, p := range db.prob {
-			var rows []view.Row
-			rows, err = p.snapshotRows()
-			if err != nil {
-				break
-			}
-			snap.Prob = append(snap.Prob, probSnapshot{
-				Name:       p.Name,
-				Source:     p.Source,
-				MetricName: p.MetricName,
-				Omega:      p.Omega,
-				Rows:       rows,
-			})
-		}
-	}
-	db.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// SaveFile writes a snapshot atomically: the gob stream goes to a temporary
-// file in the target directory which is renamed over path only after a
-// successful write, so a crash mid-snapshot never corrupts the previous one.
-func (db *DB) SaveFile(path string) (int64, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".snapshot-*")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	if err := db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	// Flush before the rename commits the snapshot: a power failure after
-	// an un-synced rename could publish a truncated file over the good
-	// previous snapshot.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return info.Size(), nil
-}
-
-// LoadFile replaces the catalog contents with the snapshot stored at path.
-func (db *DB) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return db.Load(f)
-}
-
-// Load replaces the catalog contents with a snapshot produced by Save.
-// On a logged catalog the whole replacement is re-logged (a Reset record
-// followed by the loaded tables), so tables restored from a gob snapshot
-// are as durable — and their later appends as logged — as tables built in
-// place. See TestIndexAfterLoadFileAppendRows for the append-after-load
-// contract this upholds.
-func (db *DB) Load(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return err
-	}
-	raw := make(map[string]*RawTable, len(snap.Raw))
-	for _, rs := range snap.Raw {
-		s, err := timeseries.New(rs.Points)
-		if err != nil {
-			return err
-		}
-		raw[rs.Name] = &RawTable{Name: rs.Name, TimeCol: rs.TimeCol, ValueCol: rs.ValueCol, Series: s}
-	}
-	prob := make(map[string]*ProbTable, len(snap.Prob))
-	for _, ps := range snap.Prob {
-		meta := ViewMeta{Name: ps.Name, Source: ps.Source, MetricName: ps.MetricName, Omega: ps.Omega}
-		prob[ps.Name] = NewProbTable(meta, ps.Rows)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.log != nil {
-		if err := db.log.Reset(); err != nil {
-			return err
-		}
-		for _, rs := range snap.Raw {
-			if err := db.log.CreateRaw(rs.Name, rs.TimeCol, rs.ValueCol, rs.Points); err != nil {
-				return err
-			}
-		}
-		for _, ps := range snap.Prob {
-			if err := db.log.StoreView(prob[ps.Name].Meta(), ps.Rows); err != nil {
-				return err
-			}
-		}
-	}
-	// The decoded tables are not shared yet, so the loggers can be set
-	// without taking their locks.
-	for _, p := range prob {
-		p.logger = db.log
-	}
-	db.raw = raw
-	db.prob = prob
-	return nil
 }
 
 // RawState is a checkpoint capture of one raw table: its schema and the

@@ -1,10 +1,7 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
-	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -235,90 +232,6 @@ func TestList(t *testing.T) {
 	}
 	if infos[0].Rows != 5 || infos[1].Rows != 4 {
 		t.Error("row counts wrong")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := NewDB()
-	s := newTestSeries(t, 8)
-	_, _ = db.CreateRawTable("raw_values", "time", "temp", s)
-	_ = db.StoreView(makeProbTable("pv"))
-
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewDB()
-	if err := restored.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tab, err := restored.RawTable("raw_values")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.TimeCol != "time" || tab.ValueCol != "temp" || tab.Series.Len() != 8 {
-		t.Errorf("restored raw table = %+v", tab)
-	}
-	pv, err := restored.View("pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pv.Meta() != makeProbTable("pv").Meta() {
-		t.Errorf("restored view = %+v", pv.Meta())
-	}
-	if got := pv.SnapshotRows(); !reflect.DeepEqual(got, probTableRows) {
-		t.Errorf("restored rows = %+v", got)
-	}
-}
-
-// TestLoadSnapshotWrittenBeforeColumns decodes testdata/snapshot_pr15.gob,
-// written by DB.Save at the last commit whose ProbTable was gob-encoded
-// directly with a Rows field (commit cecfb71; CHANGES.md PR 16 says what was
-// saved): files written by that code must keep loading.
-func TestLoadSnapshotWrittenBeforeColumns(t *testing.T) {
-	db := NewDB()
-	if err := db.LoadFile("testdata/snapshot_pr15.gob"); err != nil {
-		t.Fatal(err)
-	}
-	tab, err := db.RawTable("raw_values")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.TimeCol != "time" || tab.ValueCol != "temp" || !reflect.DeepEqual(tab.Series.Values(), []float64{20.5, 21, 19.25}) {
-		t.Errorf("raw table = %+v %v", tab, tab.Series.Values())
-	}
-	pv, err := db.View("pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMeta := ViewMeta{Name: "pv", Source: "raw_values", MetricName: "ARMA-GARCH", Omega: view.Omega{Delta: 0.5, N: 3}}
-	if pv.Meta() != wantMeta {
-		t.Errorf("meta = %+v, want %+v", pv.Meta(), wantMeta)
-	}
-	want := []view.Row{
-		{T: 1, Lambda: -1, Lo: 19.5, Hi: 20, Prob: 0.25},
-		{T: 1, Lambda: 0, Lo: 20, Hi: 20.5, Prob: 0.5},
-		{T: 1, Lambda: 1, Lo: 20.5, Hi: 21, Prob: 0.25},
-		{T: 2, Lambda: 7, Lo: 21, Hi: 21, Prob: 1},
-		{T: 4, Lambda: -3, Lo: math.Inf(-1), Hi: 19, Prob: 0.125},
-		{T: 4, Lambda: 5, Lo: 19, Hi: math.Inf(1), Prob: 0.875},
-	}
-	if got := pv.SnapshotRows(); !sameRows(got, want) {
-		t.Errorf("rows = %+v, want %+v", got, want)
-	}
-	empty, err := db.View("empty_pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.NumRows() != 0 || empty.Omega.N != 2 {
-		t.Errorf("empty view = %+v, %d rows", empty.Meta(), empty.NumRows())
-	}
-}
-
-func TestLoadGarbage(t *testing.T) {
-	db := NewDB()
-	if err := db.Load(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("garbage snapshot accepted")
 	}
 }
 

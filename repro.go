@@ -82,7 +82,7 @@ type (
 	RecoveryStats = durable.RecoveryStats
 	// Server is the HTTP/JSON serving subsystem over one Engine (tspdbd).
 	Server = server.Server
-	// ServerConfig tunes a Server (snapshot path, build/batch limits).
+	// ServerConfig tunes a Server (build/batch limits, logging).
 	ServerConfig = server.Config
 	// ServerClient is a thin typed client for a running tspdbd.
 	ServerClient = server.Client
