@@ -1,10 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one benchmark per experiment, at the Quick scale so `go test -bench=.`
 // stays tractable), plus ablation benchmarks for the design decisions called
-// out in DESIGN.md: sigma-cache vs naive generation, B-tree vs sorted-slice
-// lookup, the Successive Variance Reduction filter's incremental
-// leave-one-out identities vs naive recomputation, and the per-metric
-// inference cost.
+// out in DESIGN.md: sigma-cache vs naive generation and the Successive
+// Variance Reduction filter's incremental leave-one-out identities vs naive
+// recomputation; and the cost of the AR and GARCH fits and of each metric's
+// inference.
 package repro_test
 
 import (
@@ -271,7 +271,7 @@ func BenchmarkSVRFilterNaiveRecompute(b *testing.B) {
 	}
 }
 
-// --- Ablation: AR estimation, conditional least squares vs Yule-Walker ----
+// --- AR estimation by conditional least squares ---------------------------
 
 func BenchmarkARFitCLS(b *testing.B) {
 	campus := dataset.Campus(dataset.CampusConfig{N: 300})
@@ -284,18 +284,7 @@ func BenchmarkARFitCLS(b *testing.B) {
 	}
 }
 
-func BenchmarkARFitYuleWalker(b *testing.B) {
-	campus := dataset.Campus(dataset.CampusConfig{N: 300})
-	window := campus.Values()[:180]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := arma.FitYuleWalker(window, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablation: GARCH QMLE with and without variance targeting -------------
+// --- GARCH QMLE from the variance-targeted start --------------------------
 
 func garchInnovations(b *testing.B) []float64 {
 	b.Helper()
@@ -313,17 +302,6 @@ func BenchmarkGARCHFitVarianceTargeting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := garch.Fit(a, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGARCHFitNoVarianceTargeting(b *testing.B) {
-	a := garchInnovations(b)
-	settings := &garch.FitSettings{NoVarianceTargeting: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := garch.Fit(a, 1, 1, settings); err != nil {
 			b.Fatal(err)
 		}
 	}

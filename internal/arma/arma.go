@@ -29,7 +29,6 @@ import (
 var (
 	ErrOrder      = errors.New("arma: invalid model order")
 	ErrShortInput = errors.New("arma: window too short for requested order")
-	ErrSingular   = errors.New("arma: design matrix is singular (constant window?)")
 )
 
 // Model is a fitted ARMA(p,q) model: r_t = Phi0 + sum phi_j r_{t-j}
@@ -244,37 +243,6 @@ func (m *Model) LogLikelihood(xs []float64) float64 {
 func (m *Model) AIC(xs []float64) float64 {
 	k := float64(1 + m.P + m.Q)
 	return 2*k - 2*m.LogLikelihood(xs)
-}
-
-// SelectOrder fits every (p, q) with 1 <= p <= maxP and 0 <= q <= maxQ and
-// returns the model minimising AIC on xs.
-func SelectOrder(xs []float64, maxP, maxQ int) (*Model, error) {
-	if maxP < 1 || maxQ < 0 {
-		return nil, ErrOrder
-	}
-	var best *Model
-	bestAIC := math.Inf(1)
-	var lastErr error
-	for p := 1; p <= maxP; p++ {
-		for q := 0; q <= maxQ; q++ {
-			m, err := Fit(xs, p, q)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if aic := m.AIC(xs); aic < bestAIC {
-				bestAIC = aic
-				best = m
-			}
-		}
-	}
-	if best == nil {
-		if lastErr == nil {
-			lastErr = ErrShortInput
-		}
-		return nil, lastErr
-	}
-	return best, nil
 }
 
 func max(a, b int) int {

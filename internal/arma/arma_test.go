@@ -236,23 +236,6 @@ func TestAICPrefersTrueOrder(t *testing.T) {
 	}
 }
 
-func TestSelectOrder(t *testing.T) {
-	xs := simulateAR(0, []float64{0.7}, 1, 1500, 7)
-	m, err := SelectOrder(xs, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.P < 1 || m.P > 3 {
-		t.Errorf("selected p = %d", m.P)
-	}
-	if _, err := SelectOrder(xs, 0, 0); !errors.Is(err, ErrOrder) {
-		t.Error("maxP=0 accepted")
-	}
-	if _, err := SelectOrder([]float64{1, 2}, 2, 1); err == nil {
-		t.Error("short input accepted by SelectOrder")
-	}
-}
-
 func TestLogLikelihoodDegenerateSigma(t *testing.T) {
 	m := &Model{P: 1, Phi: []float64{0.5}, Theta: []float64{}, Sigma2: 0}
 	if !math.IsInf(m.LogLikelihood([]float64{1, 2, 3}), -1) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clean"
@@ -81,12 +80,6 @@ type Engine struct {
 	cfg   Config
 	store *durable.Store // nil for a purely in-memory engine
 
-	// par is the live worker count for view generation and parallel read
-	// kernels. It starts at cfg.Parallelism and is the one piece of
-	// configuration mutable at runtime (SetParallelism), so it is atomic
-	// rather than part of the otherwise construction-immutable cfg.
-	par atomic.Int64
-
 	mu      sync.Mutex
 	streams map[string]*Stream // open streams, keyed by source table
 	// execCache accumulates hit/miss counters of the short-lived caches
@@ -106,9 +99,7 @@ func NewEngine() *Engine {
 // Config.DataDir is ignored here — durability needs the recovery pass of
 // OpenEngine.
 func NewEngineWith(cfg Config) *Engine {
-	e := &Engine{db: storage.NewDB(), cfg: cfg, streams: make(map[string]*Stream)}
-	e.par.Store(int64(cfg.Parallelism))
-	return e
+	return &Engine{db: storage.NewDB(), cfg: cfg, streams: make(map[string]*Stream)}
 }
 
 // OpenEngine creates an engine honouring the full configuration. With a
@@ -127,9 +118,7 @@ func OpenEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{db: store.DB(), cfg: cfg, store: store, streams: make(map[string]*Stream)}
-	e.par.Store(int64(cfg.Parallelism))
-	return e, nil
+	return &Engine{db: store.DB(), cfg: cfg, store: store, streams: make(map[string]*Stream)}, nil
 }
 
 // Durable reports whether the engine writes ahead to a data directory.
@@ -164,13 +153,8 @@ func (e *Engine) Close() error {
 	return e.store.Close()
 }
 
-// SetParallelism changes the worker count for view generation and the
-// parallel read kernels (see Config). Safe to call while queries run: the
-// count is read atomically per query.
-func (e *Engine) SetParallelism(n int) { e.par.Store(int64(n)) }
-
 // Parallelism reports the configured worker count (0 = all cores).
-func (e *Engine) Parallelism() int { return int(e.par.Load()) }
+func (e *Engine) Parallelism() int { return e.cfg.Parallelism }
 
 // DB exposes the underlying catalog (advanced use).
 func (e *Engine) DB() *storage.DB { return e.db }
@@ -612,9 +596,6 @@ func (s *Stream) Steps() int64 {
 	defer s.mu.Unlock()
 	return s.steps
 }
-
-// Source returns the raw table the stream ingests into.
-func (s *Stream) Source() string { return s.cfg.Source }
 
 // ViewName returns the materialised view the stream extends.
 func (s *Stream) ViewName() string { return s.cfg.ViewName }

@@ -11,6 +11,10 @@ import (
 // only wall-clock behaviour: a CREATE VIEW executed by a sequential engine
 // and by parallel engines materialises identical rows.
 func TestEngineParallelismDeterministic(t *testing.T) {
+	if p := NewEngine().Parallelism(); p != 0 {
+		t.Fatalf("default parallelism = %d, want 0 (all cores)", p)
+	}
+
 	const stmt = `CREATE VIEW pv AS DENSITY r OVER t
 		OMEGA delta=0.5, n=6 WINDOW 90 CACHE DISTANCE 0.01
 		FROM raw_values WHERE t >= 100 AND t <= 250`
@@ -36,42 +40,5 @@ func TestEngineParallelismDeterministic(t *testing.T) {
 		if got := build(p); !reflect.DeepEqual(got, want) {
 			t.Errorf("parallelism %d produced different view rows", p)
 		}
-	}
-}
-
-// TestSetParallelism covers the runtime knob used by cmd/tspdb.
-func TestSetParallelism(t *testing.T) {
-	e := NewEngine()
-	if e.Parallelism() != 0 {
-		t.Fatalf("default parallelism = %d, want 0 (all cores)", e.Parallelism())
-	}
-	e.SetParallelism(3)
-	if e.Parallelism() != 3 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(3)", e.Parallelism())
-	}
-}
-
-// TestSetParallelismConcurrent is the regression test for the data race
-// lockcheck surfaced: SetParallelism wrote cfg.Parallelism unsynchronised
-// while Exec and OpenStream read it. The knob is atomic now; under -race
-// (the CI test job) this test fails on the old code.
-func TestSetParallelismConcurrent(t *testing.T) {
-	e := NewEngine()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			e.SetParallelism(i % 4)
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		if _, err := e.Exec("SHOW TABLES"); err != nil {
-			t.Error(err)
-		}
-	}
-	<-done
-	e.SetParallelism(2)
-	if got := e.Parallelism(); got != 2 {
-		t.Fatalf("Parallelism() = %d, want 2", got)
 	}
 }

@@ -173,8 +173,6 @@ type ARMAGARCH struct {
 	P, Q  int     // ARMA order
 	M, S  int     // GARCH order (paper default (1,1))
 	Kappa float64 // bound scaling factor (default 3 when zero)
-	// GARCHSettings optionally tunes the volatility QMLE.
-	GARCHSettings *garch.FitSettings
 }
 
 // NewARMAGARCH returns the paper's default configuration:
@@ -218,7 +216,7 @@ func (m *ARMAGARCH) Infer(window []float64) (*Inference, error) {
 	if gm == 0 {
 		gm = 1
 	}
-	sigma2, _, err := garch.FitForecast(resid, gm, gs, m.GARCHSettings)
+	sigma2, _, err := garch.FitForecast(resid, gm, gs, nil)
 	if err != nil {
 		// Degenerate or too-short residual windows fall back to the
 		// variable-thresholding variance, which is always available.
@@ -256,8 +254,6 @@ type KalmanGARCH struct {
 	// EMSettings optionally tunes the Kalman EM estimation; the default
 	// follows the paper's observation that EM iterates until convergence.
 	EMSettings *kalman.EMSettings
-	// GARCHSettings optionally tunes the volatility QMLE.
-	GARCHSettings *garch.FitSettings
 }
 
 // NewKalmanGARCH returns the paper's default configuration:
@@ -304,7 +300,7 @@ func (m *KalmanGARCH) Infer(window []float64) (*Inference, error) {
 	if gm == 0 {
 		gm = 1
 	}
-	sigma2, _, err := garch.FitForecast(resid, gm, gs, m.GARCHSettings)
+	sigma2, _, err := garch.FitForecast(resid, gm, gs, nil)
 	if err != nil {
 		if errors.Is(err, garch.ErrDegenerate) || errors.Is(err, garch.ErrShortInput) {
 			sigma2 = stat.Variance(window)

@@ -67,7 +67,6 @@ type Store struct {
 
 	ckptMu  sync.Mutex // serialises checkpoints
 	pending atomic.Int64
-	ckptErr atomic.Value // last background checkpoint error (error)
 
 	trigger  chan struct{}
 	stop     chan struct{}
@@ -632,19 +631,11 @@ func (s *Store) checkpointLoop() {
 		case <-s.stop:
 			return
 		case <-s.trigger:
-			if err := s.Checkpoint(); err != nil {
-				s.ckptErr.Store(err)
-			}
+			// A failure is counted in tspdb_checkpoint_errors_total and the
+			// next trigger retries.
+			_ = s.Checkpoint()
 		}
 	}
-}
-
-// CheckpointErr returns the last background checkpoint failure, if any.
-func (s *Store) CheckpointErr() error {
-	if v := s.ckptErr.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
 }
 
 // Sync places an explicit durability barrier on the WAL (used by callers

@@ -64,7 +64,7 @@ func dumpDB(t *testing.T, db *storage.DB) map[string]tableDump {
 			}
 			out[ti.Name] = tableDump{
 				Kind: "view", Meta: p.Meta(), Rows: rows,
-				Groups: p.GroupsRange(math.MinInt64, math.MaxInt64),
+				Groups: groupsIn(t, p, math.MinInt64, math.MaxInt64),
 				Times:  p.Times(),
 			}
 		}
@@ -207,6 +207,20 @@ func TestCheckpointTrimsWALAndSurvivesReopen(t *testing.T) {
 		t.Fatalf("state differs after checkpointed crash:\n got %+v\nwant %+v", got, want2)
 	}
 	_ = want
+}
+
+// groupsIn copies the group-index entries that RangeCols hands its callback
+// for [tLo, tHi].
+func groupsIn(t *testing.T, p *storage.ProbTable, tLo, tHi int64) []storage.TimeGroup {
+	t.Helper()
+	var out []storage.TimeGroup
+	if err := p.RangeCols(tLo, tHi, func(groups []storage.TimeGroup, _ storage.Cols) error {
+		out = append([]storage.TimeGroup{}, groups...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func mustView(t *testing.T, db *storage.DB, name string) *storage.ProbTable {
@@ -361,7 +375,7 @@ func TestReopenPreservesEdgeRows(t *testing.T) {
 		if err := pv.LoadErr(); err != nil {
 			t.Fatalf("%s: %v", how, err)
 		}
-		if got := pv.GroupsRange(math.MinInt64, math.MaxInt64); !reflect.DeepEqual(got, wantGroups) {
+		if got := groupsIn(t, pv, math.MinInt64, math.MaxInt64); !reflect.DeepEqual(got, wantGroups) {
 			t.Fatalf("%s: groups = %+v, want %+v", how, got, wantGroups)
 		}
 		e := mustView(t, db, "empty_pv")
@@ -407,10 +421,10 @@ func TestAppendAfterReopenExtendsLazyView(t *testing.T) {
 	if err := q.AppendRows([]view.Row{{T: 5, Lambda: 0, Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.GroupsRange(1, 9); !reflect.DeepEqual(got, []storage.TimeGroup{
+	if got := groupsIn(t, q, 1, 9); !reflect.DeepEqual(got, []storage.TimeGroup{
 		{T: 1, Off: 0, Len: 2}, {T: 2, Off: 2, Len: 1}, {T: 5, Off: 3, Len: 1},
 	}) {
-		t.Fatalf("GroupsRange after append = %+v", got)
+		t.Fatalf("groups after append = %+v", got)
 	}
 	want := dumpDB(t, st2.DB())
 

@@ -57,16 +57,6 @@ func (g *Model) Persistence() float64 {
 	return p
 }
 
-// UnconditionalVariance returns alpha0 / (1 - persistence), the long-run
-// variance of the process; +Inf if persistence >= 1.
-func (g *Model) UnconditionalVariance() float64 {
-	p := g.Persistence()
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return g.Alpha0 / (1 - p)
-}
-
 // String implements fmt.Stringer.
 func (g *Model) String() string {
 	return fmt.Sprintf("GARCH(%d,%d){alpha0=%.4g alpha=%v beta=%v}", g.M, g.S, g.Alpha0, g.Alpha, g.Beta)
@@ -79,11 +69,6 @@ type FitSettings struct {
 	// MaxPersistence caps sum(alpha)+sum(beta) strictly below 1
 	// (default 0.9999).
 	MaxPersistence float64
-	// NoVarianceTargeting disables the variance-targeting initialisation
-	// (alpha0 matched to the sample variance) and starts the optimiser from
-	// a generic point instead. Exposed for the DESIGN.md ablation; keeping
-	// targeting on converges in fewer iterations on short windows.
-	NoVarianceTargeting bool
 }
 
 func (s *FitSettings) withDefaults() FitSettings {
@@ -97,7 +82,6 @@ func (s *FitSettings) withDefaults() FitSettings {
 	if s.MaxPersistence > 0 && s.MaxPersistence < 1 {
 		out.MaxPersistence = s.MaxPersistence
 	}
-	out.NoVarianceTargeting = s.NoVarianceTargeting
 	return out
 }
 
@@ -131,8 +115,7 @@ func Fit(a []float64, m, s int, settings *FitSettings) (*Model, error) {
 	}
 
 	// Variance targeting start: alpha ~ 0.10 total, beta ~ 0.80 total,
-	// alpha0 matching the sample variance. The ablation start point uses a
-	// unit alpha0 regardless of the data scale.
+	// alpha0 matching the sample variance.
 	theta0 := make([]float64, 1+m+s)
 	alphaShare := 0.10 / float64(m)
 	betaShare := 0.0
@@ -142,9 +125,6 @@ func Fit(a []float64, m, s int, settings *FitSettings) (*Model, error) {
 	alpha0 := v * (1 - 0.10 - 0.80*boolTo01(s > 0))
 	if alpha0 <= 0 {
 		alpha0 = v * 0.1
-	}
-	if cfg.NoVarianceTargeting {
-		alpha0 = 1
 	}
 	theta0[0] = math.Log(alpha0)
 	for j := 0; j < m; j++ {
@@ -238,12 +218,6 @@ func (g *Model) filter(a []float64, seed float64) []float64 {
 		sigma2[i] = s2
 	}
 	return sigma2
-}
-
-// ConditionalVariances returns the in-sample conditional variance path
-// sigma^2_i implied by the model on a, seeded with the sample variance of a.
-func (g *Model) ConditionalVariances(a []float64) []float64 {
-	return g.filter(a, stat.Variance(a))
 }
 
 // Forecast returns the one-step-ahead conditional variance sigmâ^2_t

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stat"
 )
 
 // simulateGARCH draws n innovations from a GARCH(1,1) process.
@@ -109,18 +111,6 @@ func TestFitARCHOnly(t *testing.T) {
 	}
 }
 
-func TestUnconditionalVariance(t *testing.T) {
-	g := &Model{M: 1, S: 1, Alpha0: 0.2, Alpha: []float64{0.1}, Beta: []float64{0.7}}
-	want := 0.2 / (1 - 0.8)
-	if math.Abs(g.UnconditionalVariance()-want) > 1e-12 {
-		t.Errorf("unconditional variance = %v", g.UnconditionalVariance())
-	}
-	bad := &Model{M: 1, S: 1, Alpha0: 0.2, Alpha: []float64{0.5}, Beta: []float64{0.6}}
-	if !math.IsInf(bad.UnconditionalVariance(), 1) {
-		t.Error("non-stationary unconditional variance should be +Inf")
-	}
-}
-
 func TestForecastRespondsToShocks(t *testing.T) {
 	g := &Model{M: 1, S: 1, Alpha0: 0.1, Alpha: []float64{0.2}, Beta: []float64{0.7}}
 	calm := []float64{0.1, -0.1, 0.05, -0.02, 0.1, -0.05, 0.08, 0.02}
@@ -155,7 +145,7 @@ func TestConditionalVariancesPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s2 := range g.ConditionalVariances(a) {
+	for i, s2 := range g.filter(a, stat.Variance(a)) {
 		if s2 <= 0 {
 			t.Fatalf("sigma2[%d] = %v", i, s2)
 		}
@@ -282,7 +272,7 @@ func TestVolatilityTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := g.ConditionalVariances(a)
+	s2 := g.filter(a, stat.Variance(a))
 	meanCalm, meanWild := 0.0, 0.0
 	for i := 50; i < n/2; i++ {
 		meanCalm += s2[i]

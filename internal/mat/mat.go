@@ -1,17 +1,13 @@
-// Package mat implements the small dense-matrix kernel used by the
-// statistical estimators in this repository (ordinary least squares, the
-// Kalman filter and its EM updates). It favours clarity and numerical
-// robustness over raw speed: the matrices involved are tiny (regression
-// designs with a handful of columns, 1x1 or 2x2 state covariances), so a
-// straightforward implementation with Householder QR and Cholesky
-// factorisations is both sufficient and easy to verify.
+// Package mat implements the small dense-matrix kernel behind the ordinary
+// least squares in package stat, which the ARMA and GARCH fits use. It
+// favours clarity and numerical robustness over raw speed: the regression
+// designs involved have a handful of columns, so a straightforward
+// Householder QR is both sufficient and easy to verify.
 package mat
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 )
 
 // Dense is a row-major dense matrix.
@@ -20,11 +16,10 @@ type Dense struct {
 	data       []float64
 }
 
-// Errors returned by the factorisations and solvers.
+// Errors returned by the accessors, the QR factorisation and its solver.
 var (
 	ErrShape       = errors.New("mat: dimension mismatch")
 	ErrSingular    = errors.New("mat: matrix is singular to working precision")
-	ErrNotSPD      = errors.New("mat: matrix is not symmetric positive definite")
 	ErrOutOfBounds = errors.New("mat: index out of bounds")
 )
 
@@ -42,15 +37,6 @@ func NewDense(r, c int, data []float64) *Dense {
 		panic("mat: data length does not match dimensions")
 	}
 	return &Dense{rows: r, cols: c, data: data}
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n, nil)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Dims returns the matrix dimensions.
@@ -77,85 +63,6 @@ func (m *Dense) Clone() *Dense {
 	d := make([]float64, len(m.data))
 	copy(d, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// String renders the matrix for debugging.
-func (m *Dense) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%.6g", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows, nil)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Add returns a + b.
-func Add(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, ErrShape
-	}
-	out := NewDense(a.rows, a.cols, nil)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns a - b.
-func Sub(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, ErrShape
-	}
-	out := NewDense(a.rows, a.cols, nil)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s * a.
-func Scale(s float64, a *Dense) *Dense {
-	out := NewDense(a.rows, a.cols, nil)
-	for i := range a.data {
-		out.data[i] = s * a.data[i]
-	}
-	return out
-}
-
-// Mul returns the matrix product a * b.
-func Mul(a, b *Dense) (*Dense, error) {
-	if a.cols != b.rows {
-		return nil, ErrShape
-	}
-	out := NewDense(a.rows, b.cols, nil)
-	for i := 0; i < a.rows; i++ {
-		for k := 0; k < a.cols; k++ {
-			aik := a.data[i*a.cols+k]
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.data[i*b.cols+j] += aik * b.data[k*b.cols+j]
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns the matrix-vector product a * x.
@@ -268,82 +175,4 @@ func SolveLeastSquares(a *Dense, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.solve(b)
-}
-
-// Solve returns the solution of the square system A x = b via QR (which is
-// LU-free and tolerably stable for the small systems used here).
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	if a.rows != a.cols {
-		return nil, ErrShape
-	}
-	return SolveLeastSquares(a, b)
-}
-
-// Cholesky returns the lower-triangular factor L with A = L L^T for a
-// symmetric positive definite matrix A.
-func Cholesky(a *Dense) (*Dense, error) {
-	n, c := a.Dims()
-	if n != c {
-		return nil, ErrShape
-	}
-	l := NewDense(n, n, nil)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrNotSPD
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// Inverse returns the inverse of a square non-singular matrix.
-func Inverse(a *Dense) (*Dense, error) {
-	n, c := a.Dims()
-	if n != c {
-		return nil, ErrShape
-	}
-	inv := NewDense(n, n, nil)
-	e := make([]float64, n)
-	f, err := factorQR(a)
-	if err != nil {
-		return nil, err
-	}
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// Equal reports whether a and b have the same shape and agree elementwise to
-// within tol.
-func Equal(a, b *Dense, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := range a.data {
-		if math.Abs(a.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

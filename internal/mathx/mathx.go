@@ -1,7 +1,8 @@
 // Package mathx provides the scalar special functions that the rest of the
-// repository builds on: the standard normal distribution (PDF, CDF and
-// quantile), the regularised incomplete gamma function, the chi-squared
-// distribution, and the Hellinger distance between Gaussian distributions.
+// repository builds on: the normal CDF and interval probabilities, the
+// regularised incomplete gamma function, the chi-squared distribution (whose
+// quantile starts from the standard normal quantile), and the Hellinger
+// distance between Gaussian distributions.
 //
 // Everything is implemented from scratch on top of the math package so the
 // module stays dependency-free. Accuracy targets are documented per function;
@@ -18,21 +19,6 @@ const Sqrt2Pi = 2.50662827463100050241576528481104525
 
 // ErrDomain is returned by functions whose argument lies outside their domain.
 var ErrDomain = errors.New("mathx: argument out of domain")
-
-// NormPDF returns the density of the N(mu, sigma^2) distribution at x.
-// sigma must be positive; it returns 0 for non-positive sigma.
-func NormPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * Sqrt2Pi)
-}
-
-// StdNormPDF returns the standard normal density at z.
-func StdNormPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / Sqrt2Pi
-}
 
 // NormCDF returns P(X <= x) for X ~ N(mu, sigma^2).
 // It is computed through erfc for full relative accuracy in both tails.
@@ -130,11 +116,6 @@ func StdNormQuantile(p float64) float64 {
 	return x
 }
 
-// NormQuantile returns the p-quantile of N(mu, sigma^2).
-func NormQuantile(p, mu, sigma float64) float64 {
-	return mu + sigma*StdNormQuantile(p)
-}
-
 // GammaRegP returns the regularised lower incomplete gamma function
 // P(a, x) = gamma(a, x) / Gamma(a) for a > 0, x >= 0.
 // It follows the classic series/continued-fraction split (Numerical Recipes
@@ -153,23 +134,6 @@ func GammaRegP(a, x float64) (float64, error) {
 		return gammaSeries(a, x), nil
 	}
 	return 1 - gammaContinuedFraction(a, x), nil
-}
-
-// GammaRegQ returns the regularised upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaRegQ(a, x float64) (float64, error) {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN(), ErrDomain
-	case x < 0:
-		return math.NaN(), ErrDomain
-	case x == 0:
-		return 1, nil
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x), nil
-	}
-	return gammaContinuedFraction(a, x), nil
 }
 
 const (
@@ -340,33 +304,4 @@ func RatioThresholdForMemory(ds float64, qPrime int) (float64, error) {
 		return math.NaN(), ErrDomain
 	}
 	return math.Pow(ds, 1/float64(qPrime)), nil
-}
-
-// Clamp returns x restricted to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// AlmostEqual reports whether a and b agree to within tol, either absolutely
-// or relative to the larger magnitude. NaNs compare unequal; equal infinities
-// compare equal.
-func AlmostEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
 }

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// near reports whether got is within tol of want. It is false when either
+// value is NaN, so a NaN result fails every check written with it.
+func near(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol
+}
+
 func TestStdNormCDFReferenceValues(t *testing.T) {
 	// Reference values from the standard normal table (15 digits computed
 	// with an independent high-precision implementation).
@@ -21,21 +27,9 @@ func TestStdNormCDFReferenceValues(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := StdNormCDF(c.z)
-		if !AlmostEqual(got, c.want, 1e-12) {
+		if !near(got, c.want, 1e-12) {
 			t.Errorf("StdNormCDF(%v) = %.15f, want %.15f", c.z, got, c.want)
 		}
-	}
-}
-
-func TestNormPDFReferenceValues(t *testing.T) {
-	if got := NormPDF(0, 0, 1); !AlmostEqual(got, 0.398942280401433, 1e-12) {
-		t.Errorf("NormPDF(0,0,1) = %v", got)
-	}
-	if got := NormPDF(2, 1, 2); !AlmostEqual(got, 0.176032663382150, 1e-12) {
-		t.Errorf("NormPDF(2,1,2) = %v", got)
-	}
-	if got := NormPDF(0, 0, -1); got != 0 {
-		t.Errorf("NormPDF with sigma<0 = %v, want 0", got)
 	}
 }
 
@@ -55,7 +49,7 @@ func TestStdNormQuantileInvertsCDF(t *testing.T) {
 	for _, p := range []float64{1e-12, 1e-6, 0.01, 0.025, 0.3, 0.5, 0.7, 0.975, 0.99, 1 - 1e-6} {
 		z := StdNormQuantile(p)
 		back := StdNormCDF(z)
-		if !AlmostEqual(back, p, 1e-10) {
+		if !near(back, p, 1e-10) {
 			t.Errorf("CDF(Quantile(%g)) = %g", p, back)
 		}
 	}
@@ -84,17 +78,9 @@ func TestStdNormQuantileKnownValues(t *testing.T) {
 		{0.841344746068543, 1},
 	}
 	for _, c := range cases {
-		if got := StdNormQuantile(c.p); !AlmostEqual(got, c.want, 1e-9) {
+		if got := StdNormQuantile(c.p); !near(got, c.want, 1e-9) {
 			t.Errorf("StdNormQuantile(%v) = %v, want %v", c.p, got, c.want)
 		}
-	}
-}
-
-func TestNormQuantileRoundTrip(t *testing.T) {
-	got := NormQuantile(0.975, 10, 2)
-	want := 10 + 2*1.959963984540054
-	if !AlmostEqual(got, want, 1e-9) {
-		t.Errorf("NormQuantile = %v, want %v", got, want)
 	}
 }
 
@@ -108,7 +94,7 @@ func TestNormIntervalMatchesCDFDifference(t *testing.T) {
 	for _, c := range cases {
 		got := NormInterval(c.a, c.b, c.mu, c.sigma)
 		want := NormCDF(c.b, c.mu, c.sigma) - NormCDF(c.a, c.mu, c.sigma)
-		if !AlmostEqual(got, want, 1e-12) {
+		if !near(got, want, 1e-12) {
 			t.Errorf("NormInterval(%v,%v) = %v, want %v", c.a, c.b, got, want)
 		}
 	}
@@ -121,11 +107,11 @@ func TestNormIntervalTailPrecision(t *testing.T) {
 	// P(8 < Z <= 9) is ~6.2e-16; the direct difference underflows to 0 while
 	// the tail-aware path keeps significant digits.
 	got := NormInterval(8, 9, 0, 1)
-	if got <= 0 {
+	if !(got > 0) {
 		t.Fatalf("far-tail interval should be positive, got %v", got)
 	}
 	want := 6.2198e-16
-	if math.Abs(got-want)/want > 1e-3 {
+	if !near(got, want, 1e-3*want) {
 		t.Errorf("far-tail interval = %v, want ~%v", got, want)
 	}
 }
@@ -144,23 +130,8 @@ func TestGammaRegPReferenceValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GammaRegP(%v,%v): %v", c.a, c.x, err)
 		}
-		if !AlmostEqual(got, c.want, 1e-10) {
+		if !near(got, c.want, 1e-10) {
 			t.Errorf("GammaRegP(%v,%v) = %.15f, want %.15f", c.a, c.x, got, c.want)
-		}
-	}
-}
-
-func TestGammaRegPQComplement(t *testing.T) {
-	for _, a := range []float64{0.3, 1, 2.5, 10, 50} {
-		for _, x := range []float64{0.1, 1, 5, 20, 100} {
-			p, err1 := GammaRegP(a, x)
-			q, err2 := GammaRegQ(a, x)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("errors: %v %v", err1, err2)
-			}
-			if !AlmostEqual(p+q, 1, 1e-12) {
-				t.Errorf("P+Q != 1 for a=%v x=%v: %v", a, x, p+q)
-			}
 		}
 	}
 }
@@ -172,14 +143,11 @@ func TestGammaRegDomainErrors(t *testing.T) {
 	if _, err := GammaRegP(1, -1); err == nil {
 		t.Error("expected domain error for x<0")
 	}
-	if _, err := GammaRegQ(0, 1); err == nil {
+	if _, err := GammaRegP(0, 1); err == nil {
 		t.Error("expected domain error for a=0")
 	}
 	if p, err := GammaRegP(3, 0); err != nil || p != 0 {
 		t.Errorf("P(a,0) = %v, %v; want 0, nil", p, err)
-	}
-	if q, err := GammaRegQ(3, 0); err != nil || q != 1 {
-		t.Errorf("Q(a,0) = %v, %v; want 1, nil", q, err)
 	}
 }
 
@@ -197,7 +165,7 @@ func TestChiSquaredCDFReferenceValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !AlmostEqual(got, 0.95, 1e-10) {
+		if !near(got, 0.95, 1e-10) {
 			t.Errorf("ChiSquaredCDF(%v, %d) = %v, want 0.95", x, k, got)
 		}
 	}
@@ -214,7 +182,7 @@ func TestChiSquaredQuantileInvertsCDF(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !AlmostEqual(back, p, 1e-9) {
+			if !near(back, p, 1e-9) {
 				t.Errorf("k=%v p=%v: CDF(Quantile)=%v", k, p, back)
 			}
 		}
@@ -242,22 +210,22 @@ func TestHellingerNormalProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AlmostEqual(h, 0, 1e-12) {
+	if !near(h, 0, 1e-12) {
 		t.Errorf("H(same,same) = %v, want 0", h)
 	}
 	// Symmetry.
 	h1, _ := HellingerNormal(0, 1, 3, 2)
 	h2, _ := HellingerNormal(3, 2, 0, 1)
-	if !AlmostEqual(h1, h2, 1e-12) {
+	if !near(h1, h2, 1e-12) {
 		t.Errorf("asymmetric: %v vs %v", h1, h2)
 	}
 	// Bounded in [0, 1].
-	if h1 < 0 || h1 > 1 {
+	if !(h1 >= 0 && h1 <= 1) {
 		t.Errorf("H out of range: %v", h1)
 	}
 	// Far-apart means approach 1.
 	hFar, _ := HellingerNormal(0, 1, 1000, 1)
-	if hFar < 0.999 {
+	if !(hFar >= 0.999) {
 		t.Errorf("far means should give H ~ 1, got %v", hFar)
 	}
 	if _, err := HellingerNormal(0, -1, 0, 1); err == nil {
@@ -273,7 +241,7 @@ func TestHellingerEqualMeanMatchesEq10(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := math.Sqrt(1 - math.Sqrt(2*c[0]*c[1]/(c[0]*c[0]+c[1]*c[1])))
-		if !AlmostEqual(h, want, 1e-12) {
+		if !near(h, want, 1e-12) {
 			t.Errorf("H(%v,%v) = %v, want %v", c[0], c[1], h, want)
 		}
 	}
@@ -287,19 +255,19 @@ func TestRatioThresholdForDistanceSatisfiesConstraint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ds < 1 {
+		if !(ds >= 1) {
 			t.Errorf("d_s < 1 for H'=%v: %v", hPrime, ds)
 		}
 		h, err := HellingerEqualMean(1, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !AlmostEqual(h, hPrime, 1e-9) {
+		if !near(h, hPrime, 1e-9) {
 			t.Errorf("H'=%v: distance at d_s = %v", hPrime, h)
 		}
 		// Any smaller ratio must give a smaller distance.
 		hSmaller, _ := HellingerEqualMean(1, 1+(ds-1)/2)
-		if hSmaller > hPrime {
+		if !(hSmaller <= hPrime) {
 			t.Errorf("H'=%v: distance at smaller ratio %v exceeds constraint", hPrime, hSmaller)
 		}
 	}
@@ -319,7 +287,7 @@ func TestRatioThresholdForMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AlmostEqual(ds, 2, 1e-12) {
+	if !near(ds, 2, 1e-12) {
 		t.Errorf("d_s = %v, want 2", ds)
 	}
 	if _, err := RatioThresholdForMemory(0.5, 4); err == nil {
@@ -327,27 +295,6 @@ func TestRatioThresholdForMemory(t *testing.T) {
 	}
 	if _, err := RatioThresholdForMemory(16, 0); err == nil {
 		t.Error("expected domain error for Q'<=0")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
-func TestAlmostEqual(t *testing.T) {
-	if !AlmostEqual(1, 1, 0) {
-		t.Error("identical values must compare equal")
-	}
-	if AlmostEqual(math.NaN(), 1, 1) {
-		t.Error("NaN must compare unequal")
-	}
-	if !AlmostEqual(1e20, 1e20*(1+1e-13), 1e-12) {
-		t.Error("relative comparison failed")
-	}
-	if AlmostEqual(1, 2, 1e-6) {
-		t.Error("distinct values compared equal")
 	}
 }
 
@@ -375,7 +322,7 @@ func TestQuickQuantileRoundTrip(t *testing.T) {
 			return true
 		}
 		z := StdNormQuantile(p)
-		return AlmostEqual(StdNormCDF(z), p, 1e-8)
+		return math.Abs(StdNormCDF(z)-p) <= 1e-8
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

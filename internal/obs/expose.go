@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -167,12 +166,4 @@ func (r *Registry) Snapshot() []FamilyDump {
 		out = append(out, fd)
 	}
 	return out
-}
-
-// WriteJSON renders the registry dump as indented JSON — the /debug/obs
-// payload.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

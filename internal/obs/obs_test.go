@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -137,7 +138,7 @@ func TestSnapshotJSON(t *testing.T) {
 	r.Counter("a_total", "help a").Add(7)
 	r.Histogram("h_seconds", "help h", []float64{1}).Observe(0.5)
 	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
+	if err := json.NewEncoder(&b).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"a_total"`, `"help a"`, `"counter"`, `"h_seconds"`, `"histogram"`} {

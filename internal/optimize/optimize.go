@@ -1,8 +1,7 @@
-// Package optimize provides the derivative-free and line-search optimisers
-// used by the maximum-likelihood estimators in this repository. The GARCH
-// quasi-MLE (internal/garch) minimises its negative log-likelihood with
-// Nelder-Mead over an unconstrained reparameterisation; golden-section search
-// backs one-dimensional refinements.
+// Package optimize provides the derivative-free optimiser used by the
+// maximum-likelihood estimators in this repository. The GARCH quasi-MLE
+// (internal/garch) minimises its negative log-likelihood with Nelder-Mead
+// over an unconstrained reparameterisation.
 package optimize
 
 import (
@@ -11,11 +10,8 @@ import (
 	"sort"
 )
 
-// Errors reported by the optimisers.
-var (
-	ErrBadArg         = errors.New("optimize: invalid argument")
-	ErrDidNotConverge = errors.New("optimize: did not converge within MaxIter")
-)
+// ErrBadArg reports a starting point that is empty or not finite.
+var ErrBadArg = errors.New("optimize: invalid argument")
 
 // Objective is a function to minimise.
 type Objective func(x []float64) float64
@@ -214,73 +210,4 @@ func safeEval(f Objective, x []float64) float64 {
 		return math.Inf(1)
 	}
 	return v
-}
-
-// GoldenSection minimises a univariate function on [a, b] to within tol using
-// golden-section search. f is assumed unimodal on the interval; for
-// non-unimodal f the result is a local minimum.
-func GoldenSection(f func(float64) float64, a, b, tol float64) (xmin, fmin float64, err error) {
-	if !(a < b) || tol <= 0 {
-		return 0, 0, ErrBadArg
-	}
-	const phi = 0.6180339887498949 // (sqrt(5)-1)/2
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < 500 && b-a > tol; i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	if f1 < f2 {
-		return x1, f1, nil
-	}
-	return x2, f2, nil
-}
-
-// Gradient estimates the gradient of f at x by central differences with a
-// per-coordinate step h (default sqrt(eps)*(1+|x_i|) when h <= 0).
-func Gradient(f Objective, x []float64, h float64) []float64 {
-	g := make([]float64, len(x))
-	work := make([]float64, len(x))
-	copy(work, x)
-	for i := range x {
-		hi := h
-		if hi <= 0 {
-			hi = 1.4901161193847656e-08 * (1 + math.Abs(x[i]))
-		}
-		orig := work[i]
-		work[i] = orig + hi
-		fp := f(work)
-		work[i] = orig - hi
-		fm := f(work)
-		work[i] = orig
-		g[i] = (fp - fm) / (2 * hi)
-	}
-	return g
-}
-
-// Logistic maps an unconstrained real to (0, 1); used to keep GARCH
-// persistence parameters inside their stationarity region.
-func Logistic(x float64) float64 {
-	if x >= 0 {
-		e := math.Exp(-x)
-		return 1 / (1 + e)
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
-}
-
-// Logit is the inverse of Logistic; p must lie in (0, 1).
-func Logit(p float64) (float64, error) {
-	if p <= 0 || p >= 1 || math.IsNaN(p) {
-		return 0, ErrBadArg
-	}
-	return math.Log(p / (1 - p)), nil
 }

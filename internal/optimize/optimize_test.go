@@ -107,86 +107,6 @@ func TestNelderMeadMaxIterReturnsBest(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	x, fx, err := GoldenSection(f, -10, 10, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-1.5) > 1e-6 {
-		t.Errorf("minimiser = %v", x)
-	}
-	if fx > 1e-10 {
-		t.Errorf("minimum = %v", fx)
-	}
-}
-
-func TestGoldenSectionBadArgs(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if _, _, err := GoldenSection(f, 1, 0, 1e-6); err != ErrBadArg {
-		t.Error("a>b not rejected")
-	}
-	if _, _, err := GoldenSection(f, 0, 1, 0); err != ErrBadArg {
-		t.Error("tol=0 not rejected")
-	}
-}
-
-func TestGradientOfQuadratic(t *testing.T) {
-	f := func(x []float64) float64 { return 3*x[0]*x[0] + 2*x[1] }
-	g := Gradient(f, []float64{2, 5}, 0)
-	if math.Abs(g[0]-12) > 1e-5 {
-		t.Errorf("g[0] = %v, want 12", g[0])
-	}
-	if math.Abs(g[1]-2) > 1e-5 {
-		t.Errorf("g[1] = %v, want 2", g[1])
-	}
-}
-
-func TestLogisticLogitRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.01, 0.3, 0.5, 0.9, 0.999} {
-		x, err := Logit(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(Logistic(x)-p) > 1e-12 {
-			t.Errorf("Logistic(Logit(%v)) = %v", p, Logistic(x))
-		}
-	}
-	if _, err := Logit(0); err != ErrBadArg {
-		t.Error("Logit(0) not rejected")
-	}
-	if _, err := Logit(1); err != ErrBadArg {
-		t.Error("Logit(1) not rejected")
-	}
-}
-
-func TestLogisticExtremes(t *testing.T) {
-	if Logistic(1000) != 1 {
-		t.Errorf("Logistic(1000) = %v", Logistic(1000))
-	}
-	if Logistic(-1000) != 0 {
-		t.Errorf("Logistic(-1000) = %v", Logistic(-1000))
-	}
-	if Logistic(0) != 0.5 {
-		t.Errorf("Logistic(0) = %v", Logistic(0))
-	}
-}
-
-// Property: Logistic maps any real into [0,1] and is monotone.
-func TestQuickLogisticMonotone(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		lo, hi := math.Min(a, b), math.Max(a, b)
-		la, lb := Logistic(lo), Logistic(hi)
-		return la >= 0 && lb <= 1 && la <= lb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Nelder-Mead on a random shifted quadratic recovers the shift.
 func TestQuickNelderMeadShiftedQuadratic(t *testing.T) {
 	f := func(s1, s2 float64) bool {

@@ -94,19 +94,6 @@ func rangeProbCols(rlo, rhi, prob []float64, lo, hi float64) float64 {
 	return total
 }
 
-// expectedCols is Expected over column slices: probability-weighted range
-// midpoints, normalised by total mass. The accumulation loop lives in
-// expectedAccumCols (parallel.go) so the fused pass shares it verbatim.
-//
-//tspdb:kernel
-func expectedCols(rlo, rhi, prob []float64) (float64, error) {
-	num, den := expectedAccumCols(rlo, rhi, prob)
-	if den == 0 {
-		return 0, errZeroMass
-	}
-	return num / den, nil
-}
-
 // ExpectedSeries returns the expected true value at every timestamp of the
 // view within [tLo, tHi] — the model-based view abstraction of MauveDB
 // (reference [25]) recovered from the probabilistic database. It is the
@@ -288,17 +275,6 @@ func RangeProbAt(p *storage.ProbTable, t int64, lo, hi float64) (float64, error)
 		}
 		out = rangeProbCols(g.Lo, g.Hi, g.Prob, lo, hi)
 		return nil
-	})
-	return out, err
-}
-
-// ExpectedAt returns the expected true value of the tuple at timestamp t.
-func ExpectedAt(p *storage.ProbTable, t int64) (float64, error) {
-	var out float64
-	err := atGroupCols(p, t, func(g storage.GroupCols) error {
-		e, err := expectedCols(g.Lo, g.Hi, g.Prob)
-		out = e
-		return err
 	})
 	return out, err
 }

@@ -97,13 +97,6 @@ func checkPointHelpersMatch(t *testing.T, p *storage.ProbTable, at int64, lo, hi
 		t.Fatalf("RangeProbAt(%d) = %v, oracle %v", at, gotAt, wantAt)
 	}
 
-	gotE, errE := ExpectedAt(p, at)
-	wantE, werrE := rowExpectedAt(p, at)
-	sameErr(t, "ExpectedAt", errE, werrE)
-	if gotE != wantE {
-		t.Fatalf("ExpectedAt(%d) = %v, oracle %v", at, gotE, wantE)
-	}
-
 	for _, k := range []int{0, 1, 3, 100} {
 		gotTop, errTop := TopKAt(p, at, k)
 		wantTop, werrTop := rowTopKAt(p, at, k)

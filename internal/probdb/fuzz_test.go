@@ -197,12 +197,6 @@ func FuzzColumnarKernels(f *testing.F) {
 			t.Fatalf("RangeProbAt: columnar (%v, %v) vs oracle (%v, %v)", gotAt, errAt, wantAt, werrAt)
 		}
 
-		gotExp, errExp := ExpectedAt(p, at)
-		wantExp, werrExp := rowExpectedAt(p, at)
-		if (errExp != nil) != (werrExp != nil) || gotExp != wantExp {
-			t.Fatalf("ExpectedAt: columnar (%v, %v) vs oracle (%v, %v)", gotExp, errExp, wantExp, werrExp)
-		}
-
 		for _, tt := range []int64{at, 2} {
 			gotTop, errTop := TopKAt(p, tt, int(n1%4)+1)
 			wantTop, werrTop := rowTopKAt(p, tt, int(n1%4)+1)

@@ -90,13 +90,6 @@ func TestIndexedAggregatesMatchLegacyScan(t *testing.T) {
 			if gotAt != wantAt {
 				t.Fatalf("RangeProbAt(%d) = %v, want %v", at, gotAt, wantAt)
 			}
-			// Both sides may reject an all-zero-probability tuple; they must
-			// agree on both the error and the value.
-			gotExp, gerr := ExpectedAt(p, at)
-			wantExp, werr := Expected(p.RowsAt(at))
-			if (gerr != nil) != (werr != nil) || gotExp != wantExp {
-				t.Fatalf("ExpectedAt(%d) = %v (%v), want %v (%v)", at, gotExp, gerr, wantExp, werr)
-			}
 			gotTop, err := TopKAt(p, at, 3)
 			if err != nil {
 				t.Fatal(err)

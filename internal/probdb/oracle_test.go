@@ -181,17 +181,6 @@ func rowRangeProbAt(p *storage.ProbTable, t int64, lo, hi float64) (float64, err
 	return out, err
 }
 
-// rowExpectedAt is the row-at-a-time oracle for ExpectedAt.
-func rowExpectedAt(p *storage.ProbTable, t int64) (float64, error) {
-	var out float64
-	err := atGroup(p, t, func(rows []view.Row) error {
-		e, err := Expected(rows)
-		out = e
-		return err
-	})
-	return out, err
-}
-
 // rowTopKAt is the row-at-a-time oracle for TopKAt.
 func rowTopKAt(p *storage.ProbTable, t int64, k int) ([]view.Row, error) {
 	var out []view.Row

@@ -126,8 +126,8 @@ func forEachGroupPar(groups []storage.TimeGroup, workers int, runChunk func(lo, 
 	return plan, nil
 }
 
-// expectedAccumCols is expectedCols's accumulation loop without the
-// normalisation: the fused chunk needs the raw (num, den) pair to decide
+// expectedAccumCols is Expected's accumulation over column slices, without
+// the normalisation: the fused chunk needs the raw (num, den) pair to decide
 // zero-mass itself.
 //
 //tspdb:kernel

@@ -126,30 +126,3 @@ func Evaluate(s *timeseries.Series, metric density.Metric, h, stride int) (*Resu
 	}
 	return &Result{MetricName: metric.Name(), H: h, N: len(zs), Distance: d}, nil
 }
-
-// UniformityKS returns the Kolmogorov-Smirnov statistic of the PIT values
-// against U(0,1) — a supremum-norm companion to the Euclidean density
-// distance, useful as a cross-check in experiments.
-func UniformityKS(zs []float64) (float64, error) {
-	if len(zs) == 0 {
-		return 0, ErrNoData
-	}
-	e, err := stat.NewECDF(zs)
-	if err != nil {
-		return 0, err
-	}
-	// The KS supremum over a step function is attained at data points;
-	// evaluate both one-sided gaps on a fine grid of the sorted values.
-	maxGap := 0.0
-	for _, z := range zs {
-		f := e.At(z)
-		if g := math.Abs(f - z); g > maxGap {
-			maxGap = g
-		}
-		// Left limit gap.
-		if g := math.Abs((f - 1/float64(len(zs))) - z); g > maxGap {
-			maxGap = g
-		}
-	}
-	return maxGap, nil
-}

@@ -203,30 +203,3 @@ func TestEvaluateWithRealMetric(t *testing.T) {
 		t.Errorf("well-specified metric distance = %v, suspiciously high", res.Distance)
 	}
 }
-
-func TestUniformityKS(t *testing.T) {
-	// Uniform sample: KS should be small. Degenerate sample: KS ~ 1.
-	rng := rand.New(rand.NewSource(6))
-	uni := make([]float64, 2000)
-	for i := range uni {
-		uni[i] = rng.Float64()
-	}
-	ks, err := UniformityKS(uni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks > 0.05 {
-		t.Errorf("uniform KS = %v", ks)
-	}
-	deg := make([]float64, 100) // all zeros
-	ksDeg, err := UniformityKS(deg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ksDeg < 0.9 {
-		t.Errorf("degenerate KS = %v, want ~1", ksDeg)
-	}
-	if _, err := UniformityKS(nil); !errors.Is(err, ErrNoData) {
-		t.Error("empty input accepted")
-	}
-}

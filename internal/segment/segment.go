@@ -435,9 +435,6 @@ func openBytes(fs wal.FS, path string, data []byte) (*Reader, error) {
 // NumRows returns the total row (or point) count in the segment.
 func (r *Reader) NumRows() int { return r.rows }
 
-// NumGroups returns the number of index entries (blocks).
-func (r *Reader) NumGroups() int { return len(r.groups) }
-
 // Bounds returns the first and last block timestamps. ok is false for an
 // empty segment.
 func (r *Reader) Bounds() (lo, hi int64, ok bool) {

@@ -126,11 +126,6 @@ func (c *Client) OpenStream(table string, req OpenStreamRequest) (*OpenStreamRes
 	return &out, nil
 }
 
-// CloseStream closes the stream on a table.
-func (c *Client) CloseStream(table string) error {
-	return c.do(http.MethodDelete, "/tables/"+url.PathEscape(table)+"/stream", nil, nil)
-}
-
 // Ingest streams a batch of points and returns the generated view rows.
 func (c *Client) Ingest(table string, points []PointJSON) (*IngestResponse, error) {
 	var out IngestResponse

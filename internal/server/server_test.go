@@ -167,7 +167,7 @@ func TestStreamLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("no-stream ingest: got %v, want 404", err)
 	}
 
-	if err := client.CloseStream("campus"); err != nil {
+	if err := client.do(http.MethodDelete, "/tables/campus/stream", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Closed stream: further ingest 404s, reopening succeeds.

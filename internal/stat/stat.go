@@ -57,32 +57,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// PopulationVariance returns the biased sample variance (divisor n).
-func PopulationVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	return Variance(xs) * float64(n-1) / float64(n)
-}
-
-// Covariance returns the unbiased sample covariance of xs and ys.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrBadArg
-	}
-	n := len(xs)
-	if n < 2 {
-		return 0, ErrShortInput
-	}
-	mx, my := Mean(xs), Mean(ys)
-	s := 0.0
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(n-1), nil
-}
-
 // MinMax returns the smallest and largest values in xs.
 func MinMax(xs []float64) (lo, hi float64, err error) {
 	if len(xs) == 0 {
@@ -117,22 +91,6 @@ func Autocovariance(xs []float64, k int) (float64, error) {
 		s += (xs[i] - m) * (xs[i+k] - m)
 	}
 	return s / float64(n), nil
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs.
-func Autocorrelation(xs []float64, k int) (float64, error) {
-	g0, err := Autocovariance(xs, 0)
-	if err != nil {
-		return 0, err
-	}
-	if g0 == 0 {
-		return 0, ErrBadArg
-	}
-	gk, err := Autocovariance(xs, k)
-	if err != nil {
-		return 0, err
-	}
-	return gk / g0, nil
 }
 
 // Accumulator maintains streaming mean and variance via Welford's algorithm.
@@ -287,21 +245,6 @@ func (e *ECDF) At(x float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile (0<=q<=1) using the nearest-rank method.
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(math.Ceil(q*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
 }
 
 // OLSResult holds the outcome of an ordinary least squares fit.

@@ -114,6 +114,20 @@ func TestGroupIndexMatchesFlatScan(t *testing.T) {
 	}
 }
 
+// groupsIn copies the group-index entries that RangeCols hands its callback
+// for [tLo, tHi].
+func groupsIn(t *testing.T, p *ProbTable, tLo, tHi int64) []TimeGroup {
+	t.Helper()
+	var out []TimeGroup
+	if err := p.RangeCols(tLo, tHi, func(groups []TimeGroup, _ Cols) error {
+		out = append([]TimeGroup{}, groups...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestGroupsRangeLayout(t *testing.T) {
 	p := &ProbTable{Name: "pv"}
 	p.AppendRows([]view.Row{
@@ -121,12 +135,12 @@ func TestGroupsRangeLayout(t *testing.T) {
 		{T: 20, Lambda: 0},
 		{T: 30, Lambda: 0}, {T: 30, Lambda: 1}, {T: 30, Lambda: 2},
 	})
-	got := p.GroupsRange(10, 30)
+	got := groupsIn(t, p, 10, 30)
 	want := []TimeGroup{{T: 10, Off: 0, Len: 2}, {T: 20, Off: 2, Len: 1}, {T: 30, Off: 3, Len: 3}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("GroupsRange = %+v, want %+v", got, want)
+		t.Fatalf("groups = %+v, want %+v", got, want)
 	}
-	if got := p.GroupsRange(11, 19); len(got) != 0 {
+	if got := groupsIn(t, p, 11, 19); len(got) != 0 {
 		t.Fatalf("empty range returned %+v", got)
 	}
 	if p.NumTimes() != 3 {
@@ -146,8 +160,8 @@ func TestInvertedRangeIsEmpty(t *testing.T) {
 	if got := p.RowsRange(5, 3); len(got) != 0 {
 		t.Fatalf("RowsRange(5,3) = %v", got)
 	}
-	if got := p.GroupsRange(5, 3); len(got) != 0 {
-		t.Fatalf("GroupsRange(5,3) = %v", got)
+	if got := groupsIn(t, p, 5, 3); len(got) != 0 {
+		t.Fatalf("RangeCols(5,3) groups = %v", got)
 	}
 	called := false
 	if err := p.ForEachGroupCols(5, 3, func(GroupCols) error {
@@ -204,7 +218,7 @@ func TestGroupIndexUnderConcurrentAppend(t *testing.T) {
 				}
 				p.RowsAt(int64(batches / 2))
 				p.Times()
-				p.GroupsRange(0, batches+1)
+				p.RangeSize(0, batches+1)
 			}
 		}()
 	}

@@ -393,17 +393,6 @@ func (p *ProbTable) RangeSize(tLo, tHi int64) (groups, rows int) {
 	return hi - lo, SpanRows(p.groups[lo:hi])
 }
 
-// GroupsRange returns a copy of the group index entries with timestamp in
-// [tLo, tHi]: the physical layout of the requested range, without the rows.
-func (p *ProbTable) GroupsRange(tLo, tHi int64) []TimeGroup {
-	p.rlockLoaded()
-	defer p.mu.RUnlock()
-	lo, hi := p.groupSpan(tLo, tHi)
-	out := make([]TimeGroup, hi-lo)
-	copy(out, p.groups[lo:hi])
-	return out
-}
-
 // GroupCols is one timestamp's rows as column spans: Lambda[i], Lo[i],
 // Hi[i], Prob[i] describe the tuple's i-th Omega range. All slices are
 // zero-copy views of the table's columns.

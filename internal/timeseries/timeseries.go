@@ -20,12 +20,11 @@ import (
 
 // Errors reported by the package.
 var (
-	ErrEmpty       = errors.New("timeseries: empty series")
-	ErrBadWindow   = errors.New("timeseries: invalid window specification")
-	ErrUnsorted    = errors.New("timeseries: timestamps not strictly increasing")
-	ErrBadCSV      = errors.New("timeseries: malformed CSV input")
-	ErrOutOfRange  = errors.New("timeseries: index out of range")
-	ErrLengthMatch = errors.New("timeseries: slice lengths differ")
+	ErrEmpty      = errors.New("timeseries: empty series")
+	ErrBadWindow  = errors.New("timeseries: invalid window specification")
+	ErrUnsorted   = errors.New("timeseries: timestamps not strictly increasing")
+	ErrBadCSV     = errors.New("timeseries: malformed CSV input")
+	ErrOutOfRange = errors.New("timeseries: index out of range")
 )
 
 // Point is a single timestamped raw value r_t.
@@ -122,12 +121,6 @@ func (s *Series) TimeRange(tLo, tHi int64) *Series {
 	out := make([]Point, hi-lo)
 	copy(out, s.pts[lo:hi])
 	return &Series{pts: out}
-}
-
-// IndexOfTime returns the index of the first point with timestamp >= t, or
-// Len() if none.
-func (s *Series) IndexOfTime(t int64) int {
-	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T >= t })
 }
 
 // Window is the sliding window S^H_{t-1}: the H raw values immediately

@@ -137,14 +137,6 @@ func TestTimeRange(t *testing.T) {
 	}
 }
 
-func TestIndexOfTime(t *testing.T) {
-	s := mustSeries(t, []Point{{10, 1}, {20, 2}, {30, 3}})
-	if s.IndexOfTime(5) != 0 || s.IndexOfTime(10) != 0 ||
-		s.IndexOfTime(15) != 1 || s.IndexOfTime(31) != 3 {
-		t.Error("IndexOfTime wrong")
-	}
-}
-
 func TestWindowEnding(t *testing.T) {
 	s := FromValues([]float64{1, 2, 3, 4, 5})
 	w, err := s.WindowEnding(3, 3)

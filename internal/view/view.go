@@ -62,27 +62,6 @@ func (o Omega) Validate() error {
 	return nil
 }
 
-// Ranges returns the n Omega ranges centred on rhat, in lambda order
-// (lambda = -n/2 .. n/2-1).
-func (o Omega) Ranges(rhat float64) []Range {
-	out := make([]Range, o.N)
-	for i := 0; i < o.N; i++ {
-		lambda := i - o.N/2
-		out[i] = Range{
-			Lambda: lambda,
-			Lo:     rhat + float64(lambda)*o.Delta,
-			Hi:     rhat + float64(lambda+1)*o.Delta,
-		}
-	}
-	return out
-}
-
-// Range is one Omega range [Lo, Hi] identified by its lambda index.
-type Range struct {
-	Lambda int
-	Lo, Hi float64
-}
-
 // Tuple is a stored density inference: the per-time parameters the system
 // keeps alongside each raw value (Section II-A: "The system stores the
 // inferred probability density functions").
@@ -376,16 +355,6 @@ func (v *View) RowsAt(t int64) []Row {
 		}
 	}
 	return out
-}
-
-// TotalProb returns the summed probability mass of the view rows at t —
-// a diagnostic: for n ranges covering kappa sigmas it approaches 1.
-func (v *View) TotalProb(t int64) float64 {
-	s := 0.0
-	for _, r := range v.RowsAt(t) {
-		s += r.Prob
-	}
-	return s
 }
 
 // OnlineBuilder maintains a sliding window over a live stream and emits view

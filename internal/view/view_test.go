@@ -33,8 +33,15 @@ func TestOmegaValidate(t *testing.T) {
 }
 
 func TestOmegaRanges(t *testing.T) {
-	o := Omega{Delta: 2, N: 4}
-	rs := o.Ranges(10)
+	b, err := NewBuilder(Omega{Delta: 2, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := b.Generate([]Tuple{{T: 1, RHat: 10, Sigma: 1, Dist: mustNormal(t, 10, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := v.RowsAt(1)
 	if len(rs) != 4 {
 		t.Fatalf("got %d ranges", len(rs))
 	}
@@ -252,8 +259,12 @@ func TestViewHelpers(t *testing.T) {
 		t.Error("RowsAt(absent) should be nil")
 	}
 	// Total mass over [-2,2] of a standard normal: ~0.9545.
-	if math.Abs(v.TotalProb(1)-0.954499736103642) > 1e-9 {
-		t.Errorf("TotalProb = %v", v.TotalProb(1))
+	total := 0.0
+	for _, r := range rows {
+		total += r.Prob
+	}
+	if !(math.Abs(total-0.954499736103642) <= 1e-9) {
+		t.Errorf("total mass = %v", total)
 	}
 }
 

@@ -231,20 +231,6 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Seq returns the live file's sequence number.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Size returns the live file's current byte size.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
 // Close syncs and closes the live file. A poisoned log closes without
 // touching the file again.
 func (l *Log) Close() error {
