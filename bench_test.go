@@ -3,11 +3,12 @@
 // stays tractable), plus ablation benchmarks for the design decisions called
 // out in DESIGN.md: sigma-cache vs naive generation and the Successive
 // Variance Reduction filter's incremental leave-one-out identities vs naive
-// recomputation; and the cost of the AR and GARCH fits and of each metric's
-// inference.
+// recomputation; the cost of the AR and GARCH fits and of each metric's
+// inference; and an offline build's inference stage, sequential vs pooled.
 package repro_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -114,7 +115,7 @@ func fig14TuplesForBench(b *testing.B, n int) []view.Tuple {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tuples, err := view.TuplesFromSeries(campus, metric, 90, 91, int64(90+n))
+	tuples, err := view.TuplesFromSeries(campus, metric, 90, 91, int64(90+n), runtime.GOMAXPROCS(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -152,48 +153,28 @@ func BenchmarkViewGenerationSigmaCache(b *testing.B) {
 	}
 }
 
-// --- Parallel view build: worker pool vs the sequential benchmarks above ---
+// --- Offline build: density inference on the worker pool -----------------
 
-// BenchmarkViewBuildSequential is the explicit-knob twin of
-// BenchmarkViewGenerationNaive (Parallelism 1), the baseline for
-// BenchmarkViewBuildParallel.
-func BenchmarkViewBuildSequential(b *testing.B) {
-	benchViewBuild(b, 1, false)
-}
-
-// BenchmarkViewBuildParallel fans the same workload out across all cores;
-// on a 4+ core machine it runs >= 2x faster than the sequential build and
-// produces identical rows (see view.TestParallelMatchesSequential).
-func BenchmarkViewBuildParallel(b *testing.B) {
-	benchViewBuild(b, runtime.GOMAXPROCS(0), false)
-}
-
-func BenchmarkViewBuildSequentialSigmaCache(b *testing.B) {
-	benchViewBuild(b, 1, true)
-}
-
-func BenchmarkViewBuildParallelSigmaCache(b *testing.B) {
-	benchViewBuild(b, runtime.GOMAXPROCS(0), true)
-}
-
-func benchViewBuild(b *testing.B, parallelism int, cache bool) {
-	b.Helper()
-	tuples := fig14TuplesForBench(b, 2000)
-	builder, err := view.NewBuilder(view.Omega{Delta: 0.05, N: 300})
+// BenchmarkTuplesFromSeries times the inference stage of a CREATE VIEW
+// build, ARMA-GARCH over 256 campus windows (H=90), sequentially and on
+// every core. Inference is nearly all of a build's time; the tuples are
+// identical at every worker count (see view.TestInferParity).
+func BenchmarkTuplesFromSeries(b *testing.B) {
+	const n, h = 256, 90
+	campus := dataset.Campus(dataset.CampusConfig{N: n + h + 1})
+	metric, err := density.NewARMAGARCH(1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	builder.Parallelism = parallelism
-	if cache {
-		if _, err := builder.AttachCache(tuples, 0.01, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := builder.Generate(tuples); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tuples, err := view.TuplesFromSeries(campus, metric, h, h+1, h+n, workers)
+				if err != nil || len(tuples) != n {
+					b.Fatalf("got %d tuples, err %v", len(tuples), err)
+				}
+			}
+		})
 	}
 }
 

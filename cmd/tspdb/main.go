@@ -7,9 +7,9 @@
 //	tspdb -load table=path.csv [-load table2=path2.csv] [-exec "QUERY"] [-out view.csv] [-parallel N] [-server URL]
 //
 // Without -exec the tool reads statements from stdin, one per line.
-// -parallel sets the worker count for view generation and for the parallel
-// read kernels behind EXPECTED/PROB/COUNT (0 = all cores, 1 = sequential);
-// results are identical at every setting.
+// -parallel sets the worker count for view-build inference and for the
+// parallel read kernels behind EXPECTED/PROB/COUNT (0 = all cores,
+// 1 = sequential); results are identical at every setting.
 // With -server URL the shell becomes a thin client of a running tspdbd:
 // -load uploads the CSVs and statements execute remotely via POST /query.
 //
@@ -57,7 +57,7 @@ func main() {
 	flag.Var(&loads, "load", "table=csvfile pair; repeatable")
 	exec := flag.String("exec", "", "statement to execute (omit for interactive mode)")
 	out := flag.String("out", "", "write the created view as CSV to this file")
-	parallel := flag.Int("parallel", 0, "view-generation and read-kernel workers (0 = all cores, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "view-build inference and read-kernel workers (0 = all cores, 1 = sequential)")
 	serverURL := flag.String("server", "", "tspdbd base URL; run as a thin client instead of in-process")
 	flag.Parse()
 

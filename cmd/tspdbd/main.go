@@ -77,7 +77,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + segments); empty = in-memory")
 	fsync := flag.Bool("fsync", true, "sync the WAL on every commit (with -data-dir)")
-	parallel := flag.Int("parallel", 0, "view-generation and read-kernel workers (0 = all cores, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "view-build inference and read-kernel workers (0 = all cores, 1 = sequential)")
 	maxBuilds := flag.Int("max-builds", 2, "concurrent CREATE VIEW materialisations")
 	maxBatch := flag.Int("max-batch", 10000, "max points per ingest request")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown timeout")

@@ -183,12 +183,6 @@ func isMutex(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// isRWMutex reports whether t is sync.RWMutex.
-func isRWMutex(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "RWMutex"
-}
-
 // isSyncExempt reports whether a field of type t needs no mutex to touch:
 // mutexes themselves, sync/atomic values, sync.Once/WaitGroup, and
 // channels (which carry their own synchronisation).

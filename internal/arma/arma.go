@@ -238,13 +238,6 @@ func (m *Model) LogLikelihood(xs []float64) float64 {
 	return ll
 }
 
-// AIC returns Akaike's information criterion for the fitted model on xs
-// (smaller is better).
-func (m *Model) AIC(xs []float64) float64 {
-	k := float64(1 + m.P + m.Q)
-	return 2*k - 2*m.LogLikelihood(xs)
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -216,26 +216,6 @@ func TestForecastShortWindow(t *testing.T) {
 	}
 }
 
-func TestAICPrefersTrueOrder(t *testing.T) {
-	// AR(1) data: AIC for AR(1) should be competitive with AR(6). The
-	// conditional likelihood drops p warm-up points, so the two criteria are
-	// evaluated on slightly different samples; allow that slack.
-	xs := simulateAR(0, []float64{0.7}, 1, 2000, 6)
-	m1, err := Fit(xs, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m6, err := Fit(xs, 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perObs1 := m1.AIC(xs) / float64(len(xs)-1)
-	perObs6 := m6.AIC(xs) / float64(len(xs)-6)
-	if perObs1 > perObs6*1.05 {
-		t.Errorf("per-observation AIC(AR1)=%v much worse than AIC(AR6)=%v", perObs1, perObs6)
-	}
-}
-
 func TestLogLikelihoodDegenerateSigma(t *testing.T) {
 	m := &Model{P: 1, Phi: []float64{0.5}, Theta: []float64{}, Sigma2: 0}
 	if !math.IsInf(m.LogLikelihood([]float64{1, 2, 3}), -1) {

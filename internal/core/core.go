@@ -50,10 +50,10 @@ var (
 
 // Config tunes an Engine.
 type Config struct {
-	// Parallelism is the worker count for offline Omega-view generation and
-	// for the chunked read kernels behind EXPECTED, PROB and COUNT:
-	// 1 runs sequentially, 0 selects GOMAXPROCS. Results are identical at
-	// every setting; only wall-clock time changes.
+	// Parallelism is the worker count for offline density inference (the
+	// CREATE VIEW build) and for the chunked read kernels behind EXPECTED,
+	// PROB and COUNT: 1 runs sequentially, 0 selects GOMAXPROCS. Results
+	// are identical at every setting; only wall-clock time changes.
 	Parallelism int
 
 	// DataDir, when non-empty, makes the engine durable: OpenEngine
@@ -90,7 +90,7 @@ type Engine struct {
 }
 
 // NewEngine creates an empty engine with the default configuration
-// (parallel view generation across all cores).
+// (offline inference and read kernels across all cores).
 func NewEngine() *Engine {
 	return NewEngineWith(Config{})
 }
@@ -252,11 +252,6 @@ type StreamConfig struct {
 	// an expected [Min, Max] volatility band. Values outside the band fall
 	// back to direct computation (still correct, just slower).
 	SigmaRange *SigmaRange
-	// Parallelism overrides the engine's view-generation worker count for
-	// this stream's builder (0 inherits the engine setting). Online steps
-	// are single-tuple, so this matters only for bulk operations on the
-	// stream's builder (e.g. backfilling the view over stored history).
-	Parallelism int
 	// Clean optionally enables C-GARCH cleaning of the stream (Section V).
 	Clean *CleanStreamConfig
 }
@@ -336,11 +331,6 @@ func (e *Engine) OpenStream(cfg StreamConfig) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := cfg.Parallelism
-	if p == 0 {
-		p = e.Parallelism()
-	}
-	builder.Parallelism = query.ResolveParallelism(p)
 	var cache *sigmacache.Cache
 	if sr := cfg.SigmaRange; sr != nil {
 		cache, err = sigmacache.New(sigmacache.Config{

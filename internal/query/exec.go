@@ -64,7 +64,8 @@ type Stats struct {
 	Rows   int `json:"rows_scanned"`
 	// Workers and Chunks report how a parallel-capable scan executed:
 	// Workers goroutines over Chunks contiguous group chunks, {1, 1} for the
-	// sequential fast path. Zero (omitted) on paths that never parallelise.
+	// sequential fast path. A build reports only Workers, the size of its
+	// inference pool. Zero (omitted) on paths that never parallelise.
 	Workers int `json:"workers,omitempty"`
 	Chunks  int `json:"chunks,omitempty"`
 	// ParseNs and ExecNs decompose the query's latency.
@@ -74,8 +75,8 @@ type Stats struct {
 
 // Options tunes statement execution.
 type Options struct {
-	// Parallelism is the worker count for CREATE VIEW materialisation and
-	// for the chunked read kernels behind EXPECTED, PROB and COUNT:
+	// Parallelism is the worker count for CREATE VIEW's density inference
+	// and for the chunked read kernels behind EXPECTED, PROB and COUNT:
 	// 1 runs sequentially, 0 selects GOMAXPROCS (see ResolveParallelism).
 	// Results are byte-identical at every setting.
 	Parallelism int
@@ -84,8 +85,8 @@ type Options struct {
 // ResolveParallelism maps the engine's parallelism knob onto an explicit
 // worker count. This is the one place the 0 = "all cores" convention is
 // defined: 0 resolves to GOMAXPROCS, anything else passes through. The
-// resolved count feeds both view.Builder (whose zero value is sequential)
-// and the probdb scan kernels (which treat <= 1 as sequential).
+// resolved count feeds both view.TuplesFromSeries and the probdb scan
+// kernels, which treat <= 1 as sequential.
 func ResolveParallelism(n int) int {
 	if n == 0 {
 		return runtime.GOMAXPROCS(0)
@@ -245,7 +246,8 @@ func execCreateView(db *storage.DB, s *CreateViewStmt, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	tuples, err := view.TuplesFromSeries(series, metric, h, tLo, tHi)
+	workers := ResolveParallelism(opts.Parallelism)
+	tuples, err := view.TuplesFromSeries(series, metric, h, tLo, tHi, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +259,6 @@ func execCreateView(db *storage.DB, s *CreateViewStmt, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	builder.Parallelism = ResolveParallelism(opts.Parallelism)
 	var cache *sigmacache.Cache
 	if s.Cache != nil {
 		cache, err = builder.AttachCache(tuples, s.Cache.Distance, s.Cache.Memory)
@@ -280,7 +281,8 @@ func execCreateView(db *storage.DB, s *CreateViewStmt, opts Options) (*Result, e
 	}
 	res := &Result{
 		Kind: "view", View: table,
-		Stats: Stats{Path: "build", Groups: len(tuples), Rows: len(v.Rows)},
+		Stats: Stats{Path: "build", Groups: len(tuples), Rows: len(v.Rows),
+			Workers: min(workers, len(tuples))},
 	}
 	if cache != nil {
 		st := cache.Stats()

@@ -2,8 +2,10 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -268,6 +270,30 @@ func TestExecCreateViewMetrics(t *testing.T) {
 			metric + " FROM raw_values WHERE t >= 150 AND t <= 160"
 		if _, err := Exec(db, q); err != nil {
 			t.Errorf("%s: %v", metric, err)
+		}
+	}
+}
+
+// TestExecCreateViewStatsWorkers pins the build's explain line: Workers is
+// the inference pool size, one at Parallelism 1 and min(GOMAXPROCS, tuples)
+// at 0.
+func TestExecCreateViewStatsWorkers(t *testing.T) {
+	db := newTestDB(t, 300)
+	for _, tuples := range []int{1, 3, 50} {
+		q := fmt.Sprintf("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 WINDOW 90 "+
+			"METRIC VT FROM raw_values WHERE t >= 150 AND t <= %d", 149+tuples)
+		for _, c := range []struct{ parallelism, want int }{
+			{1, 1},
+			{0, min(runtime.GOMAXPROCS(0), tuples)},
+		} {
+			res, err := ExecWith(db, q, Options{Parallelism: c.parallelism})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Groups != tuples || res.Stats.Workers != c.want {
+				t.Errorf("tuples=%d parallelism=%d: stats %+v, want %d workers",
+					tuples, c.parallelism, res.Stats, c.want)
+			}
 		}
 	}
 }

@@ -342,6 +342,9 @@ type MetricSpecJSON struct {
 }
 
 // OpenStreamRequest is the POST /tables/{table}/stream payload.
+// Parallelism is accepted and ignored: an online step infers one window, so
+// a stream has nothing to spread across workers; the daemon's -parallel
+// setting governs offline builds and reads.
 type OpenStreamRequest struct {
 	View        string          `json:"view"`
 	Metric      *MetricSpecJSON `json:"metric,omitempty"`
@@ -370,11 +373,10 @@ func (s *Server) handleOpenStream(w http.ResponseWriter, r *http.Request) error 
 		return err
 	}
 	cfg := core.StreamConfig{
-		Source:      name,
-		ViewName:    req.View,
-		H:           req.H,
-		Omega:       view.Omega{Delta: req.Delta, N: req.N},
-		Parallelism: req.Parallelism,
+		Source:   name,
+		ViewName: req.View,
+		H:        req.H,
+		Omega:    view.Omega{Delta: req.Delta, N: req.N},
 	}
 	if req.Metric != nil {
 		m, err := query.BuildMetric(&query.MetricSpec{Name: req.Metric.Name, Params: req.Metric.Params})

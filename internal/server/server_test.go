@@ -136,8 +136,9 @@ func TestCreateTableQueryAndProbEndpoints(t *testing.T) {
 func TestStreamLifecycleOverHTTP(t *testing.T) {
 	_, client, _ := newTestServer(t, Config{})
 
+	// The parallelism field is accepted and ignored, not rejected.
 	open := OpenStreamRequest{View: "campus_live", H: 16, Delta: 0.5, N: 8,
-		SigmaMin: 1e-3, SigmaMax: 50, Distance: 0.01}
+		SigmaMin: 1e-3, SigmaMax: 50, Distance: 0.01, Parallelism: 3}
 	if _, err := client.OpenStream("campus", open); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package stat
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"repro/internal/mat"
 )
@@ -72,25 +71,6 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 		}
 	}
 	return lo, hi, nil
-}
-
-// Autocovariance returns the lag-k sample autocovariance of xs with the
-// conventional 1/n normalisation (which keeps the autocovariance sequence
-// positive semidefinite).
-func Autocovariance(xs []float64, k int) (float64, error) {
-	n := len(xs)
-	if k < 0 {
-		return 0, ErrBadArg
-	}
-	if n == 0 || k >= n {
-		return 0, ErrShortInput
-	}
-	m := Mean(xs)
-	s := 0.0
-	for i := 0; i+k < n; i++ {
-		s += (xs[i] - m) * (xs[i+k] - m)
-	}
-	return s / float64(n), nil
 }
 
 // Accumulator maintains streaming mean and variance via Welford's algorithm.
@@ -219,32 +199,6 @@ func (h *Histogram) CDF() []float64 {
 		out[i] = float64(run) / float64(h.total)
 	}
 	return out
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an empirical CDF from xs (which it copies and sorts).
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
-}
-
-// At returns the fraction of observations <= x.
-func (e *ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns the first index >= x; advance over ties.
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
 }
 
 // OLSResult holds the outcome of an ordinary least squares fit.

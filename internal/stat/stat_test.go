@@ -57,29 +57,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestAutocovarianceLagZeroIsPopulationVariance(t *testing.T) {
-	xs := []float64{1, 3, 2, 5, 4, 6, 2}
-	g0, err := Autocovariance(xs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The population variance rescales the sample variance to divisor n.
-	n := float64(len(xs))
-	want := Variance(xs) * (n - 1) / n
-	if !almost(g0, want, 1e-12) {
-		t.Errorf("gamma(0) = %v, want %v", g0, want)
-	}
-}
-
-func TestAutocovarianceErrors(t *testing.T) {
-	if _, err := Autocovariance([]float64{1, 2}, -1); err != ErrBadArg {
-		t.Error("negative lag not detected")
-	}
-	if _, err := Autocovariance([]float64{1, 2}, 5); err != ErrShortInput {
-		t.Error("excessive lag not detected")
-	}
-}
-
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	xs := []float64{0.5, 1.2, -3.4, 2.2, 9.1, -0.7}
 	var acc Accumulator
@@ -190,24 +167,6 @@ func TestHistogramBadArgs(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{3, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 1.0 / 3}, {1.5, 1.0 / 3}, {2, 2.0 / 3}, {3, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almost(got, c.want, 1e-12) {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if _, err := NewECDF(nil); err != ErrEmpty {
-		t.Error("empty input not detected")
-	}
-}
-
 func TestOLSRecoversLine(t *testing.T) {
 	n := 50
 	x := mat.NewDense(n, 2, nil)
@@ -303,33 +262,6 @@ func TestQuickVarianceShiftInvariant(t *testing.T) {
 			return false
 		}
 		return almost(v1, v2, 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: ECDF is monotone and within [0,1].
-func TestQuickECDFMonotone(t *testing.T) {
-	f := func(raw [10]float64, a, b float64) bool {
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			xs[i] = math.Mod(v, 100)
-		}
-		e, err := NewECDF(xs)
-		if err != nil {
-			return false
-		}
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		a, b = math.Mod(a, 200), math.Mod(b, 200)
-		lo, hi := math.Min(a, b), math.Max(a, b)
-		fa, fb := e.At(lo), e.At(hi)
-		return fa >= 0 && fb <= 1 && fa <= fb
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

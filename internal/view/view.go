@@ -13,12 +13,12 @@
 // with similar sigma, Section VI-A/B). Both online (streaming) and offline
 // (time-interval query) modes are provided.
 //
-// Offline generation is embarrassingly parallel — every tuple's n rows are
-// a pure function of that tuple — so Generate fans contiguous tuple windows
-// out across a worker pool (Builder.Parallelism) with each worker writing a
-// disjoint span of one pre-sized row array. The output is byte-identical to
-// the sequential build regardless of scheduling, and the shared sigma-cache
-// is safe for concurrent readers.
+// An offline build spends nearly all of its time in density inference (an
+// ARMA-GARCH fit per window), so TuplesFromSeries infers windows on a
+// worker pool, each tuple in its own slot of one pre-sized array; the
+// output is byte-identical to a sequential run regardless of scheduling.
+// Generate is a plain sequential loop: it costs well under a microsecond
+// per tuple. The shared sigma-cache is safe for concurrent readers.
 package view
 
 import (
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -89,33 +90,82 @@ type View struct {
 
 // TuplesFromSeries runs a dynamic density metric over sliding windows of s
 // and returns one Tuple per inferable time step whose timestamp lies in
-// [tLo, tHi]. This is the inference stage that precedes view generation.
-func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, tHi int64) ([]Tuple, error) {
+// [tLo, tHi]. This is the inference stage that precedes view generation,
+// and nearly all of a build's time.
+//
+// Windows are inferred on up to workers goroutines (<= 1 runs inline).
+// Every Metric.Infer is a pure function of its window, and every window's
+// tuple has its own output slot, so the result is identical at every
+// worker count. On failure the error of the earliest failing window is
+// returned: the same error a sequential run stops at.
+func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, tHi int64, workers int) ([]Tuple, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("%w: nil metric", ErrBadArg)
 	}
 	if h < metric.MinWindow() {
 		return nil, fmt.Errorf("%w: H=%d below metric minimum %d", ErrBadArg, h, metric.MinWindow())
 	}
-	var tuples []Tuple
-	var inferErr error
-	err := s.Windows(h, func(w timeseries.Window, next timeseries.Point) bool {
-		if next.T < tLo || next.T > tHi {
-			return true
-		}
-		inf, err := metric.Infer(w.Values)
-		if err != nil {
-			inferErr = err
-			return false
-		}
-		tuples = append(tuples, Tuple{T: next.T, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist})
-		return true
-	})
-	if err != nil {
-		return nil, err
+	if h <= 0 || h >= s.Len() {
+		return nil, fmt.Errorf("%w: H=%d len=%d", timeseries.ErrBadWindow, h, s.Len())
 	}
-	if inferErr != nil {
-		return nil, inferErr
+	// Tuple k predicts point first+k from the h values before it.
+	times, values := s.Times(), s.Values()
+	first := h + sort.Search(len(times)-h, func(i int) bool { return times[h+i] >= tLo })
+	end := h + sort.Search(len(times)-h, func(i int) bool { return times[h+i] > tHi })
+	if first >= end {
+		return nil, nil
+	}
+	tuples := make([]Tuple, end-first)
+	errs := make([]error, len(tuples))
+	var (
+		cursor atomic.Int64 // next unclaimed tuple
+		failed atomic.Int64 // lowest failing tuple; len(tuples) = none
+	)
+	failed.Store(int64(len(tuples)))
+	infer := func() {
+		window := make([]float64, h)
+		for {
+			k := int(cursor.Add(1)) - 1
+			// Past the end, or past a failed window: a sequential run
+			// would never have reached it.
+			if k >= len(tuples) || int64(k) > failed.Load() {
+				return
+			}
+			i := first + k
+			copy(window, values[i-h:i])
+			inf, err := metric.Infer(window)
+			if err == nil {
+				tuples[k] = Tuple{T: times[i], RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist}
+				continue
+			}
+			errs[k] = err
+			for {
+				cur := failed.Load()
+				if int64(k) >= cur || failed.CompareAndSwap(cur, int64(k)) {
+					break
+				}
+			}
+			return
+		}
+	}
+	if workers > len(tuples) {
+		workers = len(tuples)
+	}
+	if workers <= 1 {
+		infer()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				infer()
+			}()
+		}
+		wg.Wait()
+	}
+	if k := failed.Load(); int(k) < len(tuples) {
+		return nil, errs[k]
 	}
 	return tuples, nil
 }
@@ -126,12 +176,6 @@ type Builder struct {
 	// Cache, when non-nil, serves Gaussian tuples whose sigma falls in the
 	// cache's range; other tuples fall back to direct computation.
 	Cache *sigmacache.Cache
-	// Parallelism is the number of worker goroutines Generate fans tuple
-	// windows out across. The zero value (and 1) builds sequentially, so
-	// existing construction sites keep their behaviour; layers that want
-	// "all cores" resolve GOMAXPROCS themselves (see core.Config). The
-	// result is identical at every setting.
-	Parallelism int
 }
 
 // NewBuilder validates omega and returns a Builder without a cache.
@@ -177,10 +221,6 @@ func (b *Builder) AttachCache(tuples []Tuple, distanceConstraint float64, memory
 // producing n rows per tuple. Rows are written into one pre-sized backing
 // array: the per-tuple cost is pure computation, so the sigma-cache's saving
 // (CDF evaluations) shows up undiluted, as in the paper's Fig. 14a.
-//
-// With Parallelism > 1 the tuple windows are processed by a worker pool;
-// each worker writes a disjoint span of the row array, so the rows come out
-// in tuple order and are identical to a sequential build.
 func (b *Builder) Generate(tuples []Tuple) (*View, error) {
 	if err := b.Omega.Validate(); err != nil {
 		return nil, err
@@ -188,89 +228,14 @@ func (b *Builder) Generate(tuples []Tuple) (*View, error) {
 	if len(tuples) == 0 {
 		return nil, ErrNoTuples
 	}
-	rows := make([]Row, len(tuples)*b.Omega.N)
-	workers := b.workers(len(tuples))
-	if workers <= 1 {
-		if err := b.generateSpan(tuples, rows, 0, len(tuples)); err != nil {
+	n := b.Omega.N
+	rows := make([]Row, len(tuples)*n)
+	for i, tp := range tuples {
+		if err := b.generateInto(tp, rows[i*n:(i+1)*n]); err != nil {
 			return nil, err
 		}
-	} else if err := b.generateParallel(tuples, rows, workers); err != nil {
-		return nil, err
 	}
 	return &View{Omega: b.Omega, Rows: rows}, nil
-}
-
-// windowSize is the number of tuples a worker claims at a time: small
-// enough to balance the bimodal per-tuple cost (cache hit vs naive CDF
-// evaluation), large enough to keep cursor traffic negligible.
-const windowSize = 64
-
-// workers resolves the effective worker count for a tuple batch: never more
-// than there are windows to claim, never less than one.
-func (b *Builder) workers(tuples int) int {
-	w := b.Parallelism
-	if windows := (tuples + windowSize - 1) / windowSize; w > windows {
-		w = windows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// generateSpan fills rows for tuples[lo:hi]; rows is the full backing array.
-func (b *Builder) generateSpan(tuples []Tuple, rows []Row, lo, hi int) error {
-	n := b.Omega.N
-	for i := lo; i < hi; i++ {
-		if err := b.generateInto(tuples[i], rows[i*n:(i+1)*n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// generateParallel fans fixed-size tuple windows out across workers. Workers
-// claim windows from an atomic cursor (cheap dynamic load balancing — the
-// naive path is much more expensive per tuple than a cache hit), and every
-// window maps to a fixed span of the row array, so the merge is a no-op and
-// the output order is deterministic.
-func (b *Builder) generateParallel(tuples []Tuple, rows []Row, workers int) error {
-	windows := (len(tuples) + windowSize - 1) / windowSize
-
-	var (
-		cursor  atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				win := int(cursor.Add(1)) - 1
-				if win >= windows {
-					return
-				}
-				lo := win * windowSize
-				hi := lo + windowSize
-				if hi > len(tuples) {
-					hi = len(tuples)
-				}
-				if err := b.generateSpan(tuples, rows, lo, hi); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return firstEr
-	}
-	return nil
 }
 
 // GenerateOne evaluates Eq. (9) for a single tuple.

@@ -1,14 +1,167 @@
 package view
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/clean"
+	"repro/internal/dataset"
+	"repro/internal/density"
 	"repro/internal/dist"
+	"repro/internal/timeseries"
 )
+
+// inferWorkers are the pool sizes every inference test runs: sequential,
+// the smallest pool, more workers than cores, and all cores.
+var inferWorkers = []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+
+// parityMetrics returns one value of each dynamic density metric, C-GARCH
+// included.
+func parityMetrics(t *testing.T) []density.Metric {
+	t.Helper()
+	ut, err := density.NewUniformThresholding(1, 0, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vt, err := density.NewVariableThresholding(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := density.NewARMAGARCH(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []density.Metric{ut, vt, ag, density.NewKalmanGARCH(),
+		&clean.Metric{Inner: ag, SVMax: 0.5}}
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to want:
+// a worker that outlives its TuplesFromSeries call has leaked.
+func waitGoroutines(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInferParity is the determinism contract of the inference pool: for
+// every metric and worker count, on a campus slice whose [tLo, tHi] cuts
+// both ends of the window range, every tuple's (T, r̂, σ̂) matches the
+// sequential run bit for bit. Run under -race it also proves the pool is
+// data-race free on a shared metric value.
+func TestInferParity(t *testing.T) {
+	const h = 90
+	campus := dataset.Campus(dataset.CampusConfig{N: 200})
+	tLo, tHi := int64(121), int64(160)
+	base := runtime.NumGoroutine()
+	for _, m := range parityMetrics(t) {
+		want, err := TuplesFromSeries(campus, m, h, tLo, tHi, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		if len(want) != int(tHi-tLo+1) || want[0].T != tLo || want[len(want)-1].T != tHi {
+			t.Fatalf("%s: %d tuples over [%d, %d]", m.Name(), len(want), tLo, tHi)
+		}
+		for _, workers := range inferWorkers {
+			got, err := TuplesFromSeries(campus, m, h, tLo, tHi, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", m.Name(), workers, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: %d tuples, want %d", m.Name(), workers, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.T != w.T || math.Float64bits(g.RHat) != math.Float64bits(w.RHat) ||
+					math.Float64bits(g.Sigma) != math.Float64bits(w.Sigma) {
+					t.Fatalf("%s workers=%d tuple %d: (%d, %v, %v), want (%d, %v, %v)",
+						m.Name(), workers, i, g.T, g.RHat, g.Sigma, w.T, w.RHat, w.Sigma)
+				}
+			}
+		}
+	}
+	waitGoroutines(t, base, "after successful builds")
+}
+
+// failingMetric fails on the two windows whose last value is slow or fast;
+// the series below makes a window's last value its end index. The slow
+// (earlier) window sleeps first, so on a pool the later failure lands
+// first.
+type failingMetric struct{ slow, fast float64 }
+
+func (failingMetric) Name() string   { return "failing" }
+func (failingMetric) MinWindow() int { return 1 }
+func (m failingMetric) Infer(w []float64) (*density.Inference, error) {
+	last := w[len(w)-1]
+	switch last {
+	case m.slow:
+		time.Sleep(5 * time.Millisecond)
+		return nil, fmt.Errorf("window ending at %v", last)
+	case m.fast:
+		return nil, fmt.Errorf("window ending at %v", last)
+	}
+	return &density.Inference{RHat: last, Sigma: 1}, nil
+}
+
+// TestInferErrorOrder checks that every worker count returns the error of
+// the lowest failing window, the one a sequential run stops at, and that no
+// worker outlives a failed call.
+func TestInferErrorOrder(t *testing.T) {
+	vs := make([]float64, 500)
+	for i := range vs {
+		vs[i] = float64(i)
+	}
+	s := timeseries.FromValues(vs)
+	m := failingMetric{slow: 100, fast: 103}
+	base := runtime.NumGoroutine()
+	for _, workers := range inferWorkers {
+		_, err := TuplesFromSeries(s, m, 10, 0, 1000, workers)
+		if err == nil || err.Error() != "window ending at 100" {
+			t.Fatalf("workers=%d: err = %v, want the window ending at 100", workers, err)
+		}
+	}
+	waitGoroutines(t, base, "after failed builds")
+}
+
+// TestInferSmallBatches checks the worker-count clamp: ranges with fewer
+// windows than workers (including one, and none) still build.
+func TestInferSmallBatches(t *testing.T) {
+	vs := make([]float64, 40)
+	for i := range vs {
+		vs[i] = float64(i)
+	}
+	s := timeseries.FromValues(vs)
+	m := failingMetric{slow: -1, fast: -1}
+	for _, n := range []int{0, 1, 2, 5} {
+		tuples, err := TuplesFromSeries(s, m, 10, 20, int64(19+n), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tuples) != n {
+			t.Fatalf("n=%d: got %d tuples", n, len(tuples))
+		}
+		for k, tp := range tuples {
+			// Tuple t is inferred from values t-10 .. t-1; value i is at t=i+1.
+			if tp.T != int64(20+k) || tp.RHat != float64(tp.T-2) {
+				t.Fatalf("n=%d tuple %d: t=%d r̂=%v", n, k, tp.T, tp.RHat)
+			}
+		}
+	}
+	if _, err := TuplesFromSeries(s, m, 40, 0, 100, 8); !errors.Is(err, timeseries.ErrBadWindow) {
+		t.Fatalf("H = series length: err = %v, want ErrBadWindow", err)
+	}
+}
 
 // mixedTuples returns tuples exercising every generation path: Gaussian
 // (cache-eligible), nil-Dist Gaussian, and uniform (naive-only).
@@ -31,85 +184,6 @@ func mixedTuples(n int, seed int64) []Tuple {
 		}
 	}
 	return out
-}
-
-// TestParallelMatchesSequential is the determinism contract of the worker
-// pool: for every worker count, with and without a shared sigma-cache, the
-// parallel build must emit rows identical to the sequential build. Run under
-// -race this also proves the build is data-race free.
-func TestParallelMatchesSequential(t *testing.T) {
-	tuples := mixedTuples(1000, 7)
-	omega := Omega{Delta: 0.25, N: 8}
-
-	for _, cached := range []bool{false, true} {
-		seq, err := NewBuilder(omega)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq.Parallelism = 1
-		if cached {
-			if _, err := seq.AttachCache(tuples, 0.01, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := seq.Generate(tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// 0 is the zero value (sequential); the rest exercise the pool.
-		for _, workers := range []int{0, 2, 3, 8, 17} {
-			par, err := NewBuilder(omega)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par.Parallelism = workers
-			par.Cache = seq.Cache // workers share one cache
-			got, err := par.Generate(tuples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("cached=%v workers=%d: parallel rows differ from sequential", cached, workers)
-			}
-		}
-	}
-}
-
-// TestParallelSmallBatches checks the worker-count clamp: batches smaller
-// than the worker count (including a single tuple) must still build.
-func TestParallelSmallBatches(t *testing.T) {
-	omega := Omega{Delta: 0.5, N: 4}
-	for _, n := range []int{1, 2, 5} {
-		tuples := mixedTuples(n, int64(n))
-		b, err := NewBuilder(omega)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Parallelism = 8
-		v, err := b.Generate(tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v.Rows) != n*omega.N {
-			t.Fatalf("n=%d: got %d rows, want %d", n, len(v.Rows), n*omega.N)
-		}
-	}
-}
-
-// TestParallelPropagatesError proves a worker failure surfaces: a tuple with
-// nil Dist and non-positive sigma cannot be materialised.
-func TestParallelPropagatesError(t *testing.T) {
-	tuples := mixedTuples(500, 3)
-	tuples[317] = Tuple{T: 318, RHat: 1, Sigma: -1}
-	b, err := NewBuilder(Omega{Delta: 0.5, N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Parallelism = 4
-	if _, err := b.Generate(tuples); err == nil {
-		t.Fatal("parallel build swallowed the worker error")
-	}
 }
 
 // TestConcurrentBuilders runs independent Generate calls on builders sharing
@@ -136,7 +210,7 @@ func TestConcurrentBuilders(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			b := &Builder{Omega: omega, Cache: shared.Cache, Parallelism: 2}
+			b := &Builder{Omega: omega, Cache: shared.Cache}
 			v, err := b.Generate(tuples)
 			if err == nil && !reflect.DeepEqual(v.Rows, want.Rows) {
 				err = ErrBadArg

@@ -109,6 +109,10 @@ func TestGenerateRequiresTuples(t *testing.T) {
 	if _, err := b.Generate(nil); !errors.Is(err, ErrNoTuples) {
 		t.Error("empty tuple set accepted")
 	}
+	// A tuple with nil Dist and non-positive sigma cannot be materialised.
+	if _, err := b.Generate([]Tuple{{T: 1, RHat: 1, Sigma: 1}, {T: 2, RHat: 1, Sigma: -1}}); err == nil {
+		t.Error("unmaterialisable tuple accepted")
+	}
 }
 
 func makeTuples(n int, seed int64) []Tuple {
@@ -210,7 +214,7 @@ func TestTuplesFromSeries(t *testing.T) {
 	}
 	s := timeseries.FromValues(vs)
 	m, _ := density.NewARMAGARCH(1, 0)
-	tuples, err := TuplesFromSeries(s, m, 60, 100, 200)
+	tuples, err := TuplesFromSeries(s, m, 60, 100, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +236,11 @@ func TestTuplesFromSeries(t *testing.T) {
 
 func TestTuplesFromSeriesValidation(t *testing.T) {
 	s := timeseries.FromValues(make([]float64, 100))
-	if _, err := TuplesFromSeries(s, nil, 10, 0, 100); !errors.Is(err, ErrBadArg) {
+	if _, err := TuplesFromSeries(s, nil, 10, 0, 100, 1); !errors.Is(err, ErrBadArg) {
 		t.Error("nil metric accepted")
 	}
 	m, _ := density.NewARMAGARCH(1, 0)
-	if _, err := TuplesFromSeries(s, m, 3, 0, 100); !errors.Is(err, ErrBadArg) {
+	if _, err := TuplesFromSeries(s, m, 3, 0, 100, 1); !errors.Is(err, ErrBadArg) {
 		t.Error("H below MinWindow accepted")
 	}
 }

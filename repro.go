@@ -55,7 +55,7 @@ type (
 	Inference = density.Inference
 	// Engine is the framework of Fig. 2: catalog + metrics + view builder.
 	Engine = core.Engine
-	// EngineConfig tunes an Engine (view-generation parallelism, ...).
+	// EngineConfig tunes an Engine (view-build parallelism, ...).
 	EngineConfig = core.Config
 	// StreamConfig configures the online (streaming) mode.
 	StreamConfig = core.StreamConfig
@@ -88,8 +88,8 @@ type (
 	ServerClient = server.Client
 )
 
-// NewEngine creates an empty probabilistic-database engine that builds
-// Omega-views in parallel across all cores.
+// NewEngine creates an empty probabilistic-database engine whose view
+// builds infer windows in parallel across all cores.
 func NewEngine() *Engine { return core.NewEngine() }
 
 // NewEngineWith creates an empty engine with an explicit configuration,
