@@ -33,7 +33,7 @@
 // status and request id (every response carries an X-Request-Id header).
 // GET /metrics on the serving address exposes Prometheus metrics for every
 // subsystem — HTTP routes, WAL appends and fsyncs, checkpoints, recovery
-// replay, ingest pipeline stages, sigma-cache shards, query kernels.
+// replay, ingest pipeline stages, sigma-cache hits and misses, query kernels.
 // -debug-addr 127.0.0.1:6060 additionally serves net/http/pprof profiles
 // under /debug/pprof/ and a JSON metrics dump at /debug/obs on a separate
 // (keep it loopback-only) listener. Appending ?explain=1 to POST /query or

@@ -426,9 +426,6 @@ type StreamInfo struct {
 	Metric   string
 	Steps    int64
 	Cache    sigmacache.Stats
-	// Shards is the per-shard breakdown of Cache (nil when the stream has
-	// no sigma-cache attached).
-	Shards []sigmacache.ShardStat
 }
 
 // Streams lists the open streams sorted by source table.
@@ -447,7 +444,6 @@ func (e *Engine) Streams() []StreamInfo {
 			Metric:   s.metric.Name(),
 			Steps:    s.Steps(),
 			Cache:    s.CacheStats(),
-			Shards:   s.ShardStats(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
@@ -614,15 +610,6 @@ func (s *Stream) CacheStats() sigmacache.Stats {
 		return sigmacache.Stats{}
 	}
 	return s.cache.Stats()
-}
-
-// ShardStats reports the per-shard sigma-cache breakdown (nil when no
-// cache is attached).
-func (s *Stream) ShardStats() []sigmacache.ShardStat {
-	if s.cache == nil {
-		return nil
-	}
-	return s.cache.ShardStats()
 }
 
 // MetricName returns the active metric's name.

@@ -30,10 +30,10 @@ func (s *Server) observe(route string, code int, seconds float64) {
 // handleMetrics renders the Prometheus text exposition format in three
 // parts: the server's own registry (route counters/latencies, uptime,
 // goroutines), dynamic engine-bound sections whose label sets change as
-// streams open and close (sigma-cache effectiveness, per-shard occupancy,
-// stream gauges), and finally the process-wide obs.Default registry with
-// every tspdb_* subsystem metric (WAL, checkpoints, replay, ingest stages,
-// query kernels). Family names never overlap across the three parts, so the
+// streams open and close (sigma-cache effectiveness, stream gauges), and
+// finally the process-wide obs.Default registry with every tspdb_*
+// subsystem metric (WAL, checkpoints, replay, ingest stages, query
+// kernels). Family names never overlap across the three parts, so the
 // concatenation is a valid exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -68,31 +68,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	fmt.Fprintf(w, "# TYPE tspdbd_stream_steps_total counter\n")
 	for _, st := range streams {
 		fmt.Fprintf(w, "tspdbd_stream_steps_total{table=%q,view=%q} %d\n", st.Source, st.ViewName, st.Steps)
-	}
-
-	// Per-shard sigma-cache occupancy: which stripes of the ladder carry the
-	// working set. Misses are counted per cache, not per shard, so only hits
-	// and residency appear here.
-	fmt.Fprintf(w, "# HELP tspdbd_sigma_cache_shard_hits_total Sigma-cache hits per ladder shard (open streams).\n")
-	fmt.Fprintf(w, "# TYPE tspdbd_sigma_cache_shard_hits_total counter\n")
-	for _, st := range streams {
-		for i, sh := range st.Shards {
-			fmt.Fprintf(w, "tspdbd_sigma_cache_shard_hits_total{shard=\"%d\",table=%q} %d\n", i, st.Source, sh.Hits)
-		}
-	}
-	fmt.Fprintf(w, "# HELP tspdbd_sigma_cache_shard_entries Cached grids per ladder shard (open streams).\n")
-	fmt.Fprintf(w, "# TYPE tspdbd_sigma_cache_shard_entries gauge\n")
-	for _, st := range streams {
-		for i, sh := range st.Shards {
-			fmt.Fprintf(w, "tspdbd_sigma_cache_shard_entries{shard=\"%d\",table=%q} %d\n", i, st.Source, sh.Entries)
-		}
-	}
-	fmt.Fprintf(w, "# HELP tspdbd_sigma_cache_shard_bytes Approximate resident bytes per ladder shard (open streams).\n")
-	fmt.Fprintf(w, "# TYPE tspdbd_sigma_cache_shard_bytes gauge\n")
-	for _, st := range streams {
-		for i, sh := range st.Shards {
-			fmt.Fprintf(w, "tspdbd_sigma_cache_shard_bytes{shard=\"%d\",table=%q} %d\n", i, st.Source, sh.ApproxBytes)
-		}
 	}
 
 	return obs.Default.WritePrometheus(w)

@@ -62,8 +62,8 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 func TestMetricsExpositionWellFormed(t *testing.T) {
 	ts, client, _ := newTestServer(t, Config{})
 	// Exercise enough of the engine that all three parts of the scrape have
-	// live series: a cached view build, an online stream with a sharded
-	// sigma-cache, some reads, and one error.
+	// live series: a cached view build, an online stream with a sigma-cache,
+	// some reads, and one error.
 	if _, err := client.Exec(`CREATE VIEW ev AS DENSITY r OVER t OMEGA delta=0.5, n=8 WINDOW 16 CACHE DISTANCE 0.01 FROM campus WHERE t >= 40 AND t <= 120`); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	for _, family := range []string{
 		"tspdbd_requests_total", "tspdbd_request_duration_seconds",
 		"tspdbd_uptime_seconds", "tspdbd_goroutines",
-		"tspdbd_sigma_cache_hits_total", "tspdbd_sigma_cache_shard_entries",
+		"tspdbd_sigma_cache_hits_total", "tspdbd_sigma_cache_misses_total",
 		"tspdbd_streams_open",
 		"tspdb_ingest_steps_total", "tspdb_ingest_step_seconds",
 		"tspdb_ingest_model_seconds", "tspdb_ingest_view_seconds", "tspdb_ingest_commit_seconds",

@@ -342,21 +342,17 @@ type MetricSpecJSON struct {
 }
 
 // OpenStreamRequest is the POST /tables/{table}/stream payload.
-// Parallelism is accepted and ignored: an online step infers one window, so
-// a stream has nothing to spread across workers; the daemon's -parallel
-// setting governs offline builds and reads.
 type OpenStreamRequest struct {
-	View        string          `json:"view"`
-	Metric      *MetricSpecJSON `json:"metric,omitempty"`
-	H           int             `json:"h,omitempty"`
-	Delta       float64         `json:"delta"`
-	N           int             `json:"n"`
-	SigmaMin    float64         `json:"sigma_min,omitempty"`
-	SigmaMax    float64         `json:"sigma_max,omitempty"`
-	Distance    float64         `json:"distance,omitempty"`
-	Parallelism int             `json:"parallelism,omitempty"`
-	CleanOCMax  int             `json:"clean_ocmax,omitempty"`
-	CleanSVMax  float64         `json:"clean_svmax,omitempty"`
+	View       string          `json:"view"`
+	Metric     *MetricSpecJSON `json:"metric,omitempty"`
+	H          int             `json:"h,omitempty"`
+	Delta      float64         `json:"delta"`
+	N          int             `json:"n"`
+	SigmaMin   float64         `json:"sigma_min,omitempty"`
+	SigmaMax   float64         `json:"sigma_max,omitempty"`
+	Distance   float64         `json:"distance,omitempty"`
+	CleanOCMax int             `json:"clean_ocmax,omitempty"`
+	CleanSVMax float64         `json:"clean_svmax,omitempty"`
 }
 
 // OpenStreamResponse confirms an opened stream.

@@ -134,11 +134,22 @@ func TestCreateTableQueryAndProbEndpoints(t *testing.T) {
 }
 
 func TestStreamLifecycleOverHTTP(t *testing.T) {
-	_, client, _ := newTestServer(t, Config{})
+	ts, client, _ := newTestServer(t, Config{})
 
-	// The parallelism field is accepted and ignored, not rejected.
+	// A stream has no parallelism knob: an unknown field is a 400, and no
+	// stream opens.
+	bad, err := http.Post(ts.URL+"/tables/campus/stream", "application/json",
+		strings.NewReader(`{"view":"campus_live","h":16,"delta":0.5,"n":8,"parallelism":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("parallelism field: got %d, want 400", bad.StatusCode)
+	}
+
 	open := OpenStreamRequest{View: "campus_live", H: 16, Delta: 0.5, N: 8,
-		SigmaMin: 1e-3, SigmaMax: 50, Distance: 0.01, Parallelism: 3}
+		SigmaMin: 1e-3, SigmaMax: 50, Distance: 0.01}
 	if _, err := client.OpenStream("campus", open); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentLookup hammers one cache from many goroutines (run under
-// -race to prove the sharded store and atomic counters are sound) and checks
+// -race to prove the lock-free ladder read and atomic counters are sound) and checks
 // every answer is the correct floor rung with the distance guarantee intact.
 func TestConcurrentLookup(t *testing.T) {
 	hPrime := 0.01
@@ -80,26 +80,5 @@ func TestConcurrentLookupMixedHitMiss(t *testing.T) {
 	if st.Hits != goroutines*perKind || st.Misses != goroutines*perKind {
 		t.Errorf("stats = %+v, want %d hits and %d misses",
 			st, goroutines*perKind, goroutines*perKind)
-	}
-}
-
-// TestShardingConfig checks shard-count resolution: default, explicit, and
-// the cap at ladder size.
-func TestShardingConfig(t *testing.T) {
-	wide := newCache(t, Config{Delta: 0.05, N: 20, DistanceConstraint: 0.005}, 0.01, 1000)
-	if wide.Shards() != DefaultShards {
-		t.Errorf("default shards = %d, want %d (ladder has %d rungs)",
-			wide.Shards(), DefaultShards, wide.Stats().Entries)
-	}
-	four := newCache(t, Config{Delta: 0.05, N: 20, DistanceConstraint: 0.005, Shards: 4}, 0.01, 1000)
-	if four.Shards() != 4 {
-		t.Errorf("explicit shards = %d, want 4", four.Shards())
-	}
-	tiny := newCache(t, Config{Delta: 0.5, N: 8, DistanceConstraint: 0.1}, 2, 2)
-	if tiny.Shards() != 1 {
-		t.Errorf("degenerate ladder shards = %d, want 1", tiny.Shards())
-	}
-	if _, err := New(Config{Delta: 0.5, N: 8, DistanceConstraint: 0.1, Shards: -1}, 1, 2); err == nil {
-		t.Error("negative shard count accepted")
 	}
 }

@@ -14,20 +14,18 @@
 // Theorem 2 (memory constraint): to store at most Q' distributions over the
 // sigma range [min, max] with ratio D_s = max/min, choose d_s >= D_s^(1/Q').
 //
-// Grids live in a sharded store: the geometric rung ladder is split into
-// contiguous spans, each guarded by its own sync.RWMutex, and a lookup
-// addresses its rung in O(1) arithmetic (the ladder is geometric, so the
-// rung index is a logarithm) before taking a single shard's read lock.
-// Hit/miss counters are atomic. The cache is therefore safe for any number
-// of concurrent readers — the parallel Omega-view builder shares one cache
-// across all of its workers without serialising them.
+// The grids form one immutable ladder: New fills a slice with one grid per
+// rung and nothing writes it again. A lookup addresses its rung in O(1)
+// arithmetic (the ladder is geometric, so the rung index is a logarithm)
+// and reads the slice without a lock; only the hit and miss counters are
+// written, atomically. The cache is therefore safe for any number of
+// concurrent readers, and Stats may be read while they run.
 package sigmacache
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mathx"
@@ -57,13 +55,7 @@ type Config struct {
 	// the distance bound may then be violated, mirroring the paper's
 	// trade-off discussion.
 	MemoryConstraint int
-	// Shards is the number of spans the rung ladder is split across for
-	// concurrent access (default DefaultShards; capped at the ladder size).
-	Shards int
 }
-
-// DefaultShards is the default shard count of the grid store.
-const DefaultShards = 16
 
 // Entry is one cached distribution: the CDF grid of N(0, Sigma^2) evaluated
 // at the Omega offsets lambda*Delta.
@@ -102,18 +94,6 @@ type Stats struct {
 	ApproxBytes int
 }
 
-// shard is one contiguous span of the rung ladder. Entries are immutable
-// once New returns; the RWMutex makes the invariant explicit and leaves room
-// for dynamic rung insertion (planned for adaptive caches) without changing
-// the locking discipline readers already follow. Hits are counted here, per
-// shard, so workers in different sigma bands never bounce one counter line.
-type shard struct {
-	mu      sync.RWMutex
-	entries []*Entry // rungs q in [base, base+len), ascending sigma
-	hits    atomic.Int64
-	_       [40]byte // keep the next shard's hot fields off this cache line
-}
-
 // Cache is the sigma-cache.
 type Cache struct {
 	cfg      Config
@@ -125,11 +105,9 @@ type Cache struct {
 	logDs  float64 // log(ds)
 	rungs  int     // highest rung index; ladder holds rungs+1 entries
 
-	perShard int // rungs per shard (>= 1)
-	shards   []shard
+	ladder []*Entry // rung q at index q, ascending sigma; read-only after New
 
-	// misses stay on one counter: a miss leaves the sharded ladder anyway,
-	// and the caller's direct CDF fallback dwarfs one atomic add.
+	hits   atomic.Int64
 	misses atomic.Int64
 }
 
@@ -152,9 +130,6 @@ func New(cfg Config, minSigma, maxSigma float64) (*Cache, error) {
 	if cfg.MemoryConstraint < 0 {
 		return nil, fmt.Errorf("%w: memory constraint %d", ErrBadConfig, cfg.MemoryConstraint)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("%w: shards %d", ErrBadConfig, cfg.Shards)
-	}
 	if !(minSigma > 0) || !(maxSigma >= minSigma) || math.IsInf(maxSigma, 0) {
 		return nil, fmt.Errorf("%w: [%v, %v]", ErrBadRange, minSigma, maxSigma)
 	}
@@ -175,7 +150,8 @@ func New(cfg Config, minSigma, maxSigma float64) (*Cache, error) {
 		// We cache rungs q = 0..ceil(Q), i.e. ceil(Q)+1 entries (the q=0 rung
 		// at min(sigma) guarantees every in-range sigma has a floor). To
 		// store at most Q' entries we therefore apply Theorem 2 with Q'-1
-		// intervals.
+		// intervals. Q' = 1 has no interval to spend: it keeps d_s = D_s
+		// and the rung cap below leaves rung 0 alone.
 		intervals := cfg.MemoryConstraint - 1
 		if intervals < 1 {
 			intervals = 1
@@ -200,29 +176,20 @@ func New(cfg Config, minSigma, maxSigma float64) (*Cache, error) {
 		q := math.Log(ratioSpan) / math.Log(ds)
 		rungs = int(math.Ceil(q - 1e-12))
 	}
-
-	nShards := cfg.Shards
-	if nShards == 0 {
-		nShards = DefaultShards
+	if cfg.MemoryConstraint > 0 && rungs > cfg.MemoryConstraint-1 {
+		// The memory bound is hard. Every in-range sigma still hits: Lookup
+		// floors it onto the highest rung kept.
+		rungs = cfg.MemoryConstraint - 1
 	}
-	if nShards > rungs+1 {
-		nShards = rungs + 1
-	}
-	perShard := (rungs + 1 + nShards - 1) / nShards
-	// Re-derive the shard count from the span width so every allocated
-	// shard is addressable (ceil division can otherwise strand trailing
-	// shards empty and overreport Shards()).
-	nShards = (rungs + 1 + perShard - 1) / perShard
 
 	c := &Cache{
 		cfg: cfg, ds: ds, minSigma: minSigma, maxSigma: maxSigma,
 		logMin: math.Log(minSigma), logDs: math.Log(ds),
-		rungs: rungs, perShard: perShard,
-		shards: make([]shard, nShards),
+		rungs:  rungs,
+		ladder: make([]*Entry, rungs+1),
 	}
-	for q := 0; q <= rungs; q++ {
-		sh := &c.shards[q/perShard]
-		sh.entries = append(sh.entries, c.computeEntry(c.rungSigma(q)))
+	for q := range c.ladder {
+		c.ladder[q] = c.computeEntry(c.rungSigma(q))
 	}
 	return c, nil
 }
@@ -233,19 +200,6 @@ func New(cfg Config, minSigma, maxSigma float64) (*Cache, error) {
 //tspdb:kernel
 func (c *Cache) rungSigma(q int) float64 {
 	return c.minSigma * math.Pow(c.ds, float64(q))
-}
-
-// entry returns the grid of rung q under the owning shard's read lock,
-// counting the hit on that shard's counter.
-//
-//tspdb:kernel
-func (c *Cache) entry(q int) *Entry {
-	sh := &c.shards[q/c.perShard]
-	sh.mu.RLock()
-	e := sh.entries[q%c.perShard]
-	sh.mu.RUnlock()
-	sh.hits.Add(1)
-	return e
 }
 
 // computeEntry evaluates the zero-mean Gaussian CDF grid for sigma.
@@ -265,16 +219,13 @@ func (c *Cache) RatioThreshold() float64 { return c.ds }
 // SigmaRange returns the [min, max] sigma range the cache covers.
 func (c *Cache) SigmaRange() (lo, hi float64) { return c.minSigma, c.maxSigma }
 
-// Shards returns the number of shards the rung ladder is split across.
-func (c *Cache) Shards() int { return len(c.shards) }
-
 // Lookup returns the cached grid approximating N(0, sigma^2): the ladder
 // rung with the largest key <= sigma (Theorem 1 requires the cached sigma to
 // be the smaller one). The boolean reports a cache hit; on a miss (sigma
 // outside the covered range) the caller must compute directly.
 //
 // Lookup is safe for concurrent use: rung addressing is pure arithmetic, the
-// grid read takes one shard's read lock, and the counters are atomic.
+// ladder is read-only, and the counters are atomic.
 //
 //tspdb:kernel
 func (c *Cache) Lookup(sigma float64) (*Entry, bool) {
@@ -297,52 +248,20 @@ func (c *Cache) Lookup(sigma float64) (*Entry, bool) {
 	for q > 0 && c.rungSigma(q) > sigma {
 		q--
 	}
-	return c.entry(q), true
+	c.hits.Add(1)
+	return c.ladder[q], true
 }
 
-// Stats returns hit/miss counts and the approximate resident size. Hits are
-// summed across the per-shard counters.
+// Stats returns hit/miss counts and the approximate resident size.
 func (c *Cache) Stats() Stats {
 	const keyOverhead = 16 // entry pointer + Sigma key per rung
-	var hits int64
-	for i := range c.shards {
-		hits += c.shards[i].hits.Load()
-	}
 	entries := c.rungs + 1
 	return Stats{
-		Hits:        int(hits),
+		Hits:        int(c.hits.Load()),
 		Misses:      int(c.misses.Load()),
 		Entries:     entries,
 		ApproxBytes: entries * ((c.cfg.N+1)*8 + keyOverhead),
 	}
-}
-
-// ShardStat describes one shard of the rung ladder: its hit count and the
-// rungs (with their resident size) it owns. Misses have no shard — a miss
-// is a sigma outside the ladder entirely — so they appear only in Stats.
-type ShardStat struct {
-	Hits        int
-	Entries     int
-	ApproxBytes int
-}
-
-// ShardStats returns per-shard counters, in shard order — the unflattened
-// form of Stats for /metrics and cache-balance diagnostics.
-func (c *Cache) ShardStats() []ShardStat {
-	const keyOverhead = 16
-	out := make([]ShardStat, len(c.shards))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		entries := len(sh.entries)
-		sh.mu.RUnlock()
-		out[i] = ShardStat{
-			Hits:        int(sh.hits.Load()),
-			Entries:     entries,
-			ApproxBytes: entries * ((c.cfg.N+1)*8 + keyOverhead),
-		}
-	}
-	return out
 }
 
 // MaxHellingerError returns the worst-case Hellinger distance between a
@@ -354,18 +273,4 @@ func (c *Cache) MaxHellingerError() float64 {
 		return math.NaN()
 	}
 	return h
-}
-
-// Entries returns the cached sigmas in ascending order (diagnostics).
-func (c *Cache) Entries() []float64 {
-	out := make([]float64, 0, c.rungs+1)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			out = append(out, e.Sigma)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }

@@ -68,10 +68,21 @@ func TestDistanceConstraintGuaranteed(t *testing.T) {
 }
 
 func TestMemoryConstraintGuaranteed(t *testing.T) {
-	for _, qPrime := range []int{2, 5, 10, 50} {
-		c := newCache(t, Config{Delta: 0.1, N: 50, MemoryConstraint: qPrime}, 0.1, 100)
-		if got := c.Stats().Entries; got > qPrime {
-			t.Errorf("Q'=%d: %d entries cached", qPrime, got)
+	// On [1, 1.5], log(D_s)/log(d_s) lands a hair above Q'-1 in floating
+	// point for Q' = 68 and 300, which must not buy an extra rung.
+	for _, span := range [][2]float64{{0.1, 100}, {1, 1.5}} {
+		lo, hi := span[0], span[1]
+		for _, qPrime := range []int{1, 2, 5, 10, 50, 68, 300} {
+			c := newCache(t, Config{Delta: 0.1, N: 50, MemoryConstraint: qPrime}, lo, hi)
+			if got := c.Stats().Entries; got > qPrime {
+				t.Errorf("Q'=%d on [%v, %v]: %d entries cached", qPrime, lo, hi, got)
+			}
+			// However few rungs the budget leaves, every in-range sigma hits.
+			for _, sigma := range []float64{lo, (lo + hi) / 2, hi} {
+				if _, ok := c.Lookup(sigma); !ok {
+					t.Errorf("Q'=%d on [%v, %v]: sigma=%v missed", qPrime, lo, hi, sigma)
+				}
+			}
 		}
 	}
 }
@@ -195,7 +206,10 @@ func TestApproxBytesScalesWithN(t *testing.T) {
 
 func TestRungLadderCoversRange(t *testing.T) {
 	c := newCache(t, Config{Delta: 0.05, N: 20, DistanceConstraint: 0.02}, 0.3, 47)
-	keys := c.Entries()
+	keys := make([]float64, len(c.ladder))
+	for i, e := range c.ladder {
+		keys[i] = e.Sigma
+	}
 	if len(keys) < 2 {
 		t.Fatalf("too few rungs: %v", keys)
 	}
@@ -210,6 +224,26 @@ func TestRungLadderCoversRange(t *testing.T) {
 		r := keys[i] / keys[i-1]
 		if math.Abs(r-c.RatioThreshold()) > 1e-9 {
 			t.Errorf("rung ratio %v != d_s %v", r, c.RatioThreshold())
+		}
+	}
+}
+
+// TestLookupAllocatesNothing pins the kernel rule at run time: neither a hit
+// nor a miss allocates.
+func TestLookupAllocatesNothing(t *testing.T) {
+	c := newCache(t, Config{Delta: 0.05, N: 100, DistanceConstraint: 0.01}, 0.5, 8)
+	for _, tc := range []struct {
+		name  string
+		sigma float64
+		hit   bool
+	}{{"hit", 3.7, true}, {"miss", 20, false}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := c.Lookup(tc.sigma); ok != tc.hit {
+				t.Fatalf("%s: Lookup(%v) hit = %v", tc.name, tc.sigma, ok)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per Lookup, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -18,7 +18,8 @@
 // worker pool, each tuple in its own slot of one pre-sized array; the
 // output is byte-identical to a sequential run regardless of scheduling.
 // Generate is a plain sequential loop: it costs well under a microsecond
-// per tuple. The shared sigma-cache is safe for concurrent readers.
+// per tuple. The sigma-cache is read-only after construction, so builders
+// may share one from any number of goroutines.
 package view
 
 import (
