@@ -1,10 +1,10 @@
 // Package analysis is tspdb's project-specific static-analysis suite: a
 // small go/analysis-style framework (built on the standard library's
 // go/ast and go/types, because this module takes no external
-// dependencies) plus the five analyzers that machine-check the engine's
+// dependencies) plus the six analyzers that machine-check the engine's
 // cross-PR invariants — locking discipline, sentinel-error matching,
-// hot-path allocation rules, WAL write/sync/rename ordering and obs
-// metric registration hygiene.
+// hot-path allocation rules, WAL write/sync/rename ordering, obs metric
+// registration hygiene and exported API without a caller.
 //
 // The cmd/tspdblint multichecker runs every analyzer over the module and
 // exits non-zero on any finding; `go test ./internal/analysis/...` proves
@@ -45,6 +45,7 @@ type Pkg struct {
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Pkg
+	Root string // the main module's directory
 }
 
 // Diagnostic is one finding.
@@ -77,6 +78,7 @@ func All() []*Analyzer {
 		HotPathAlloc(),
 		WALOrder(DefaultWALOrderScope),
 		ObsReg(),
+		DeadAPI("bench", "server.Client"),
 	}
 }
 

@@ -110,3 +110,11 @@ func TestObsRegFixture(t *testing.T) {
 		t.Errorf("suppressed = %d, want 1 (the //lint:ignore'd legacy metric)", suppressed)
 	}
 }
+
+func TestDeadAPIFixture(t *testing.T) {
+	a := DeadAPI("deadapi/bench", "server.Client")
+	runFixture(t, "deadapi", a)
+	// A run over one package reports exactly what the full run reports
+	// there: uses still come from the whole module and its second module.
+	runFixture(t, "deadapi/internal/lib", a)
+}

@@ -26,6 +26,7 @@ type listPkg struct {
 	GoFiles    []string
 	Module     *struct {
 		Path string
+		Dir  string
 		Main bool
 	}
 	Error *struct {
@@ -94,6 +95,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 		local[lp.ImportPath] = pkg.Types
 		prog.Pkgs = append(prog.Pkgs, pkg)
+		prog.Root = lp.Module.Dir
 	}
 	if len(prog.Pkgs) == 0 {
 		return nil, fmt.Errorf("analysis: no main-module packages matched %v in %s", patterns, dir)

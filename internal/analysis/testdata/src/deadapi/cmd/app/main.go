@@ -1,0 +1,18 @@
+// Command app is the fixture module's only non-test user of lib.
+package main
+
+import (
+	"fmt"
+
+	"fixtures/deadapi/internal/lib"
+)
+
+type measurer interface{ Measure() lib.Unit }
+
+func main() {
+	t := lib.NewThing()
+	fmt.Fprint(t, "hello")
+	lib.UsedByOther()
+	var m measurer = t
+	fmt.Println(t.Used(), lib.Total(t), m.Measure())
+}

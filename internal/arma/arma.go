@@ -19,7 +19,6 @@ package arma
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 	"repro/internal/stat"
@@ -41,9 +40,6 @@ type Model struct {
 	Sigma2 float64   // innovation variance estimate
 	n      int       // observations used in fitting
 }
-
-// Order returns (p, q).
-func (m *Model) Order() (p, q int) { return m.P, m.Q }
 
 // String implements fmt.Stringer.
 func (m *Model) String() string {
@@ -221,26 +217,4 @@ func FitForecast(window []float64, p, q int) (rhat float64, model *Model, err er
 		return 0, nil, err
 	}
 	return rhat, model, nil
-}
-
-// LogLikelihood returns the Gaussian conditional log-likelihood of the model
-// on xs using the innovation variance Sigma2.
-func (m *Model) LogLikelihood(xs []float64) float64 {
-	if m.Sigma2 <= 0 {
-		return math.Inf(-1)
-	}
-	a := m.ResidualsOf(xs)
-	start := max(m.P, m.Q)
-	ll := 0.0
-	for _, ai := range a[start:] {
-		ll += -0.5*math.Log(2*math.Pi*m.Sigma2) - ai*ai/(2*m.Sigma2)
-	}
-	return ll
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

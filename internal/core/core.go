@@ -187,20 +187,6 @@ func (e *Engine) ExecStmt(stmt query.Stmt) (*query.Result, error) {
 	return e.finishExec(query.ExecStmtWith(e.db, stmt, query.Options{Parallelism: e.Parallelism()}))
 }
 
-// ExecBatch parses and executes a semicolon-separated batch of statements.
-// Consecutive EXPECTED / PROB / COUNT aggregates over one view, window and
-// value range are fused into a single column scan (see query.ExecBatch);
-// results are identical to executing the statements one at a time. The
-// first failing statement aborts the batch, returning the results completed
-// before it alongside the error.
-func (e *Engine) ExecBatch(q string) ([]*query.Result, error) {
-	results, err := query.ExecBatch(e.db, q, query.Options{Parallelism: e.Parallelism()})
-	for _, res := range results {
-		e.absorbCacheStats(res)
-	}
-	return results, err
-}
-
 func (e *Engine) finishExec(res *query.Result, err error) (*query.Result, error) {
 	if err != nil {
 		return nil, err

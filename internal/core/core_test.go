@@ -50,55 +50,6 @@ func TestEngineOfflineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestEngineExecBatch(t *testing.T) {
-	e := NewEngine()
-	if err := e.RegisterSeries("raw_values", arSeries(400, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec(`CREATE VIEW pv AS DENSITY r OVER t
-		OMEGA delta=0.5, n=6 WINDOW 90
-		FROM raw_values WHERE t >= 100 AND t <= 200`); err != nil {
-		t.Fatal(err)
-	}
-
-	// The aggregate run fuses into one scan; results match solo execution.
-	results, err := e.ExecBatch(
-		"SELECT EXPECTED FROM pv WHERE t >= 120 AND t <= 140;" +
-			"SELECT COUNT(-50, 50) FROM pv WHERE t >= 120 AND t <= 140")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-	for i, res := range results {
-		if res.Stats.Path != "fused" {
-			t.Errorf("statement %d: path = %q, want fused", i, res.Stats.Path)
-		}
-	}
-	solo, err := e.Exec("SELECT EXPECTED FROM pv WHERE t >= 120 AND t <= 140")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results[0].Rows) != len(solo.Rows) {
-		t.Fatalf("fused rows = %d, solo = %d", len(results[0].Rows), len(solo.Rows))
-	}
-	for i, row := range results[0].Rows {
-		if row[0] != solo.Rows[i][0] || row[1] != solo.Rows[i][1] {
-			t.Fatalf("row %d: fused %v, solo %v", i, row, solo.Rows[i])
-		}
-	}
-
-	// A failing statement aborts the batch with the prior results.
-	results, err = e.ExecBatch("SHOW TABLES; SELECT EXPECTED FROM missing")
-	if err == nil {
-		t.Fatal("batch with missing table succeeded")
-	}
-	if len(results) != 1 {
-		t.Fatalf("partial results = %d, want 1", len(results))
-	}
-}
-
 func TestEngineRegisterTableCustomColumns(t *testing.T) {
 	e := NewEngine()
 	if err := e.RegisterTable("sensors", "time", "temp", arSeries(200, 2)); err != nil {

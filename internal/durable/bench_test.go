@@ -81,7 +81,7 @@ func BenchmarkRecoveryReplay200k(b *testing.B) {
 		}
 	}
 	// One explicit barrier so the whole log survives the crash image.
-	if err := st.Sync(); err != nil {
+	if err := st.log.Sync(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -638,10 +637,6 @@ func (s *Store) checkpointLoop() {
 	}
 }
 
-// Sync places an explicit durability barrier on the WAL (used by callers
-// running with Fsync off).
-func (s *Store) Sync() error { return s.log.Sync() }
-
 // Close stops the background checkpointer, runs a final checkpoint so
 // restart replays an empty WAL, detaches the catalog, and closes the
 // log. Safe to call more than once: closeErr is written only inside the
@@ -660,15 +655,4 @@ func (s *Store) Close() error {
 		}
 	})
 	return s.closeErr
-}
-
-// Tables returns the names of all durable tables, sorted — a small debug
-// aid for tests and tooling.
-func (s *Store) Tables() []string {
-	var names []string
-	for _, ti := range s.db.List() {
-		names = append(names, ti.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -42,9 +42,6 @@ type Model struct {
 	LogL   float64   // attained quasi-log-likelihood
 }
 
-// Order returns (m, s).
-func (g *Model) Order() (m, s int) { return g.M, g.S }
-
 // Persistence returns sum(alpha) + sum(beta); stationarity requires < 1.
 func (g *Model) Persistence() float64 {
 	p := 0.0

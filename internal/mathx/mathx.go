@@ -1,8 +1,8 @@
 // Package mathx provides the scalar special functions that the rest of the
 // repository builds on: the normal CDF and interval probabilities, the
 // regularised incomplete gamma function, the chi-squared distribution (whose
-// quantile starts from the standard normal quantile), and the Hellinger
-// distance between Gaussian distributions.
+// quantile starts from the standard normal quantile), and the sigma-cache's
+// ratio thresholds (Theorems 1 and 2 of the paper).
 //
 // Everything is implemented from scratch on top of the math package so the
 // module stays dependency-free. Accuracy targets are documented per function;
@@ -249,31 +249,6 @@ func chiSquaredPDF(x, k float64) float64 {
 	}
 	lg, _ := math.Lgamma(k / 2)
 	return math.Exp((k/2-1)*math.Log(x) - x/2 - k/2*math.Ln2 - lg)
-}
-
-// HellingerNormal returns the Hellinger distance H between two Gaussian
-// distributions N(mu1, s1^2) and N(mu2, s2^2):
-//
-//	H^2 = 1 - sqrt(2*s1*s2/(s1^2+s2^2)) * exp(-(mu1-mu2)^2/(4*(s1^2+s2^2)))
-//
-// Both standard deviations must be positive.
-func HellingerNormal(mu1, s1, mu2, s2 float64) (float64, error) {
-	if s1 <= 0 || s2 <= 0 {
-		return math.NaN(), ErrDomain
-	}
-	v := s1*s1 + s2*s2
-	h2 := 1 - math.Sqrt(2*s1*s2/v)*math.Exp(-(mu1-mu2)*(mu1-mu2)/(4*v))
-	if h2 < 0 {
-		h2 = 0 // guard against rounding below zero
-	}
-	return math.Sqrt(h2), nil
-}
-
-// HellingerEqualMean returns the Hellinger distance between two zero-mean (or
-// mean-shifted, per the paper's argument in Section VI-A) Gaussians with
-// standard deviations s1 and s2. This is Eq. (10) of the paper.
-func HellingerEqualMean(s1, s2 float64) (float64, error) {
-	return HellingerNormal(0, s1, 0, s2)
 }
 
 // RatioThresholdForDistance returns the largest ratio threshold d_s that

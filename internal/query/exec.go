@@ -94,12 +94,6 @@ func ResolveParallelism(n int) int {
 	return n
 }
 
-// Exec parses and executes a statement against the catalog with default
-// options.
-func Exec(db *storage.DB, input string) (*Result, error) {
-	return ExecWith(db, input, Options{})
-}
-
 // ExecWith parses and executes a statement against the catalog.
 func ExecWith(db *storage.DB, input string, opts Options) (*Result, error) {
 	stmt, err := Parse(input)
@@ -107,12 +101,6 @@ func ExecWith(db *storage.DB, input string, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return ExecStmtWith(db, stmt, opts)
-}
-
-// ExecStmt executes a parsed statement against the catalog with default
-// options.
-func ExecStmt(db *storage.DB, stmt Stmt) (*Result, error) {
-	return ExecStmtWith(db, stmt, Options{})
 }
 
 // ExecStmtWith executes a parsed statement against the catalog.

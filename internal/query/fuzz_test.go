@@ -59,7 +59,7 @@ func TestParseNeverPanicsOnTokenSoup(t *testing.T) {
 // without panicking (errors are fine: tables may not exist).
 func TestExecNeverPanicsOnParsedSoup(t *testing.T) {
 	db := newTestDB(t, 200)
-	if _, err := Exec(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=2 WINDOW 90 FROM raw_values WHERE t >= 100 AND t <= 105"); err != nil {
+	if _, err := ExecWith(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=2 WINDOW 90 FROM raw_values WHERE t >= 100 AND t <= 105", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	vocab := []string{
@@ -85,7 +85,7 @@ func TestExecNeverPanicsOnParsedSoup(t *testing.T) {
 					t.Fatalf("exec panic on %q: %v", input, r)
 				}
 			}()
-			_, _ = ExecStmt(db, stmt)
+			_, _ = ExecStmtWith(db, stmt, Options{})
 		}()
 	}
 }

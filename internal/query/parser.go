@@ -5,9 +5,11 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
-// Parse lexes and parses a single statement.
+// Parse lexes and parses a single statement. It may end in one ';'; any
+// input after that but white space is an error, never a dropped statement.
 func Parse(input string) (Stmt, error) {
 	toks, err := Lex(input)
 	if err != nil {
@@ -20,6 +22,11 @@ func Parse(input string) (Stmt, error) {
 	}
 	if p.peek().Kind != TokEOF {
 		return nil, p.errf("unexpected %q after statement", p.peek().Text)
+	}
+	if end := p.peek(); end.Text == ";" {
+		if rest := strings.TrimLeftFunc(input[end.Pos+1:], unicode.IsSpace); rest != "" {
+			return nil, &SyntaxError{Pos: len(input) - len(rest), Msg: "unexpected input after ';': a query is one statement"}
+		}
 	}
 	return stmt, nil
 }
@@ -305,6 +312,7 @@ func (p *parser) parseMetricSpec() (*MetricSpec, error) {
 // order; at least one bound is required.
 func (p *parser) parseTimeRange(timeCol string) (*TimeRange, error) {
 	tr := &TimeRange{Lo: math.MinInt64, Hi: math.MaxInt64}
+	loOK, hiOK := true, true // false: no int64 time meets that side's bound
 	seen := 0
 	for {
 		col, err := p.expectIdent("time column in WHERE")
@@ -321,16 +329,16 @@ func (p *parser) parseTimeRange(timeCol string) (*TimeRange, error) {
 		}
 		switch op.Kind {
 		case TokGE:
-			tr.Lo = int64(math.Ceil(v))
+			tr.Lo, loOK = atLeast(math.Ceil(v), false)
 		case TokGT:
-			tr.Lo = int64(math.Floor(v)) + 1
+			tr.Lo, loOK = atLeast(math.Floor(v), true)
 		case TokLE:
-			tr.Hi = int64(math.Floor(v))
+			tr.Hi, hiOK = atMost(math.Floor(v), false)
 		case TokLT:
-			tr.Hi = int64(math.Ceil(v)) - 1
+			tr.Hi, hiOK = atMost(math.Ceil(v), true)
 		case TokEquals:
-			tr.Lo = int64(v)
-			tr.Hi = int64(v)
+			tr.Lo, loOK = atLeast(math.Ceil(v), false)
+			tr.Hi, hiOK = atMost(math.Floor(v), false)
 		default:
 			return nil, p.errf("expected a comparison operator, found %q", op.Text)
 		}
@@ -343,10 +351,45 @@ func (p *parser) parseTimeRange(timeCol string) (*TimeRange, error) {
 	if seen == 0 {
 		return nil, p.errf("WHERE requires at least one bound")
 	}
+	if !loOK || !hiOK {
+		return nil, p.errf("empty time range: no int64 time meets the WHERE bounds")
+	}
 	if tr.Lo > tr.Hi {
 		return nil, p.errf("empty time range [%d, %d]", tr.Lo, tr.Hi)
 	}
 	return tr, nil
+}
+
+// Time bounds saturate: Go leaves converting a float outside int64's range
+// implementation-defined.
+const two63 = 0x1p63 // -two63 is MinInt64; two63 is MaxInt64+1
+
+// atLeast returns the least int64 t >= f, or t > f when strict, for an
+// integer-valued f; ok is false when there is none.
+func atLeast(f float64, strict bool) (t int64, ok bool) {
+	switch {
+	case f < -two63:
+		return math.MinInt64, true
+	case f >= two63:
+		return 0, false
+	case strict:
+		return int64(f) + 1, true // f < 2^63 is at most MaxInt64-1023
+	}
+	return int64(f), true
+}
+
+// atMost returns the greatest int64 t <= f, or t < f when strict, for an
+// integer-valued f; ok is false when there is none.
+func atMost(f float64, strict bool) (t int64, ok bool) {
+	switch {
+	case f >= two63:
+		return math.MaxInt64, true
+	case f < -two63, strict && f == -two63:
+		return 0, false
+	case strict:
+		return int64(f) - 1, true
+	}
+	return int64(f), true
 }
 
 // parseSelect parses SELECT (*|aggregate) FROM <table> [WHERE ...] [LIMIT k].

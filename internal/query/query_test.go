@@ -194,6 +194,95 @@ func TestParseStrictInequalities(t *testing.T) {
 	}
 }
 
+// TestParseOneStatement pins that a query is one statement: one trailing ';'
+// is allowed, and anything else after it is a SyntaxError at its position,
+// never a second statement dropped unread.
+func TestParseOneStatement(t *testing.T) {
+	cases := []struct {
+		q       string
+		wantPos int // -1: accepted
+	}{
+		{"SHOW TABLES", -1},
+		{"SHOW TABLES;", -1},
+		{"SHOW TABLES ; \n\t", -1},
+		{"SELECT COUNT(1,2) FROM pv; DROP TABLE pv", 27},
+		{"SELECT COUNT(1,2) FROM pv;DROP TABLE pv", 26},
+		{"SHOW TABLES;;", 12},
+		{"SHOW TABLES; garbage @#$", 13},
+		{"DROP TABLE pv;\nSHOW TABLES;", 15},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.q)
+		if c.wantPos < 0 {
+			if err != nil {
+				t.Errorf("%q: %v", c.q, err)
+			}
+			continue
+		}
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Pos != c.wantPos {
+			t.Errorf("%q: err = %v, want a SyntaxError at %d", c.q, err, c.wantPos)
+		}
+	}
+}
+
+// TestParseWhereBoundsSaturate pins the conversion of WHERE bounds to int64
+// times: a bound past either end of the int64 axis saturates, and one that
+// no int64 time can meet is the empty-range SyntaxError.
+func TestParseWhereBoundsSaturate(t *testing.T) {
+	const big = 1 << 60 // exact in float64, with neighbours that are not
+	cases := []struct {
+		where  string
+		lo, hi int64
+		empty  bool
+	}{
+		{where: "t >= 1e30", empty: true},
+		{where: "t <= 1e30", lo: math.MinInt64, hi: math.MaxInt64},
+		{where: "t >= -1e30", lo: math.MinInt64, hi: math.MaxInt64},
+		{where: "t <= -1e30", empty: true},
+		{where: "t > 9223372036854775807", empty: true},
+		{where: "t < 9223372036854775807", lo: math.MinInt64, hi: math.MaxInt64},
+		{where: "t < -9223372036854775808", empty: true},
+		{where: "t <= -9223372036854775808", lo: math.MinInt64, hi: math.MinInt64},
+		{where: "t > -9223372036854775808", lo: math.MinInt64 + 1, hi: math.MaxInt64},
+		{where: "t = 5.5", empty: true},
+		{where: "t = 1e30", empty: true},
+		{where: "t = 7", lo: 7, hi: 7},
+		{where: "t > 4.5 AND t < 7.5", lo: 5, hi: 7},
+		{where: "t > 1152921504606846976", lo: big + 1, hi: math.MaxInt64},
+		{where: "t < 1152921504606846976", lo: math.MinInt64, hi: big - 1},
+	}
+	for _, c := range cases {
+		for _, q := range []string{
+			"SELECT * FROM pv WHERE " + c.where,
+			"CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM raw WHERE " + c.where,
+		} {
+			stmt, err := Parse(q)
+			if c.empty {
+				var se *SyntaxError
+				if !errors.As(err, &se) || !strings.Contains(se.Msg, "empty time range") {
+					t.Errorf("%q: err = %v, want the empty-range SyntaxError", q, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%q: %v", q, err)
+				continue
+			}
+			var w *TimeRange
+			switch s := stmt.(type) {
+			case *SelectStmt:
+				w = s.Where
+			case *CreateViewStmt:
+				w = s.Where
+			}
+			if w.Lo != c.lo || w.Hi != c.hi {
+				t.Errorf("%q: range [%d, %d], want [%d, %d]", q, w.Lo, w.Hi, c.lo, c.hi)
+			}
+		}
+	}
+}
+
 func newTestDB(t *testing.T, n int) *storage.DB {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -210,9 +299,9 @@ func newTestDB(t *testing.T, n int) *storage.DB {
 
 func TestExecCreateViewEndToEnd(t *testing.T) {
 	db := newTestDB(t, 400)
-	res, err := Exec(db, `CREATE VIEW pv AS DENSITY r OVER t
+	res, err := ExecWith(db, `CREATE VIEW pv AS DENSITY r OVER t
 		OMEGA delta=0.5, n=8 WINDOW 90
-		FROM raw_values WHERE t >= 100 AND t <= 150`)
+		FROM raw_values WHERE t >= 100 AND t <= 150`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +333,9 @@ func TestExecCreateViewEndToEnd(t *testing.T) {
 
 func TestExecCreateViewWithCache(t *testing.T) {
 	db := newTestDB(t, 400)
-	res, err := Exec(db, `CREATE VIEW pv AS DENSITY r OVER t
+	res, err := ExecWith(db, `CREATE VIEW pv AS DENSITY r OVER t
 		OMEGA delta=0.5, n=8 WINDOW 90 CACHE DISTANCE 0.01
-		FROM raw_values WHERE t >= 100 AND t <= 200`)
+		FROM raw_values WHERE t >= 100 AND t <= 200`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +357,7 @@ func TestExecCreateViewMetrics(t *testing.T) {
 	} {
 		q := "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 WINDOW 90 " +
 			metric + " FROM raw_values WHERE t >= 150 AND t <= 160"
-		if _, err := Exec(db, q); err != nil {
+		if _, err := ExecWith(db, q, Options{}); err != nil {
 			t.Errorf("%s: %v", metric, err)
 		}
 	}
@@ -312,7 +401,7 @@ func TestExecErrors(t *testing.T) {
 		"DROP TABLE missing",
 	}
 	for _, q := range cases {
-		if _, err := Exec(db, q); err == nil {
+		if _, err := ExecWith(db, q, Options{}); err == nil {
 			t.Errorf("accepted: %q", q)
 		}
 	}
@@ -320,10 +409,10 @@ func TestExecErrors(t *testing.T) {
 
 func TestExecSelectFromView(t *testing.T) {
 	db := newTestDB(t, 300)
-	if _, err := Exec(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=2 WINDOW 90 FROM raw_values WHERE t >= 100 AND t <= 110"); err != nil {
+	if _, err := ExecWith(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=2 WINDOW 90 FROM raw_values WHERE t >= 100 AND t <= 110", Options{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exec(db, "SELECT * FROM pv WHERE t = 105")
+	res, err := ExecWith(db, "SELECT * FROM pv WHERE t = 105", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +423,7 @@ func TestExecSelectFromView(t *testing.T) {
 		t.Errorf("columns: %v", res.Columns)
 	}
 	// Limit applies.
-	res, err = Exec(db, "SELECT * FROM pv LIMIT 3")
+	res, err = ExecWith(db, "SELECT * FROM pv LIMIT 3", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +434,7 @@ func TestExecSelectFromView(t *testing.T) {
 
 func TestExecSelectFromRawTable(t *testing.T) {
 	db := newTestDB(t, 50)
-	res, err := Exec(db, "SELECT * FROM raw_values WHERE t >= 10 AND t <= 12")
+	res, err := ExecWith(db, "SELECT * FROM raw_values WHERE t >= 10 AND t <= 12", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +448,17 @@ func TestExecSelectFromRawTable(t *testing.T) {
 
 func TestExecShowTablesAndDrop(t *testing.T) {
 	db := newTestDB(t, 50)
-	res, err := Exec(db, "SHOW TABLES")
+	res, err := ExecWith(db, "SHOW TABLES", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != "raw_values" {
 		t.Errorf("show tables: %v", res.Rows)
 	}
-	if _, err := Exec(db, "DROP TABLE raw_values"); err != nil {
+	if _, err := ExecWith(db, "DROP TABLE raw_values", Options{}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = Exec(db, "SHOW TABLES")
+	res, _ = ExecWith(db, "SHOW TABLES", Options{})
 	if len(res.Rows) != 0 {
 		t.Error("table not dropped")
 	}
@@ -409,11 +498,11 @@ func TestParseAggregates(t *testing.T) {
 
 func TestExecAggregates(t *testing.T) {
 	db := newTestDB(t, 300)
-	if _, err := Exec(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=8 WINDOW 90 FROM raw_values WHERE t >= 100 AND t <= 120"); err != nil {
+	if _, err := ExecWith(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=8 WINDOW 90 FROM raw_values WHERE t >= 100 AND t <= 120", Options{}); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := Exec(db, "SELECT EXPECTED FROM pv WHERE t >= 100 AND t <= 110")
+	res, err := ExecWith(db, "SELECT EXPECTED FROM pv WHERE t >= 100 AND t <= 110", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +510,7 @@ func TestExecAggregates(t *testing.T) {
 		t.Errorf("expected series: %d rows, cols %v", len(res.Rows), res.Columns)
 	}
 
-	res, err = Exec(db, "SELECT PROB(-100, 100) FROM pv LIMIT 5")
+	res, err = ExecWith(db, "SELECT PROB(-100, 100) FROM pv LIMIT 5", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +523,7 @@ func TestExecAggregates(t *testing.T) {
 		"SELECT ALLIN(-100, 100) FROM pv",
 		"SELECT COUNT(-100, 100) FROM pv",
 	} {
-		res, err := Exec(db, q)
+		res, err := ExecWith(db, q, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -444,17 +533,17 @@ func TestExecAggregates(t *testing.T) {
 	}
 
 	// ANY over a huge range must be ~1; ALLIN over a tiny far range ~0.
-	res, _ = Exec(db, "SELECT ANY(-10000, 10000) FROM pv")
+	res, _ = ExecWith(db, "SELECT ANY(-10000, 10000) FROM pv", Options{})
 	if res.Rows[0][0] != "1" {
 		t.Errorf("ANY(everything) = %v", res.Rows[0][0])
 	}
-	res, _ = Exec(db, "SELECT ALLIN(9000, 9001) FROM pv")
+	res, _ = ExecWith(db, "SELECT ALLIN(9000, 9001) FROM pv", Options{})
 	if res.Rows[0][0] != "0" {
 		t.Errorf("ALLIN(far range) = %v", res.Rows[0][0])
 	}
 
 	// Aggregates require a view.
-	if _, err := Exec(db, "SELECT EXPECTED FROM raw_values"); err == nil {
+	if _, err := ExecWith(db, "SELECT EXPECTED FROM raw_values", Options{}); err == nil {
 		t.Error("aggregate over raw table accepted")
 	}
 }
@@ -480,7 +569,7 @@ func TestExecWindowBelowMinimumIsRaised(t *testing.T) {
 	db := newTestDB(t, 300)
 	// WINDOW 5 is below ARMA-GARCH's minimum; the executor raises it rather
 	// than failing, so the query still runs.
-	res, err := Exec(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=2 WINDOW 5 FROM raw_values WHERE t >= 150 AND t <= 155")
+	res, err := ExecWith(db, "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=2 WINDOW 5 FROM raw_values WHERE t >= 150 AND t <= 155", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,12 @@ func FuzzSegmentOpen(f *testing.F) {
 		}
 		switch r.Kind {
 		case segment.KindView:
-			if _, err := r.AllViewRows(); err == nil {
+			if rows, err := r.AllViewRows(); err == nil {
 				// A fully valid decode must be internally consistent.
-				if lo, hi, ok := r.Bounds(); ok && lo > hi {
-					t.Fatalf("bounds inverted: [%d, %d]", lo, hi)
+				for i := 1; i < len(rows); i++ {
+					if rows[i].T < rows[i-1].T {
+						t.Fatalf("rows out of time order: t=%d after t=%d", rows[i].T, rows[i-1].T)
+					}
 				}
 			}
 		case segment.KindRaw:

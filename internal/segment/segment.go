@@ -341,7 +341,6 @@ type Reader struct {
 	Raw  RawMeta  // valid when Kind == KindRaw
 
 	groups []Group
-	rows   int
 }
 
 // Open reads and verifies a segment header. Block contents are not
@@ -419,7 +418,6 @@ func openBytes(fs wal.FS, path string, data []byte) (*Reader, error) {
 			return nil, fmt.Errorf("%w: block span outside file in %s", ErrCorrupt, path)
 		}
 		r.groups[i] = g
-		r.rows += int(g.Count)
 	}
 	crcEnd := d.off
 	want := d.uint32()
@@ -430,18 +428,6 @@ func openBytes(fs wal.FS, path string, data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("%w: header checksum mismatch in %s", ErrCorrupt, path)
 	}
 	return r, nil
-}
-
-// NumRows returns the total row (or point) count in the segment.
-func (r *Reader) NumRows() int { return r.rows }
-
-// Bounds returns the first and last block timestamps. ok is false for an
-// empty segment.
-func (r *Reader) Bounds() (lo, hi int64, ok bool) {
-	if len(r.groups) == 0 {
-		return 0, 0, false
-	}
-	return r.groups[0].T, r.groups[len(r.groups)-1].T, true
 }
 
 // readBlock fetches and CRC-verifies one block's payload.

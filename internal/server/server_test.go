@@ -287,6 +287,26 @@ func TestSyntaxErrorReportsPosition(t *testing.T) {
 	}
 }
 
+// TestQueryIsOneStatement pins that POST /query runs one statement: a second
+// one after ';' is a 400 and does not run, and so is a WHERE bound that no
+// int64 time can meet.
+func TestQueryIsOneStatement(t *testing.T) {
+	_, client, engine := newTestServer(t, Config{})
+	for _, q := range []string{
+		"SELECT * FROM campus WHERE t = 1; DROP TABLE campus",
+		"SELECT * FROM campus WHERE t >= 1e30",
+	} {
+		_, err := client.Exec(q)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Errorf("%q: got %v, want HTTP 400", q, err)
+		}
+	}
+	if n, err := engine.DB().RawLen("campus"); err != nil || n != 160 {
+		t.Fatalf("campus after the rejected batch: %d points, %v; want 160, nil", n, err)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	ts, client, _ := newTestServer(t, Config{})
 	if _, err := client.Exec(`CREATE VIEW mv AS DENSITY r OVER t OMEGA delta=0.5, n=8 WINDOW 16 CACHE DISTANCE 0.01 FROM campus WHERE t >= 40 AND t <= 120`); err != nil {

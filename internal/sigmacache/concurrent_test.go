@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/mathx"
 )
 
 // TestConcurrentLookup hammers one cache from many goroutines (run under
@@ -35,7 +33,7 @@ func TestConcurrentLookup(t *testing.T) {
 					errs <- "returned rung above query sigma"
 					return
 				}
-				h, err := mathx.HellingerEqualMean(e.Sigma, sigma)
+				h, err := hellingerEqualMean(e.Sigma, sigma)
 				if err != nil || h > hPrime*(1+1e-9) {
 					errs <- "distance constraint violated"
 					return

@@ -65,25 +65,6 @@ type Entry struct {
 	CDF []float64
 }
 
-// Rho returns the probability of the lambda-th Omega range,
-// lambda in [-N/2, N/2-1] (Eq. 9 after the mean shift).
-func (e *Entry) Rho(lambda, n int) (float64, error) {
-	i := lambda + n/2
-	if i < 0 || i+1 >= len(e.CDF) {
-		return 0, fmt.Errorf("%w: lambda=%d n=%d", ErrBadConfig, lambda, n)
-	}
-	return e.CDF[i+1] - e.CDF[i], nil
-}
-
-// Probs returns all N range probabilities in lambda order.
-func (e *Entry) Probs() []float64 {
-	out := make([]float64, len(e.CDF)-1)
-	for i := range out {
-		out[i] = e.CDF[i+1] - e.CDF[i]
-	}
-	return out
-}
-
 // Stats reports cache effectiveness.
 type Stats struct {
 	Hits    int
@@ -213,12 +194,6 @@ func (c *Cache) computeEntry(sigma float64) *Entry {
 	return &Entry{Sigma: sigma, CDF: grid}
 }
 
-// RatioThreshold returns the ratio threshold d_s in force.
-func (c *Cache) RatioThreshold() float64 { return c.ds }
-
-// SigmaRange returns the [min, max] sigma range the cache covers.
-func (c *Cache) SigmaRange() (lo, hi float64) { return c.minSigma, c.maxSigma }
-
 // Lookup returns the cached grid approximating N(0, sigma^2): the ladder
 // rung with the largest key <= sigma (Theorem 1 requires the cached sigma to
 // be the smaller one). The boolean reports a cache hit; on a miss (sigma
@@ -262,15 +237,4 @@ func (c *Cache) Stats() Stats {
 		Entries:     entries,
 		ApproxBytes: entries * ((c.cfg.N+1)*8 + keyOverhead),
 	}
-}
-
-// MaxHellingerError returns the worst-case Hellinger distance between a
-// queried sigma and the grid actually used, i.e. the distance at the ratio
-// threshold. For a distance-constrained cache this is <= the configured H'.
-func (c *Cache) MaxHellingerError() float64 {
-	h, err := mathx.HellingerEqualMean(1, c.ds)
-	if err != nil {
-		return math.NaN()
-	}
-	return h
 }

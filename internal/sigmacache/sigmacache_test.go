@@ -54,7 +54,7 @@ func TestDistanceConstraintGuaranteed(t *testing.T) {
 		if e.Sigma > sigma*(1+1e-9) {
 			t.Fatalf("cache returned larger sigma %v for query %v (Theorem 1 needs smaller)", e.Sigma, sigma)
 		}
-		h, err := mathx.HellingerEqualMean(e.Sigma, sigma)
+		h, err := hellingerEqualMean(e.Sigma, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,8 +62,9 @@ func TestDistanceConstraintGuaranteed(t *testing.T) {
 			t.Errorf("sigma=%v: Hellinger error %v exceeds H'=%v", sigma, h, hPrime)
 		}
 	}
-	if c.MaxHellingerError() > hPrime*(1+1e-9) {
-		t.Errorf("MaxHellingerError = %v", c.MaxHellingerError())
+	// The worst case is the distance at the ratio threshold itself.
+	if h, err := hellingerEqualMean(1, c.ds); err != nil || h > hPrime*(1+1e-9) {
+		t.Errorf("distance at d_s = %v (%v), want <= H'=%v", h, err, hPrime)
 	}
 }
 
@@ -158,34 +159,27 @@ func TestEntryGridMatchesDirectComputation(t *testing.T) {
 	}
 }
 
+// TestEntryRhoAndProbs checks the range probabilities a rung yields (Eq. 9
+// after the mean shift): rho_lambda = CDF[lambda+N/2+1] - CDF[lambda+N/2],
+// the differences the view builder takes of a cached grid.
 func TestEntryRhoAndProbs(t *testing.T) {
 	cfg := Config{Delta: 1, N: 4, DistanceConstraint: 0.001}
 	c := newCache(t, cfg, 1, 1)
 	e, _ := c.Lookup(1)
-	probs := e.Probs()
-	if len(probs) != 4 {
-		t.Fatalf("probs length %d", len(probs))
+	if len(e.CDF) != cfg.N+1 {
+		t.Fatalf("grid length %d, want N+1 = %d", len(e.CDF), cfg.N+1)
 	}
 	total := 0.0
 	for lambda := -2; lambda < 2; lambda++ {
-		rho, err := e.Rho(lambda, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rho != probs[lambda+2] {
-			t.Errorf("Rho(%d) = %v != Probs[%d] = %v", lambda, rho, lambda+2, probs[lambda+2])
+		rho := e.CDF[lambda+3] - e.CDF[lambda+2]
+		if !(rho > 0) {
+			t.Errorf("rho(%d) = %v, want > 0", lambda, rho)
 		}
 		total += rho
 	}
 	// Total over [-2, 2] of a standard normal: ~0.9545.
 	if math.Abs(total-0.954499736103642) > 1e-9 {
 		t.Errorf("total probability = %v", total)
-	}
-	if _, err := e.Rho(2, 4); err == nil {
-		t.Error("out-of-range lambda accepted")
-	}
-	if _, err := e.Rho(-3, 4); err == nil {
-		t.Error("out-of-range negative lambda accepted")
 	}
 }
 
@@ -216,14 +210,14 @@ func TestRungLadderCoversRange(t *testing.T) {
 	if math.Abs(keys[0]-0.3) > 1e-12 {
 		t.Errorf("first rung %v != min sigma", keys[0])
 	}
-	if keys[len(keys)-1] < 47/c.RatioThreshold() {
+	if keys[len(keys)-1] < 47/c.ds {
 		t.Errorf("last rung %v leaves the top of the range uncovered", keys[len(keys)-1])
 	}
 	// Consecutive rung ratios equal d_s.
 	for i := 1; i < len(keys); i++ {
 		r := keys[i] / keys[i-1]
-		if math.Abs(r-c.RatioThreshold()) > 1e-9 {
-			t.Errorf("rung ratio %v != d_s %v", r, c.RatioThreshold())
+		if math.Abs(r-c.ds) > 1e-9 {
+			t.Errorf("rung ratio %v != d_s %v", r, c.ds)
 		}
 	}
 }
@@ -257,11 +251,21 @@ func TestBothConstraintsMemoryWins(t *testing.T) {
 	}
 }
 
+// TestSigmaRangeAccessor checks that the cache answers exactly the sigma
+// range it was built for: both ends hit, the bottom on its own rung, and
+// just outside either end misses.
 func TestSigmaRangeAccessor(t *testing.T) {
 	c := newCache(t, Config{Delta: 0.05, N: 20, DistanceConstraint: 0.01}, 2, 5)
-	lo, hi := c.SigmaRange()
-	if lo != 2 || hi != 5 {
-		t.Errorf("range = [%v, %v]", lo, hi)
+	if e, ok := c.Lookup(2); !ok || e.Sigma != 2 {
+		t.Errorf("Lookup(lo) = %v, %v; want the rung at 2", e, ok)
+	}
+	if _, ok := c.Lookup(5); !ok {
+		t.Error("Lookup(hi) missed")
+	}
+	for _, sigma := range []float64{1.99, 5.01} {
+		if _, ok := c.Lookup(sigma); ok {
+			t.Errorf("Lookup(%v) hit outside [2, 5]", sigma)
+		}
 	}
 }
 
@@ -282,13 +286,108 @@ func TestQuickDistanceGuarantee(t *testing.T) {
 		if !ok {
 			return false
 		}
-		h, err := mathx.HellingerEqualMean(e.Sigma, q)
+		h, err := hellingerEqualMean(e.Sigma, q)
 		if err != nil {
 			return false
 		}
 		return h <= hPrime*(1+1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The paper's Eq. 10 and its general form are the oracle for Theorem 1: the
+// tests above measure the distance between a queried sigma and the rung the
+// cache answers with.
+
+// hellingerNormal returns the Hellinger distance H between two Gaussian
+// distributions N(mu1, s1^2) and N(mu2, s2^2):
+//
+//	H^2 = 1 - sqrt(2*s1*s2/(s1^2+s2^2)) * exp(-(mu1-mu2)^2/(4*(s1^2+s2^2)))
+//
+// Both standard deviations must be positive.
+func hellingerNormal(mu1, s1, mu2, s2 float64) (float64, error) {
+	if s1 <= 0 || s2 <= 0 {
+		return math.NaN(), mathx.ErrDomain
+	}
+	v := s1*s1 + s2*s2
+	h2 := 1 - math.Sqrt(2*s1*s2/v)*math.Exp(-(mu1-mu2)*(mu1-mu2)/(4*v))
+	if h2 < 0 {
+		h2 = 0 // guard against rounding below zero
+	}
+	return math.Sqrt(h2), nil
+}
+
+// hellingerEqualMean returns the Hellinger distance between two zero-mean (or
+// mean-shifted, per the paper's argument in Section VI-A) Gaussians with
+// standard deviations s1 and s2. This is Eq. (10) of the paper.
+func hellingerEqualMean(s1, s2 float64) (float64, error) {
+	return hellingerNormal(0, s1, 0, s2)
+}
+
+// near reports whether got is within tol of want. It is false when either
+// value is NaN, so a NaN result fails every check written with it.
+func near(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol
+}
+
+func TestHellingerNormalProperties(t *testing.T) {
+	// Identical distributions have distance 0.
+	h, err := hellingerNormal(1, 2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !near(h, 0, 1e-12) {
+		t.Errorf("H(same,same) = %v, want 0", h)
+	}
+	// Symmetry.
+	h1, _ := hellingerNormal(0, 1, 3, 2)
+	h2, _ := hellingerNormal(3, 2, 0, 1)
+	if !near(h1, h2, 1e-12) {
+		t.Errorf("asymmetric: %v vs %v", h1, h2)
+	}
+	// Bounded in [0, 1].
+	if !(h1 >= 0 && h1 <= 1) {
+		t.Errorf("H out of range: %v", h1)
+	}
+	// Far-apart means approach 1.
+	hFar, _ := hellingerNormal(0, 1, 1000, 1)
+	if !(hFar >= 0.999) {
+		t.Errorf("far means should give H ~ 1, got %v", hFar)
+	}
+	if _, err := hellingerNormal(0, -1, 0, 1); err == nil {
+		t.Error("expected domain error for s1<=0")
+	}
+}
+
+func TestHellingerEqualMeanMatchesEq10(t *testing.T) {
+	// Eq. (10): H^2 = 1 - sqrt(2 s1 s2 / (s1^2+s2^2)).
+	for _, c := range [][2]float64{{1, 1}, {1, 2}, {0.5, 3}, {4, 4.00001}} {
+		h, err := hellingerEqualMean(c[0], c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Sqrt(1 - math.Sqrt(2*c[0]*c[1]/(c[0]*c[0]+c[1]*c[1])))
+		if !near(h, want, 1e-12) {
+			t.Errorf("H(%v,%v) = %v, want %v", c[0], c[1], h, want)
+		}
+	}
+}
+
+// Property: Hellinger distance between equal-variance Gaussians is within
+// [0,1] and zero iff sigmas match.
+func TestQuickHellingerRange(t *testing.T) {
+	f := func(a, b float64) bool {
+		s1 := 0.1 + math.Abs(math.Mod(a, 100))
+		s2 := 0.1 + math.Abs(math.Mod(b, 100))
+		h, err := hellingerEqualMean(s1, s2)
+		if err != nil {
+			return false
+		}
+		return h >= 0 && h <= 1
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }

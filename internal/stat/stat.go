@@ -73,20 +73,17 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
-// Accumulator maintains streaming mean and variance via Welford's algorithm.
-// The zero value is an empty accumulator ready for use.
+// Accumulator maintains a streaming mean (Welford's update). The zero value
+// is an empty accumulator ready for use.
 type Accumulator struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add incorporates x.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 }
 
 // N returns the number of observations so far.
@@ -94,20 +91,6 @@ func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean (0 when empty).
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Variance returns the running unbiased sample variance (0 for n < 2).
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Reset returns the accumulator to its empty state.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
 
 // MomentSums carries the raw power sums sum(v) and sum(v^2) over a sample of
 // size K, exactly the quantities (v̂'_K, v̂_K) that Algorithm 2 of the paper
@@ -181,9 +164,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[b]++
 	h.total++
 }
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
 
 // CDF returns the histogram-approximated cumulative distribution evaluated at
 // the upper edge of each bin: CDF()[i] = P(X <= edge_{i+1}). The last entry is

@@ -70,8 +70,8 @@ func TestColumnsMirrorRowsIncrementalAppend(t *testing.T) {
 		rows := randomRows(rng, 1+rng.Intn(5))
 		// Shift each batch past the previous one to keep timestamps ascending.
 		var last int64
-		if lt, ok := p.LastTime(); ok {
-			last = lt
+		if ts := p.Times(); len(ts) > 0 {
+			last = ts[len(ts)-1]
 		}
 		for i := range rows {
 			rows[i].T += last

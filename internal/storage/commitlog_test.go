@@ -213,8 +213,8 @@ func TestLazyLoaderMaterialises(t *testing.T) {
 	if n := bad.NumRows(); n != 7 {
 		t.Fatalf("NumRows after failed load = %d, want 7 (table must not shrink)", n)
 	}
-	if err := bad.LoadErr(); !errors.Is(err, boom) {
-		t.Fatalf("LoadErr = %v", err)
+	if err := bad.loadErr; !errors.Is(err, boom) {
+		t.Fatalf("loadErr = %v", err)
 	}
 	if err := bad.ForEachGroupCols(0, 100, func(GroupCols) error { return nil }); !errors.Is(err, boom) {
 		t.Fatalf("ForEachGroupCols = %v", err)

@@ -186,10 +186,6 @@ func TestTableMatchesRowModel(t *testing.T) {
 						t.Fatalf("trial %d op %d: Times[%d] = %d, want %d", trial, op, i, got[i], g.T)
 					}
 				}
-				lt, ok := p.LastTime()
-				if ok != (len(want) > 0) || (ok && lt != want[len(want)-1].T) {
-					t.Fatalf("trial %d op %d: LastTime = %d, %v", trial, op, lt, ok)
-				}
 			case 8:
 				m.touch()
 				want := m.inRange(lo, hi)
@@ -273,8 +269,8 @@ func TestTableMatchesRowModel(t *testing.T) {
 					t.Fatalf("trial %d op %d: NumRows = %d, want %d", trial, op, got, m.numRows())
 				}
 			case 13:
-				if err := p.LoadErr(); !errors.Is(err, m.loadErr) {
-					t.Fatalf("trial %d op %d: LoadErr = %v, want %v", trial, op, err, m.loadErr)
+				if err := p.loadErr; !errors.Is(err, m.loadErr) {
+					t.Fatalf("trial %d op %d: loadErr = %v, want %v", trial, op, err, m.loadErr)
 				}
 			}
 		}

@@ -157,15 +157,6 @@ func (p *ProbTable) SetLoader(n int, load RowsLoader) {
 	p.colLambda, p.colLo, p.colHi, p.colProb = nil, nil, nil, nil
 }
 
-// LoadErr reports a failed lazy materialisation. Accessors on a table in
-// this state return empty results; appends and the column iterators
-// surface the error.
-func (p *ProbTable) LoadErr() error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.loadErr
-}
-
 func (p *ProbTable) setLogger(l CommitLog) {
 	p.mu.Lock()
 	p.logger = l
@@ -274,37 +265,11 @@ func (p *ProbTable) NumRows() int {
 	return p.pending + len(p.colProb)
 }
 
-// ResidentBytes reports the memory the table's rows occupy: the capacity
-// of the four columns plus the group index. Rows pending behind a lazy
-// loader occupy none.
-func (p *ProbTable) ResidentBytes() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.residentBytesLocked()
-}
-
-func (p *ProbTable) residentBytesLocked() int {
-	return int(unsafe.Sizeof(int(0)))*cap(p.colLambda) +
-		8*(cap(p.colLo)+cap(p.colHi)+cap(p.colProb)) +
-		int(unsafe.Sizeof(TimeGroup{}))*cap(p.groups)
-}
-
 // NumTimes returns the current count of distinct timestamps (tuples).
 func (p *ProbTable) NumTimes() int {
 	p.rlockLoaded()
 	defer p.mu.RUnlock()
 	return len(p.groups)
-}
-
-// LastTime returns the view's most recent timestamp, or ok=false for an
-// empty view.
-func (p *ProbTable) LastTime() (t int64, ok bool) {
-	p.rlockLoaded()
-	defer p.mu.RUnlock()
-	if len(p.groups) == 0 {
-		return 0, false
-	}
-	return p.groups[len(p.groups)-1].T, true
 }
 
 // rowsOf materialises the rows of a contiguous group span: one allocation
@@ -820,15 +785,18 @@ func (db *DB) List() []TableInfo {
 }
 
 // ViewResident sums over the catalog's views the rows resident in memory
-// (pending lazy loads excluded) and the bytes ResidentBytes reports for
-// them — what the resident-rows and resident-bytes gauges export.
+// (pending lazy loads excluded) and the bytes they occupy — the capacity of
+// the four columns plus the group index — what the resident-rows and
+// resident-bytes gauges export.
 func (db *DB) ViewResident() (rows, bytes int) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for _, p := range db.prob {
 		p.mu.RLock()
 		rows += len(p.colProb)
-		bytes += p.residentBytesLocked()
+		bytes += int(unsafe.Sizeof(int(0)))*cap(p.colLambda) +
+			8*(cap(p.colLo)+cap(p.colHi)+cap(p.colProb)) +
+			int(unsafe.Sizeof(TimeGroup{}))*cap(p.groups)
 		p.mu.RUnlock()
 	}
 	return rows, bytes

@@ -133,9 +133,6 @@ type Window struct {
 	EndIndex int
 }
 
-// H returns the window length.
-func (w Window) H() int { return len(w.Values) }
-
 // WindowEnding returns the window of length h whose last element is the point
 // at index end (so it predicts index end+1). It requires end >= h-1.
 func (s *Series) WindowEnding(end, h int) (Window, error) {

@@ -143,7 +143,7 @@ func TestWindowEnding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.H() != 3 || w.EndIndex != 3 {
+	if len(w.Values) != 3 || w.EndIndex != 3 {
 		t.Errorf("window = %+v", w)
 	}
 	want := []float64{2, 3, 4}
@@ -167,8 +167,8 @@ func TestWindowsIteration(t *testing.T) {
 	s := FromValues([]float64{1, 2, 3, 4, 5})
 	var nexts []float64
 	err := s.Windows(2, func(w Window, next Point) bool {
-		if w.H() != 2 {
-			t.Errorf("window size %d", w.H())
+		if len(w.Values) != 2 {
+			t.Errorf("window size %d", len(w.Values))
 		}
 		nexts = append(nexts, next.V)
 		return true
@@ -332,7 +332,7 @@ func TestQuickWindowsConsistent(t *testing.T) {
 		h := 1 + int(hRaw)%(len(raw)-1)
 		ok := true
 		err := s.Windows(h, func(w Window, next Point) bool {
-			if w.H() != h {
+			if len(w.Values) != h {
 				ok = false
 				return false
 			}

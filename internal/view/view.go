@@ -311,18 +311,6 @@ func (v *View) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// RowsAt returns the rows of the view for a single timestamp, in lambda
-// order, or nil if the timestamp is absent.
-func (v *View) RowsAt(t int64) []Row {
-	var out []Row
-	for _, r := range v.Rows {
-		if r.T == t {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // OnlineBuilder maintains a sliding window over a live stream and emits view
 // rows for every new raw value (the online mode of Section II-A).
 type OnlineBuilder struct {
@@ -350,17 +338,6 @@ func NewOnlineBuilder(metric density.Metric, h int, b *Builder, warmup []float64
 	ob := &OnlineBuilder{metric: metric, h: h, builder: b, window: make([]float64, h)}
 	copy(ob.window, warmup)
 	return ob, nil
-}
-
-// Step ingests the raw value at time t and returns the view rows generated
-// for it. Timestamps must be strictly increasing.
-func (ob *OnlineBuilder) Step(t int64, rt float64) ([]Row, error) {
-	rows, commit, err := ob.Prepare(t, rt)
-	if err != nil {
-		return nil, err
-	}
-	commit()
-	return rows, nil
 }
 
 // Prepare computes the view rows for the raw value at time t without

@@ -41,7 +41,7 @@ func TestOmegaRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := v.RowsAt(1)
+	rs := v.Rows
 	if len(rs) != 4 {
 		t.Fatalf("got %d ranges", len(rs))
 	}
@@ -255,12 +255,14 @@ func TestViewHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := v.RowsAt(1)
-	if len(rows) != 4 {
-		t.Fatalf("RowsAt(1) = %d rows", len(rows))
+	if len(v.Rows) != 8 {
+		t.Fatalf("%d rows, want 4 per tuple", len(v.Rows))
 	}
-	if v.RowsAt(99) != nil {
-		t.Error("RowsAt(absent) should be nil")
+	rows := v.Rows[:4]
+	for _, r := range rows {
+		if r.T != 1 {
+			t.Fatalf("row %+v: want the first tuple's four rows first", r)
+		}
 	}
 	// Total mass over [-2,2] of a standard normal: ~0.9545.
 	total := 0.0
@@ -310,10 +312,11 @@ func TestOnlineBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := h; i < n; i++ {
-		rows, err := ob.Step(int64(i+1), vs[i])
+		rows, commit, err := ob.Prepare(int64(i+1), vs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
+		commit()
 		if len(rows) != 8 {
 			t.Fatalf("step %d: %d rows", i, len(rows))
 		}
@@ -329,7 +332,7 @@ func TestOnlineBuilder(t *testing.T) {
 		}
 	}
 	// Non-increasing timestamps rejected.
-	if _, err := ob.Step(5, 0); !errors.Is(err, ErrBadArg) {
+	if _, _, err := ob.Prepare(5, 0); !errors.Is(err, ErrBadArg) {
 		t.Error("non-increasing timestamp accepted")
 	}
 }
