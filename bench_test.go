@@ -115,7 +115,7 @@ func fig14TuplesForBench(b *testing.B, n int) []view.Tuple {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tuples, err := view.TuplesFromSeries(campus, metric, 90, 91, int64(90+n), runtime.GOMAXPROCS(0))
+	tuples, err := view.TuplesFromSeries(campus, metric, 90, 91, int64(90+n), 1, runtime.GOMAXPROCS(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func BenchmarkTuplesFromSeries(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tuples, err := view.TuplesFromSeries(campus, metric, h, h+1, h+n, workers)
+				tuples, err := view.TuplesFromSeries(campus, metric, h, h+1, h+n, 1, workers)
 				if err != nil || len(tuples) != n {
 					b.Fatalf("got %d tuples, err %v", len(tuples), err)
 				}

@@ -3,7 +3,7 @@ package clean
 import "repro/internal/obs"
 
 // Stage timings for the C-GARCH ingest path. The model-stage family is
-// shared by name with the plain online path (internal/view); the clean
+// shared by name with the plain online path (internal/core); the clean
 // stage — bounds check, run tracking, SVR trend scrub — is this package's
 // own contribution to a Step's latency.
 var (

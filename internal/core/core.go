@@ -270,16 +270,16 @@ type Stream struct {
 	engine  *Engine
 	cfg     StreamConfig
 	builder *view.Builder
-	online  *view.OnlineBuilder // plain path (no cleaning)
-	proc    *clean.Processor    // C-GARCH path (cleaning enabled)
+	proc    *clean.Processor // C-GARCH path (cleaning enabled)
 	table   *storage.ProbTable
 	metric  density.Metric
 	cache   *sigmacache.Cache
 
-	mu     sync.Mutex // serialises Step; guards lastT, steps
+	mu     sync.Mutex // serialises Step; guards lastT, steps, window
 	lastT  int64      // out-of-order watermark, seeded from the source table
 	steps  int64
 	closed bool
+	window []float64 // plain path: the last H raw values (nil when cleaning)
 }
 
 // OpenStream starts the online mode on a registered raw table. The table
@@ -354,11 +354,7 @@ func (e *Engine) OpenStream(cfg StreamConfig) (*Stream, error) {
 		}
 		stream.proc = proc
 	} else {
-		online, err := view.NewOnlineBuilder(metric, h, builder, warm)
-		if err != nil {
-			return nil, err
-		}
-		stream.online = online
+		stream.window = warm
 	}
 
 	table := &storage.ProbTable{
@@ -487,12 +483,12 @@ func (s *Stream) Step(p timeseries.Point) ([]view.Row, error) {
 // A Step is atomic: either the raw point is stored, the model state advances
 // and the view rows are appended, or an error leaves every piece of state —
 // raw table, model window, materialised view — untouched. The model step is
-// prepared first without committing (both paths expose a Prepare/commit
-// split), then the raw point is appended, and only after that success do the
-// model and the view commit. No state change ever needs compensating, so a
-// concurrent snapshot or offline build can never observe a point that a
-// failed step later retracts, and the view is always a subset of the raw
-// table.
+// prepared first without committing (inference and row generation, with a
+// commit that advances the window), then the raw point is appended, and
+// only after that success do the model and the view commit. No state change
+// ever needs compensating, so a concurrent snapshot or offline build can
+// never observe a point that a failed step later retracts, and the view is
+// always a subset of the raw table.
 func (s *Stream) StepDetailed(p timeseries.Point) (*StepResult, error) {
 	start := time.Now()
 	s.mu.Lock()
@@ -534,32 +530,45 @@ func (s *Stream) StepDetailed(p timeseries.Point) (*StepResult, error) {
 	return out, nil
 }
 
-// prepare feeds one point through the model (C-GARCH processor or plain
-// online builder) and generates its view rows without committing any model
-// state; the returned commit advances the window. Every fallible stage runs
-// before any state changes.
+// prepare infers the density of one point — from the C-GARCH processor
+// when cleaning, else from the metric over the last H raw values — and
+// generates its view rows without committing any model state; the
+// returned commit advances the window. Every fallible stage runs before
+// any state changes. Caller holds s.mu.
 func (s *Stream) prepare(p timeseries.Point) (*StepResult, func(), error) {
+	res := &StepResult{Cleaned: p.V}
+	var (
+		inf    *density.Inference
+		commit func()
+	)
 	if s.proc != nil {
-		st, commit, err := s.proc.Prepare(p.V)
+		st, c, err := s.proc.Prepare(p.V)
 		if err != nil {
 			return nil, nil, err
 		}
-		inf := st.Inference
-		vspan := obs.StartSpan(metViewStage)
-		rows, err := s.builder.GenerateOne(view.Tuple{
-			T: p.T, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist,
-		})
-		vspan.End()
+		inf, commit = st.Inference, c
+		res.Cleaned, res.Erroneous, res.TrendChange = st.Cleaned, st.Erroneous, st.TrendChange
+	} else {
+		mspan := obs.StartSpan(metModelStage)
+		var err error
+		inf, err = s.metric.Infer(s.window)
+		mspan.End()
 		if err != nil {
 			return nil, nil, err
 		}
-		return &StepResult{Rows: rows, Cleaned: st.Cleaned, Erroneous: st.Erroneous, TrendChange: st.TrendChange}, commit, nil
+		commit = func() {
+			copy(s.window, s.window[1:])
+			s.window[len(s.window)-1] = p.V
+		}
 	}
-	rows, commit, err := s.online.Prepare(p.T, p.V)
+	vspan := obs.StartSpan(metViewStage)
+	rows, err := s.builder.GenerateOne(view.Tuple{T: p.T, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist})
+	vspan.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	return &StepResult{Rows: rows, Cleaned: p.V}, commit, nil
+	res.Rows = rows
+	return res, commit, nil
 }
 
 // Steps reports how many values the stream has ingested.

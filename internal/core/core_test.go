@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -117,6 +118,66 @@ func TestEngineOnlineStream(t *testing.T) {
 	// The cache should have been exercised.
 	if stream.CacheStats().Hits == 0 {
 		t.Error("online cache never hit")
+	}
+}
+
+// TestPlainStreamMatchesOfflineBuild checks that the online mode and the
+// offline mode run one pipeline (Section II-A): every row a plain stream
+// emits, sigma-cache path included, equals bit for bit the row an offline
+// build of the same series emits for that time step.
+func TestPlainStreamMatchesOfflineBuild(t *testing.T) {
+	const h, warmLen, steps = 90, 100, 150
+	full := arSeries(warmLen+steps, 7)
+	warm, err := full.Slice(0, warmLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine()
+	if err := e.RegisterSeries("live", warm); err != nil {
+		t.Fatal(err)
+	}
+	metric, _ := density.NewARMAGARCH(1, 0)
+	stream, err := e.OpenStream(StreamConfig{
+		Source: "live", ViewName: "live_view", Metric: metric, H: h,
+		Omega:      view.Omega{Delta: 0.5, N: 8},
+		SigmaRange: &SigmaRange{Min: 0.9, Max: 1.1, DistanceConstraint: 0.01},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []view.Row
+	for i := warmLen; i < full.Len(); i++ {
+		p, err := full.At(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := stream.Step(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rows...)
+	}
+	times := full.Times()
+	tuples, err := view.TuplesFromSeries(full, metric, h, times[warmLen], times[len(times)-1], 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stream.builder.Generate(tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want.Rows) {
+		t.Fatalf("stream emitted %d rows, offline build %d", len(got), len(want.Rows))
+	}
+	for i, g := range got {
+		w := want.Rows[i]
+		if g.T != w.T || g.Lambda != w.Lambda || math.Float64bits(g.Lo) != math.Float64bits(w.Lo) ||
+			math.Float64bits(g.Hi) != math.Float64bits(w.Hi) || math.Float64bits(g.Prob) != math.Float64bits(w.Prob) {
+			t.Fatalf("row %d: stream %+v, offline %+v", i, g, w)
+		}
+	}
+	if st := stream.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("cache stats %+v: want both the cache and the direct path exercised", st)
 	}
 }
 

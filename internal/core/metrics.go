@@ -2,10 +2,10 @@ package core
 
 import "repro/internal/obs"
 
-// Ingest pipeline metrics. The model/clean/view stage histograms live in
-// the packages that run those stages (internal/view, internal/clean); the
-// engine contributes the commit stage, the whole-step latency, and the
-// step outcome counters — together one scrape decomposes a Step into
+// Ingest pipeline metrics. The engine times the model stage of a plain
+// stream, the view and commit stages, the whole-step latency, and the step
+// outcome counters; internal/clean times its own model and clean stages
+// under the same families — together one scrape decomposes a Step into
 // clean → model → view → WAL commit.
 var (
 	metSteps = obs.Default.Counter("tspdb_ingest_steps_total",
@@ -18,6 +18,8 @@ var (
 		"Whole online ingest step latency (prepare through commit).", obs.DurationBuckets)
 	metCommitStage = obs.Default.Histogram("tspdb_ingest_commit_seconds",
 		"Catalog + WAL commit time per online ingest step.", obs.DurationBuckets)
+	metModelStage = obs.Default.Histogram("tspdb_ingest_model_seconds",
+		"Density-metric inference time per online ingest step.", obs.DurationBuckets)
 	metViewStage = obs.Default.Histogram("tspdb_ingest_view_seconds",
 		"Omega-view row generation time per online ingest step.", obs.DurationBuckets)
 	// metCachesDiscarded counts short-lived build caches evicted with their

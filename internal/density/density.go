@@ -54,7 +54,11 @@ type Inference struct {
 type Metric interface {
 	// Name returns a short identifier ("UT", "VT", "ARMA-GARCH", ...).
 	Name() string
-	// Infer estimates p_t(R_t) from the sliding window S^H_{t-1}.
+	// Infer estimates p_t(R_t) from the sliding window S^H_{t-1}. It is a
+	// pure function of the window: it neither keeps nor modifies window,
+	// and it is safe to call concurrently on one Metric value. Offline
+	// inference (view.TuplesFromSeries, behind CREATE VIEW and the PIT)
+	// relies on both to infer windows on a worker pool.
 	Infer(window []float64) (*Inference, error)
 	// MinWindow returns the smallest window length the metric accepts.
 	MinWindow() int

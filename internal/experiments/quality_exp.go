@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/quality"
 	"repro/internal/timeseries"
+	"repro/internal/view"
 )
 
 // TableIIRow is one row of the dataset summary (Table II).
@@ -100,27 +102,15 @@ func Fig11(s Scale) ([]Fig11Row, error) {
 				if h < m.MinWindow() {
 					continue
 				}
-				count := 0
 				start := time.Now()
-				err := ds.series.Windows(h, func(w timeseries.Window, _ timeseries.Point) bool {
-					if count%s.Stride == 0 {
-						if _, err := m.Infer(w.Values); err != nil {
-							return false
-						}
-					}
-					count++
-					return true
-				})
+				tuples, err := view.TuplesFromSeries(ds.series, m, h, math.MinInt64, math.MaxInt64, s.Stride, 1)
 				if err != nil {
 					return nil, err
 				}
-				inferences := (count + s.Stride - 1) / s.Stride
-				if inferences == 0 {
-					continue
-				}
+				// checkWindows leaves at least two windows per series.
 				rows = append(rows, Fig11Row{
 					Dataset: ds.name, Metric: name, H: h,
-					AvgInferSec: time.Since(start).Seconds() / float64(inferences),
+					AvgInferSec: time.Since(start).Seconds() / float64(len(tuples)),
 				})
 			}
 		}

@@ -8,16 +8,22 @@
 // Gunther & Tay 1998, cited as [13]). The density distance (Eq. 1) is the
 // Euclidean distance between the histogram-approximated CDF of the z_i and
 // the ideal uniform CDF.
+//
+// PIT infers its densities through view.TuplesFromSeries, the same window
+// loop (and worker pool) an offline CREATE VIEW runs, so a metric's
+// distance measures exactly the densities a view of it would store.
 package quality
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/density"
 	"repro/internal/stat"
 	"repro/internal/timeseries"
+	"repro/internal/view"
 )
 
 // Errors reported by the package.
@@ -33,6 +39,9 @@ const DefaultBins = 20
 // series with respect to the densities inferred by metric on sliding windows
 // of length h. stride > 1 evaluates every stride-th window (useful for large
 // sweeps); stride <= 0 defaults to 1. The resulting z values are in [0, 1].
+//
+// The windows are inferred across GOMAXPROCS workers; the z values are
+// identical at every worker count.
 func PIT(s *timeseries.Series, metric density.Metric, h, stride int) ([]float64, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("%w: nil metric", ErrBadArg)
@@ -43,31 +52,17 @@ func PIT(s *timeseries.Series, metric density.Metric, h, stride int) ([]float64,
 	if stride <= 0 {
 		stride = 1
 	}
-	var zs []float64
-	var inferErr error
-	count := 0
-	err := s.Windows(h, func(w timeseries.Window, next timeseries.Point) bool {
-		if count%stride != 0 {
-			count++
-			return true
-		}
-		count++
-		inf, err := metric.Infer(w.Values)
-		if err != nil {
-			inferErr = err
-			return false
-		}
-		zs = append(zs, inf.Dist.CDF(next.V))
-		return true
-	})
+	tuples, err := view.TuplesFromSeries(s, metric, h, math.MinInt64, math.MaxInt64, stride, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
-	if inferErr != nil {
-		return nil, inferErr
-	}
-	if len(zs) == 0 {
+	if len(tuples) == 0 {
 		return nil, ErrNoData
+	}
+	values := s.Values()
+	zs := make([]float64, len(tuples))
+	for k, tp := range tuples {
+		zs[k] = tp.Dist.CDF(values[h+k*stride])
 	}
 	return zs, nil
 }

@@ -203,3 +203,43 @@ func TestEvaluateWithRealMetric(t *testing.T) {
 		t.Errorf("well-specified metric distance = %v, suspiciously high", res.Distance)
 	}
 }
+
+// TestPITMatchesSerialOracle pins PIT, which infers on a worker pool, to
+// the serial definition of Section II-B: z = P_t(r_t) for the density
+// inferred from the h values before r_t, every stride-th window from the
+// first, bit for bit.
+func TestPITMatchesSerialOracle(t *testing.T) {
+	const h = 40
+	rng := rand.New(rand.NewSource(6))
+	vs := make([]float64, 160)
+	for i := 1; i < len(vs); i++ {
+		vs[i] = 0.7*vs[i-1] + rng.NormFloat64()
+	}
+	s := timeseries.FromValues(vs)
+	vt, _ := density.NewVariableThresholding(1, 0)
+	ag, _ := density.NewARMAGARCH(1, 0)
+	for _, m := range []density.Metric{vt, ag} {
+		for _, stride := range []int{1, 3} {
+			var want []float64
+			for i := h; i < len(vs); i += stride {
+				inf, err := m.Infer(append([]float64(nil), vs[i-h:i]...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, inf.Dist.CDF(vs[i]))
+			}
+			got, err := PIT(s, m, h, stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s stride %d: %d values, want %d", m.Name(), stride, len(got), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s stride %d: z[%d] = %v, want %v", m.Name(), stride, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}

@@ -235,7 +235,7 @@ func execCreateView(db *storage.DB, s *CreateViewStmt, opts Options) (*Result, e
 		return nil, err
 	}
 	workers := ResolveParallelism(opts.Parallelism)
-	tuples, err := view.TuplesFromSeries(series, metric, h, tLo, tHi, workers)
+	tuples, err := view.TuplesFromSeries(series, metric, h, tLo, tHi, 1, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -308,11 +308,15 @@ func (p *parser) parseMetricSpec() (*MetricSpec, error) {
 	return spec, nil
 }
 
-// parseTimeRange parses [<col> >= <num>] [AND] [<col> <= <num>] in either
-// order; at least one bound is required.
+// parseTimeRange parses a conjunction <col> <op> <num> [AND ...] of bounds
+// (op one of >=, >, <=, <, =) in any order; at least one bound is
+// required, and the range is their intersection.
 func (p *parser) parseTimeRange(timeCol string) (*TimeRange, error) {
 	tr := &TimeRange{Lo: math.MinInt64, Hi: math.MaxInt64}
 	loOK, hiOK := true, true // false: no int64 time meets that side's bound
+	// Bounds intersect: each raises Lo or lowers Hi, never the other way.
+	raise := func(t int64, ok bool) { tr.Lo, loOK = max(tr.Lo, t), loOK && ok }
+	lower := func(t int64, ok bool) { tr.Hi, hiOK = min(tr.Hi, t), hiOK && ok }
 	seen := 0
 	for {
 		col, err := p.expectIdent("time column in WHERE")
@@ -329,16 +333,16 @@ func (p *parser) parseTimeRange(timeCol string) (*TimeRange, error) {
 		}
 		switch op.Kind {
 		case TokGE:
-			tr.Lo, loOK = atLeast(math.Ceil(v), false)
+			raise(atLeast(math.Ceil(v), false))
 		case TokGT:
-			tr.Lo, loOK = atLeast(math.Floor(v), true)
+			raise(atLeast(math.Floor(v), true))
 		case TokLE:
-			tr.Hi, hiOK = atMost(math.Floor(v), false)
+			lower(atMost(math.Floor(v), false))
 		case TokLT:
-			tr.Hi, hiOK = atMost(math.Ceil(v), true)
+			lower(atMost(math.Ceil(v), true))
 		case TokEquals:
-			tr.Lo, loOK = atLeast(math.Ceil(v), false)
-			tr.Hi, hiOK = atMost(math.Floor(v), false)
+			raise(atLeast(math.Ceil(v), false))
+			lower(atMost(math.Floor(v), false))
 		default:
 			return nil, p.errf("expected a comparison operator, found %q", op.Text)
 		}

@@ -251,6 +251,13 @@ func TestParseWhereBoundsSaturate(t *testing.T) {
 		{where: "t > 4.5 AND t < 7.5", lo: 5, hi: 7},
 		{where: "t > 1152921504606846976", lo: big + 1, hi: math.MaxInt64},
 		{where: "t < 1152921504606846976", lo: math.MinInt64, hi: big - 1},
+		// A conjunction intersects its bounds.
+		{where: "t >= 100 AND t >= 50", lo: 100, hi: math.MaxInt64},
+		{where: "t >= 50 AND t >= 100", lo: 100, hi: math.MaxInt64},
+		{where: "t = 7 AND t <= 100", lo: 7, hi: 7},
+		{where: "t <= 10 AND t <= 20", lo: math.MinInt64, hi: 10},
+		{where: "t >= 1e30 AND t >= 5", empty: true},
+		{where: "t = 7 AND t = 8", empty: true},
 	}
 	for _, c := range cases {
 		for _, q := range []string{

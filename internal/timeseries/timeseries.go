@@ -1,9 +1,11 @@
 // Package timeseries defines the raw-value time-series types of the paper's
 // framework (Section II-A): a Series is the sequence S = <r_1, ..., r_t> of
-// timestamped imprecise raw values, and a Window is the sliding window
+// timestamped imprecise raw values. The sliding windows
 // S^H_{t-1} = <r_{t-H}, ..., r_{t-1}> that the dynamic density metrics
-// consume. The package also provides CSV encoding/decoding and summary
-// statistics used by the dataset tooling.
+// consume are plain slices of Values(), cut by view.TuplesFromSeries
+// offline and kept by the online stream (internal/core). The package also
+// provides CSV encoding/decoding and summary statistics used by the
+// dataset tooling.
 package timeseries
 
 import (
@@ -121,51 +123,6 @@ func (s *Series) TimeRange(tLo, tHi int64) *Series {
 	out := make([]Point, hi-lo)
 	copy(out, s.pts[lo:hi])
 	return &Series{pts: out}
-}
-
-// Window is the sliding window S^H_{t-1}: the H raw values immediately
-// preceding the inference time t.
-type Window struct {
-	// Values are the H raw values r_{t-H}, ..., r_{t-1} in time order.
-	Values []float64
-	// EndIndex is the series index of the last value in the window
-	// (i.e. the index of r_{t-1}); the inference target is EndIndex+1.
-	EndIndex int
-}
-
-// WindowEnding returns the window of length h whose last element is the point
-// at index end (so it predicts index end+1). It requires end >= h-1.
-func (s *Series) WindowEnding(end, h int) (Window, error) {
-	if h <= 0 {
-		return Window{}, fmt.Errorf("%w: H=%d", ErrBadWindow, h)
-	}
-	if end < h-1 || end >= len(s.pts) {
-		return Window{}, fmt.Errorf("%w: end=%d H=%d len=%d", ErrBadWindow, end, h, len(s.pts))
-	}
-	vals := make([]float64, h)
-	for i := 0; i < h; i++ {
-		vals[i] = s.pts[end-h+1+i].V
-	}
-	return Window{Values: vals, EndIndex: end}, nil
-}
-
-// Windows iterates all windows of length h whose successor point exists,
-// i.e. windows ending at indices h-1 .. Len()-2, calling fn with the window
-// and the actual next value r_t. Iteration stops early if fn returns false.
-func (s *Series) Windows(h int, fn func(w Window, next Point) bool) error {
-	if h <= 0 || h >= len(s.pts) {
-		return fmt.Errorf("%w: H=%d len=%d", ErrBadWindow, h, len(s.pts))
-	}
-	for end := h - 1; end+1 < len(s.pts); end++ {
-		w, err := s.WindowEnding(end, h)
-		if err != nil {
-			return err
-		}
-		if !fn(w, s.pts[end+1]) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Summary holds descriptive statistics of a series.

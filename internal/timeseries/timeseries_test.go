@@ -3,10 +3,8 @@ package timeseries
 import (
 	"bytes"
 	"errors"
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func mustSeries(t *testing.T, pts []Point) *Series {
@@ -137,79 +135,6 @@ func TestTimeRange(t *testing.T) {
 	}
 }
 
-func TestWindowEnding(t *testing.T) {
-	s := FromValues([]float64{1, 2, 3, 4, 5})
-	w, err := s.WindowEnding(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Values) != 3 || w.EndIndex != 3 {
-		t.Errorf("window = %+v", w)
-	}
-	want := []float64{2, 3, 4}
-	for i, v := range w.Values {
-		if v != want[i] {
-			t.Errorf("w[%d] = %v", i, v)
-		}
-	}
-	if _, err := s.WindowEnding(1, 3); !errors.Is(err, ErrBadWindow) {
-		t.Error("too-early window accepted")
-	}
-	if _, err := s.WindowEnding(5, 2); !errors.Is(err, ErrBadWindow) {
-		t.Error("out-of-range end accepted")
-	}
-	if _, err := s.WindowEnding(3, 0); !errors.Is(err, ErrBadWindow) {
-		t.Error("H=0 accepted")
-	}
-}
-
-func TestWindowsIteration(t *testing.T) {
-	s := FromValues([]float64{1, 2, 3, 4, 5})
-	var nexts []float64
-	err := s.Windows(2, func(w Window, next Point) bool {
-		if len(w.Values) != 2 {
-			t.Errorf("window size %d", len(w.Values))
-		}
-		nexts = append(nexts, next.V)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Windows end at indices 1..3, predicting values 3,4,5.
-	want := []float64{3, 4, 5}
-	if len(nexts) != len(want) {
-		t.Fatalf("iterated %d windows", len(nexts))
-	}
-	for i := range want {
-		if nexts[i] != want[i] {
-			t.Errorf("next[%d] = %v", i, nexts[i])
-		}
-	}
-}
-
-func TestWindowsEarlyStop(t *testing.T) {
-	s := FromValues([]float64{1, 2, 3, 4, 5})
-	count := 0
-	_ = s.Windows(2, func(w Window, next Point) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("early stop iterated %d times", count)
-	}
-}
-
-func TestWindowsBadH(t *testing.T) {
-	s := FromValues([]float64{1, 2, 3})
-	if err := s.Windows(0, func(Window, Point) bool { return true }); !errors.Is(err, ErrBadWindow) {
-		t.Error("H=0 accepted")
-	}
-	if err := s.Windows(3, func(Window, Point) bool { return true }); !errors.Is(err, ErrBadWindow) {
-		t.Error("H=len accepted")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := mustSeries(t, []Point{{0, 2}, {2, 4}, {4, 6}})
 	sum, err := s.Summarize()
@@ -310,49 +235,5 @@ func TestDiff(t *testing.T) {
 	}
 	if FromValues([]float64{1}).Diff() != nil {
 		t.Error("Diff of singleton should be nil")
-	}
-}
-
-// Property: every window produced by Windows has exactly H values that match
-// the underlying series.
-func TestQuickWindowsConsistent(t *testing.T) {
-	f := func(raw []float64, hRaw uint8) bool {
-		if len(raw) < 3 {
-			return true
-		}
-		if len(raw) > 64 {
-			raw = raw[:64]
-		}
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				raw[i] = 0
-			}
-		}
-		s := FromValues(raw)
-		h := 1 + int(hRaw)%(len(raw)-1)
-		ok := true
-		err := s.Windows(h, func(w Window, next Point) bool {
-			if len(w.Values) != h {
-				ok = false
-				return false
-			}
-			for i, v := range w.Values {
-				p, err := s.At(w.EndIndex - h + 1 + i)
-				if err != nil || p.V != v {
-					ok = false
-					return false
-				}
-			}
-			np, err := s.At(w.EndIndex + 1)
-			if err != nil || np != next {
-				ok = false
-				return false
-			}
-			return true
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

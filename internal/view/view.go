@@ -10,13 +10,17 @@
 //
 // The builder supports the naive path (evaluate the CDF directly for every
 // tuple) and the sigma-cache path (reuse pre-computed grids across tuples
-// with similar sigma, Section VI-A/B). Both online (streaming) and offline
-// (time-interval query) modes are provided.
+// with similar sigma, Section VI-A/B). Offline (time-interval query) mode
+// runs Generate over the tuples of a range; online (streaming) mode, in
+// internal/core, infers one window per step and calls GenerateOne.
 //
-// An offline build spends nearly all of its time in density inference (an
-// ARMA-GARCH fit per window), so TuplesFromSeries infers windows on a
-// worker pool, each tuple in its own slot of one pre-sized array; the
-// output is byte-identical to a sequential run regardless of scheduling.
+// TuplesFromSeries is the module's one loop from a series to its sliding
+// windows to their inferences: CREATE VIEW, the PIT of Eq. 1
+// (internal/quality) and the Fig. 11 timing all run it. It spends nearly
+// all of its time in density inference (an ARMA-GARCH fit per window), so
+// it infers windows on a worker pool, each tuple in its own slot of one
+// pre-sized array; the output is byte-identical to a sequential run
+// regardless of scheduling.
 // Generate is a plain sequential loop: it costs well under a microsecond
 // per tuple. The sigma-cache is read-only after construction, so builders
 // may share one from any number of goroutines.
@@ -35,7 +39,6 @@ import (
 
 	"repro/internal/density"
 	"repro/internal/dist"
-	"repro/internal/obs"
 	"repro/internal/sigmacache"
 	"repro/internal/timeseries"
 )
@@ -90,16 +93,20 @@ type View struct {
 }
 
 // TuplesFromSeries runs a dynamic density metric over sliding windows of s
-// and returns one Tuple per inferable time step whose timestamp lies in
+// and returns one Tuple per inferred time step whose timestamp lies in
 // [tLo, tHi]. This is the inference stage that precedes view generation,
-// and nearly all of a build's time.
+// and nearly all of a build's time. The tuple of series index i is
+// inferred from the window values[i-h:i] and carries times[i].
+//
+// stride > 1 keeps every stride-th time step of the range, starting from
+// the first (the PIT sweeps of Section II-B); stride <= 1 keeps all.
 //
 // Windows are inferred on up to workers goroutines (<= 1 runs inline).
 // Every Metric.Infer is a pure function of its window, and every window's
 // tuple has its own output slot, so the result is identical at every
 // worker count. On failure the error of the earliest failing window is
 // returned: the same error a sequential run stops at.
-func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, tHi int64, workers int) ([]Tuple, error) {
+func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, tHi int64, stride, workers int) ([]Tuple, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("%w: nil metric", ErrBadArg)
 	}
@@ -109,14 +116,17 @@ func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, t
 	if h <= 0 || h >= s.Len() {
 		return nil, fmt.Errorf("%w: H=%d len=%d", timeseries.ErrBadWindow, h, s.Len())
 	}
-	// Tuple k predicts point first+k from the h values before it.
+	if stride < 1 {
+		stride = 1
+	}
+	// Tuple k predicts point first+k*stride from the h values before it.
 	times, values := s.Times(), s.Values()
 	first := h + sort.Search(len(times)-h, func(i int) bool { return times[h+i] >= tLo })
 	end := h + sort.Search(len(times)-h, func(i int) bool { return times[h+i] > tHi })
 	if first >= end {
 		return nil, nil
 	}
-	tuples := make([]Tuple, end-first)
+	tuples := make([]Tuple, (end-first+stride-1)/stride)
 	errs := make([]error, len(tuples))
 	var (
 		cursor atomic.Int64 // next unclaimed tuple
@@ -132,7 +142,7 @@ func TuplesFromSeries(s *timeseries.Series, metric density.Metric, h int, tLo, t
 			if k >= len(tuples) || int64(k) > failed.Load() {
 				return
 			}
-			i := first + k
+			i := first + k*stride
 			copy(window, values[i-h:i])
 			inf, err := metric.Infer(window)
 			if err == nil {
@@ -309,64 +319,4 @@ func (v *View) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// OnlineBuilder maintains a sliding window over a live stream and emits view
-// rows for every new raw value (the online mode of Section II-A).
-type OnlineBuilder struct {
-	metric  density.Metric
-	h       int
-	builder *Builder
-	window  []float64
-	lastT   int64
-	started bool
-}
-
-// NewOnlineBuilder primes an online builder with warm-up values (length h).
-// The optional cache must be attached to b beforehand when desired; sigma
-// values outside its range fall back to direct computation.
-func NewOnlineBuilder(metric density.Metric, h int, b *Builder, warmup []float64) (*OnlineBuilder, error) {
-	if metric == nil || b == nil {
-		return nil, fmt.Errorf("%w: nil metric or builder", ErrBadArg)
-	}
-	if h < metric.MinWindow() {
-		return nil, fmt.Errorf("%w: H=%d below metric minimum %d", ErrBadArg, h, metric.MinWindow())
-	}
-	if len(warmup) != h {
-		return nil, fmt.Errorf("%w: warmup length %d != H %d", ErrBadArg, len(warmup), h)
-	}
-	ob := &OnlineBuilder{metric: metric, h: h, builder: b, window: make([]float64, h)}
-	copy(ob.window, warmup)
-	return ob, nil
-}
-
-// Prepare computes the view rows for the raw value at time t without
-// mutating the builder: inference and row generation run on the current
-// window, and the returned commit pushes the value and advances the
-// timestamp watermark. Discarding commit abandons the step. Callers that
-// must coordinate the step with other fallible state changes (e.g. storing
-// the raw value) prepare first and commit only once everything else has
-// succeeded.
-func (ob *OnlineBuilder) Prepare(t int64, rt float64) ([]Row, func(), error) {
-	if ob.started && t <= ob.lastT {
-		return nil, nil, fmt.Errorf("%w: non-increasing timestamp %d", ErrBadArg, t)
-	}
-	mspan := obs.StartSpan(metModelStage)
-	inf, err := ob.metric.Infer(ob.window)
-	mspan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	vspan := obs.StartSpan(metViewStage)
-	rows, err := ob.builder.GenerateOne(Tuple{T: t, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist})
-	vspan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, func() {
-		copy(ob.window, ob.window[1:])
-		ob.window[ob.h-1] = rt
-		ob.lastT = t
-		ob.started = true
-	}, nil
 }

@@ -66,7 +66,7 @@ func TestInferParity(t *testing.T) {
 	tLo, tHi := int64(121), int64(160)
 	base := runtime.NumGoroutine()
 	for _, m := range parityMetrics(t) {
-		want, err := TuplesFromSeries(campus, m, h, tLo, tHi, 1)
+		want, err := TuplesFromSeries(campus, m, h, tLo, tHi, 1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -74,7 +74,7 @@ func TestInferParity(t *testing.T) {
 			t.Fatalf("%s: %d tuples over [%d, %d]", m.Name(), len(want), tLo, tHi)
 		}
 		for _, workers := range inferWorkers {
-			got, err := TuplesFromSeries(campus, m, h, tLo, tHi, workers)
+			got, err := TuplesFromSeries(campus, m, h, tLo, tHi, 1, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", m.Name(), workers, err)
 			}
@@ -126,7 +126,7 @@ func TestInferErrorOrder(t *testing.T) {
 	m := failingMetric{slow: 100, fast: 103}
 	base := runtime.NumGoroutine()
 	for _, workers := range inferWorkers {
-		_, err := TuplesFromSeries(s, m, 10, 0, 1000, workers)
+		_, err := TuplesFromSeries(s, m, 10, 0, 1000, 1, workers)
 		if err == nil || err.Error() != "window ending at 100" {
 			t.Fatalf("workers=%d: err = %v, want the window ending at 100", workers, err)
 		}
@@ -144,7 +144,7 @@ func TestInferSmallBatches(t *testing.T) {
 	s := timeseries.FromValues(vs)
 	m := failingMetric{slow: -1, fast: -1}
 	for _, n := range []int{0, 1, 2, 5} {
-		tuples, err := TuplesFromSeries(s, m, 10, 20, int64(19+n), 8)
+		tuples, err := TuplesFromSeries(s, m, 10, 20, int64(19+n), 1, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,8 +158,86 @@ func TestInferSmallBatches(t *testing.T) {
 			}
 		}
 	}
-	if _, err := TuplesFromSeries(s, m, 40, 0, 100, 8); !errors.Is(err, timeseries.ErrBadWindow) {
+	if _, err := TuplesFromSeries(s, m, 40, 0, 100, 1, 8); !errors.Is(err, timeseries.ErrBadWindow) {
 		t.Fatalf("H = series length: err = %v, want ErrBadWindow", err)
+	}
+}
+
+// recordingMetric records a copy of every window it infers, keyed by the
+// window's last value, and returns that value as r̂.
+type recordingMetric struct {
+	mu      sync.Mutex
+	windows map[float64][]float64
+}
+
+func (*recordingMetric) Name() string   { return "recording" }
+func (*recordingMetric) MinWindow() int { return 1 }
+func (m *recordingMetric) Infer(w []float64) (*density.Inference, error) {
+	last := w[len(w)-1]
+	m.mu.Lock()
+	m.windows[last] = append([]float64(nil), w...)
+	m.mu.Unlock()
+	return &density.Inference{RHat: last, Sigma: 1}, nil
+}
+
+// TestInferWindows pins what TuplesFromSeries feeds the metric: tuple k of
+// a range infers series index i from exactly values[i-h:i], carries
+// times[i], and i runs over every stride-th index of [tLo, tHi] from the
+// first. No other window is inferred, and every worker count returns the
+// same tuples.
+func TestInferWindows(t *testing.T) {
+	const h, n = 5, 40
+	pts := make([]timeseries.Point, n)
+	for i := range pts {
+		pts[i] = timeseries.Point{T: int64(10*i + 3), V: 1000 + 1.5*float64(i)}
+	}
+	s, err := timeseries.New(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times, values := s.Times(), s.Values()
+	ranges := [][2]int64{
+		{math.MinInt64, math.MaxInt64},
+		{0, 200},   // cuts the top; the bottom starts at index h
+		{122, 301}, // bounds between timestamps: indexes 12 .. 29
+		{500, 600}, // past the end
+	}
+	for _, rg := range ranges {
+		for _, stride := range []int{1, 2, 5, n} {
+			var want []int // series indexes the tuples predict
+			for i := h; i < n; i++ {
+				if times[i] >= rg[0] && times[i] <= rg[1] && (len(want) == 0 || i-want[0] == len(want)*stride) {
+					want = append(want, i)
+				}
+			}
+			var first []Tuple
+			for _, workers := range []int{1, 2, 7} {
+				m := &recordingMetric{windows: make(map[float64][]float64)}
+				tuples, err := TuplesFromSeries(s, m, h, rg[0], rg[1], stride, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tuples) != len(want) || len(m.windows) != len(want) {
+					t.Fatalf("range %v stride %d workers %d: %d tuples from %d windows, want %d",
+						rg, stride, workers, len(tuples), len(m.windows), len(want))
+				}
+				for k, i := range want {
+					tp := tuples[k]
+					if tp.T != times[i] || tp.RHat != values[i-1] {
+						t.Fatalf("range %v stride %d workers %d tuple %d: t=%d r̂=%v, want t=%d r̂=%v",
+							rg, stride, workers, k, tp.T, tp.RHat, times[i], values[i-1])
+					}
+					if w := m.windows[values[i-1]]; !reflect.DeepEqual(w, values[i-h:i]) {
+						t.Fatalf("range %v stride %d tuple %d: window %v, want %v", rg, stride, k, w, values[i-h:i])
+					}
+				}
+				if workers == 1 {
+					first = tuples
+				} else if !reflect.DeepEqual(tuples, first) {
+					t.Fatalf("range %v stride %d: workers %d differ from the sequential run", rg, stride, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -214,7 +214,7 @@ func TestTuplesFromSeries(t *testing.T) {
 	}
 	s := timeseries.FromValues(vs)
 	m, _ := density.NewARMAGARCH(1, 0)
-	tuples, err := TuplesFromSeries(s, m, 60, 100, 200, 1)
+	tuples, err := TuplesFromSeries(s, m, 60, 100, 200, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestTuplesFromSeries(t *testing.T) {
 
 func TestTuplesFromSeriesValidation(t *testing.T) {
 	s := timeseries.FromValues(make([]float64, 100))
-	if _, err := TuplesFromSeries(s, nil, 10, 0, 100, 1); !errors.Is(err, ErrBadArg) {
+	if _, err := TuplesFromSeries(s, nil, 10, 0, 100, 1, 1); !errors.Is(err, ErrBadArg) {
 		t.Error("nil metric accepted")
 	}
 	m, _ := density.NewARMAGARCH(1, 0)
-	if _, err := TuplesFromSeries(s, m, 3, 0, 100, 1); !errors.Is(err, ErrBadArg) {
+	if _, err := TuplesFromSeries(s, m, 3, 0, 100, 1, 1); !errors.Is(err, ErrBadArg) {
 		t.Error("H below MinWindow accepted")
 	}
 }
@@ -294,63 +294,5 @@ func TestViewWriteCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "7,-1,") {
 		t.Errorf("first row = %q", lines[1])
-	}
-}
-
-func TestOnlineBuilder(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 200
-	vs := make([]float64, n)
-	for i := 1; i < n; i++ {
-		vs[i] = 0.8*vs[i-1] + rng.NormFloat64()
-	}
-	h := 60
-	m, _ := density.NewARMAGARCH(1, 0)
-	b, _ := NewBuilder(Omega{Delta: 0.25, N: 8})
-	ob, err := NewOnlineBuilder(m, h, b, vs[:h])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := h; i < n; i++ {
-		rows, commit, err := ob.Prepare(int64(i+1), vs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		commit()
-		if len(rows) != 8 {
-			t.Fatalf("step %d: %d rows", i, len(rows))
-		}
-		total := 0.0
-		for _, r := range rows {
-			if r.T != int64(i+1) {
-				t.Fatalf("row timestamp %d at step %d", r.T, i)
-			}
-			total += r.Prob
-		}
-		if total > 1+1e-9 {
-			t.Fatalf("probability mass %v > 1", total)
-		}
-	}
-	// Non-increasing timestamps rejected.
-	if _, _, err := ob.Prepare(5, 0); !errors.Is(err, ErrBadArg) {
-		t.Error("non-increasing timestamp accepted")
-	}
-}
-
-func TestOnlineBuilderValidation(t *testing.T) {
-	m, _ := density.NewARMAGARCH(1, 0)
-	b, _ := NewBuilder(Omega{Delta: 1, N: 2})
-	warm := make([]float64, 60)
-	if _, err := NewOnlineBuilder(nil, 60, b, warm); !errors.Is(err, ErrBadArg) {
-		t.Error("nil metric accepted")
-	}
-	if _, err := NewOnlineBuilder(m, 60, nil, warm); !errors.Is(err, ErrBadArg) {
-		t.Error("nil builder accepted")
-	}
-	if _, err := NewOnlineBuilder(m, 3, b, warm[:3]); !errors.Is(err, ErrBadArg) {
-		t.Error("H below minimum accepted")
-	}
-	if _, err := NewOnlineBuilder(m, 60, b, warm[:10]); !errors.Is(err, ErrBadArg) {
-		t.Error("short warmup accepted")
 	}
 }
