@@ -198,7 +198,7 @@ func TestCleaningStepAtomicOnGenerateFailure(t *testing.T) {
 }
 
 // TestStepAtomicOnRawAppendFailure drops the raw table out from under a live
-// stream: AppendRaw fails, and because the model's prepared step is only
+// stream: CommitStep fails, and because the model's prepared step is only
 // committed after a successful append, restoring the table and retrying
 // yields rows identical to a stream that never saw the failure.
 func TestStepAtomicOnRawAppendFailure(t *testing.T) {

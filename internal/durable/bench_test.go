@@ -65,18 +65,16 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkRecoveryReplay200k measures crash recovery over a WAL holding
-// 200k view rows (no checkpoint to shortcut it): each iteration opens a
-// fresh copy of the crashed filesystem and replays the full log.
+// 200k view rows in 2,000 step records of 100 rows (no checkpoint to
+// shortcut it): each iteration opens a fresh copy of the crashed
+// filesystem and replays the full log.
 func BenchmarkRecoveryReplay200k(b *testing.B) {
 	const totalRows, batch = 200_000, 100
-	fs, st, _ := benchStore(b, false)
+	fs, st, pv := benchStore(b, false)
 	defer st.Close()
-	pv, err := st.DB().View("pv")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for n := 0; n < totalRows/batch; n++ {
-		if err := pv.AppendRows(benchRows(int64(n+1), batch)); err != nil {
+		tt := int64(n + 1)
+		if err := st.DB().CommitStep("sensor", timeseries.Point{T: tt, V: 21}, pv, benchRows(tt, batch)); err != nil {
 			b.Fatal(err)
 		}
 	}

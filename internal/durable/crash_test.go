@@ -43,29 +43,14 @@ func opStoreView(name string, rows []view.Row) scriptOp {
 	}}
 }
 
+// opStep commits one ingest step; with no rows it is a raw-only step.
 func opStep(source, viewName string, p timeseries.Point, rows []view.Row) scriptOp {
-	return scriptOp{fmt.Sprintf("step-t%d", p.T), func(st *Store) error {
+	return scriptOp{fmt.Sprintf("step-%s-t%d", source, p.T), func(st *Store) error {
 		pv, err := st.DB().View(viewName)
 		if err != nil {
 			return err
 		}
 		return st.DB().CommitStep(source, p, pv, rows)
-	}}
-}
-
-func opAppendRaw(name string, p timeseries.Point) scriptOp {
-	return scriptOp{fmt.Sprintf("raw-t%d", p.T), func(st *Store) error {
-		return st.DB().AppendRaw(name, p)
-	}}
-}
-
-func opAppendRows(viewName string, rows []view.Row) scriptOp {
-	return scriptOp{"rows-" + viewName, func(st *Store) error {
-		pv, err := st.DB().View(viewName)
-		if err != nil {
-			return err
-		}
-		return pv.AppendRows(rows)
 	}}
 }
 
@@ -147,7 +132,8 @@ func runCrashTrial(t *testing.T, script []scriptOp, states []map[string]tableDum
 var crashModes = []faultfs.Mode{faultfs.DropUnsynced, faultfs.KeepHalfUnsynced, faultfs.KeepAllUnsynced}
 
 // TestCrashPointMatrix is the exhaustive harness: a fixed script touching
-// every record kind and two checkpoints, killed at every mutating
+// every record kind (create-raw, store-view, step with and without rows,
+// drop) and two checkpoints, killed at every mutating
 // filesystem operation — every WAL write and sync, every segment write,
 // the manifest rename, the WAL trim — under all three cache-survival
 // modes. After each crash, recovery must reconstruct exactly the
@@ -162,17 +148,16 @@ func TestCrashPointMatrix(t *testing.T) {
 		opStep("s", "v", timeseries.Point{T: 4, V: 2}, []view.Row{
 			{T: 4, Lambda: 0, Lo: 2, Hi: 2.5, Prob: 0.6},
 		}),
-		opAppendRaw("s", timeseries.Point{T: 5, V: 3}),
-		opAppendRows("v", []view.Row{{T: 5, Lambda: 0, Lo: 3, Hi: 3.5, Prob: 0.5}}),
+		opStep("s", "v", timeseries.Point{T: 5, V: 3}, nil),
 		opCreateRaw("aux", nil),
-		opAppendRaw("aux", timeseries.Point{T: 1, V: -1}),
+		opStoreView("w", []view.Row{{T: 1, Lambda: 0, Lo: 3, Hi: 3.5, Prob: 0.5}}),
+		opStep("aux", "w", timeseries.Point{T: 1, V: -1}, nil),
 		opCheckpoint(),
 		opStep("s", "v", timeseries.Point{T: 6, V: 4}, []view.Row{
-			{T: 6, Lambda: 0, Lo: 4, Hi: 4.5, Prob: 0.8},
+			{T: 6, Lambda: 0, Lo: 4, Hi: 4.5, Prob: 0.8}, {T: 6, Lambda: 1, Lo: 4.5, Hi: 5, Prob: 0.2},
 		}),
 		opDrop("aux"),
-		opAppendRows("v", []view.Row{
-			{T: 6, Lambda: 1, Lo: 4.5, Hi: 5, Prob: 0.2}, // same group as the step: prior-count dedup path
+		opStep("s", "v", timeseries.Point{T: 7, V: 4.5}, []view.Row{
 			{T: 7, Lambda: 0, Lo: 5, Hi: 5.5, Prob: 0.9},
 		}),
 		opCheckpoint(),
@@ -194,17 +179,17 @@ func TestCrashPointMatrix(t *testing.T) {
 	}
 }
 
-// randomScript generates a seeded, always-valid workload: streamed steps,
-// raw and view appends (including batches continuing the current time
-// group), wholesale view replacement, create/drop churn and explicit
-// checkpoints. All data is fixed at generation time, so a script replays
-// identically on every filesystem.
+// randomScript generates a seeded, always-valid workload: streamed steps
+// with rows, raw-only steps (on the streamed table and on a second raw
+// table that comes and goes), wholesale view replacement, create/drop
+// churn and explicit checkpoints. All data is fixed at generation time, so
+// a script replays identically on every filesystem.
 func randomScript(rng *rand.Rand, n int) []scriptOp {
 	script := []scriptOp{
 		opCreateRaw("s", []timeseries.Point{{T: 1, V: 0}}),
 		opStoreView("v", nil),
 	}
-	rawT := int64(1)
+	rawT, auxT := int64(1), int64(1)
 	lambda := 0
 	aux := false
 	rows := func(tt int64, k int) []view.Row {
@@ -225,11 +210,13 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 				timeseries.Point{T: rawT, V: rng.NormFloat64()}, rows(rawT, 1+rng.Intn(3))))
 		case 4, 5:
 			rawT++
-			script = append(script, opAppendRaw("s", timeseries.Point{T: rawT, V: rng.NormFloat64()}))
+			script = append(script, opStep("s", "v", timeseries.Point{T: rawT, V: rng.NormFloat64()}, nil))
 		case 6:
-			// Extends the current last time group — exercises the replay
-			// dedup that timestamps alone cannot disambiguate.
-			script = append(script, opAppendRows("v", rows(rawT, 1+rng.Intn(2))))
+			if !aux {
+				continue
+			}
+			auxT++
+			script = append(script, opStep("aux", "v", timeseries.Point{T: auxT, V: rng.NormFloat64()}, nil))
 		case 7:
 			script = append(script, opCheckpoint())
 		case 8:
@@ -237,6 +224,7 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 				script = append(script, opDrop("aux"))
 			} else {
 				script = append(script, opCreateRaw("aux", []timeseries.Point{{T: 1, V: 1}}))
+				auxT = 1
 			}
 			aux = !aux
 		case 9:

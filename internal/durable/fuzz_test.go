@@ -20,17 +20,15 @@ import (
 // a second recovery from the result.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a fully valid log exercising every record kind…
+	meta := storage.ViewMeta{Name: "pv", Source: "raw", MetricName: "m", Omega: view.Omega{Delta: 0.5, N: 2}}
 	var valid []byte
 	valid = wal.AppendFrame(valid, encodeCreateRaw("raw", "t", "r",
 		[]timeseries.Point{{T: 1, V: 2}, {T: 2, V: 2.5}}))
-	valid = wal.AppendFrame(valid, encodeAppendRaw("raw", timeseries.Point{T: 3, V: 3}))
-	valid = wal.AppendFrame(valid, encodeStoreView(
-		storage.ViewMeta{Name: "pv", Source: "raw", MetricName: "m", Omega: view.Omega{Delta: 0.5, N: 2}},
-		[]view.Row{{T: 1, Lambda: 0, Lo: 0, Hi: 1, Prob: 0.4}}))
+	valid = wal.AppendFrame(valid, encodeStoreView(meta, []view.Row{{T: 1, Lambda: 0, Lo: 0, Hi: 1, Prob: 0.4}}))
+	valid = wal.AppendFrame(valid, encodeStep("raw", timeseries.Point{T: 3, V: 3}, "pv", nil))
 	valid = wal.AppendFrame(valid, encodeStep("raw", timeseries.Point{T: 4, V: 4}, "pv",
 		[]view.Row{{T: 4, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.6}}))
-	valid = wal.AppendFrame(valid, encodeAppendRows("pv", 2,
-		[]view.Row{{T: 4, Lambda: 1, Lo: 2, Hi: 3, Prob: 0.2}}))
+	valid = wal.AppendFrame(valid, encodeStoreView(meta, []view.Row{{T: 4, Lambda: 1, Lo: 2, Hi: 3, Prob: 0.2}}))
 	valid = wal.AppendFrame(valid, encodeDrop("pv"))
 	f.Add(valid)
 	// …and with degenerate shapes the mutators grow from.

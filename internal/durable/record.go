@@ -23,14 +23,14 @@ import (
 // rather than guessing.
 var ErrBadRecord = errors.New("durable: malformed record")
 
-// Record kinds, one per storage.CommitLog method.
+// Record kinds, one per storage.CommitLog method. The bytes are the
+// on-disk format. Kinds 2 (append-raw), 4 (append-rows) and 7 (reset) are
+// retired: a log holding one fails recovery with ErrBadRecord.
 const (
-	recCreateRaw byte = iota + 1
-	recAppendRaw
-	recStoreView
-	recAppendRows
-	recStep
-	recDrop
+	recCreateRaw byte = 1
+	recStoreView byte = 3
+	recStep      byte = 5
+	recDrop      byte = 6
 )
 
 // record is the decoded form of one WAL payload; which fields are
@@ -43,7 +43,6 @@ type record struct {
 	source   string
 	metric   string
 	omega    view.Omega
-	prior    int // view row count before an appendRows batch
 	pt       timeseries.Point
 	pts      []timeseries.Point
 	rows     []view.Row
@@ -92,12 +91,6 @@ func encodeCreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) []b
 	return appendPoints(dst, pts)
 }
 
-func encodeAppendRaw(name string, p timeseries.Point) []byte {
-	dst := []byte{recAppendRaw}
-	dst = appendStr(dst, name)
-	return appendPoint(dst, p)
-}
-
 func encodeStoreView(meta storage.ViewMeta, rows []view.Row) []byte {
 	dst := []byte{recStoreView}
 	dst = appendStr(dst, meta.Name)
@@ -105,13 +98,6 @@ func encodeStoreView(meta storage.ViewMeta, rows []view.Row) []byte {
 	dst = appendStr(dst, meta.MetricName)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(meta.Omega.Delta))
 	dst = binary.AppendVarint(dst, int64(meta.Omega.N))
-	return appendRowBatch(dst, rows)
-}
-
-func encodeAppendRows(name string, prior int, rows []view.Row) []byte {
-	dst := []byte{recAppendRows}
-	dst = appendStr(dst, name)
-	dst = binary.AppendUvarint(dst, uint64(prior))
 	return appendRowBatch(dst, rows)
 }
 
@@ -132,8 +118,9 @@ func encodeDrop(name string) []byte {
 // truncated or hostile payload degrades to ErrBadRecord, never a panic
 // or an oversized allocation.
 type dec struct {
-	b  []byte
-	ok bool
+	b     []byte
+	ok    bool
+	names map[string]string // interns decoded strings across records
 }
 
 func (d *dec) u8() byte {
@@ -184,8 +171,13 @@ func (d *dec) str() string {
 		d.ok = false
 		return ""
 	}
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
+	s, ok := d.names[string(b)] // no allocation for the lookup key
+	if !ok {
+		s = string(b)
+		d.names[s] = s
+	}
 	return s
 }
 
@@ -232,9 +224,10 @@ func (d *dec) rowBatch() []view.Row {
 }
 
 // decodeRecord parses one WAL payload. Trailing bytes are rejected: a
-// record is exactly its encoding.
-func decodeRecord(b []byte) (record, error) {
-	d := &dec{b: b, ok: true}
+// record is exactly its encoding. Strings are interned in names, so a
+// replay of many step records holds one copy of each table name.
+func decodeRecord(b []byte, names map[string]string) (record, error) {
+	d := &dec{b: b, ok: true, names: names}
 	r := record{kind: d.u8()}
 	switch r.kind {
 	case recCreateRaw:
@@ -242,19 +235,12 @@ func decodeRecord(b []byte) (record, error) {
 		r.timeCol = d.str()
 		r.valueCol = d.str()
 		r.pts = d.points()
-	case recAppendRaw:
-		r.name = d.str()
-		r.pt = d.point()
 	case recStoreView:
 		r.name = d.str()
 		r.source = d.str()
 		r.metric = d.str()
 		r.omega.Delta = d.f64()
 		r.omega.N = int(d.varint())
-		r.rows = d.rowBatch()
-	case recAppendRows:
-		r.name = d.str()
-		r.prior = int(d.uvarint())
 		r.rows = d.rowBatch()
 	case recStep:
 		r.source = d.str()

@@ -14,20 +14,20 @@ import (
 )
 
 // TestCheckpointWhileServing checkpoints repeatedly while concurrent
-// writers (ingest steps on a streamed view, plain appends to a second view
-// and to a raw table) and readers are in flight. The crash image taken
-// after each checkpoint must recover to a consistent prefix: every value
-// matches its generator, each step's raw point and view rows arrive
-// together, and appended batches arrive whole. Once the writers finish,
-// close and reopen must give back the live catalog exactly, group index
-// included. Run under -race to also check the checkpoint's locking against
-// the commit path.
+// writers (ingest steps on a streamed view, 4-row steps on a second view,
+// raw-only steps on a third raw table) and readers are in flight. The
+// crash image taken after each checkpoint must recover to a consistent
+// prefix: every value matches its generator, each step's raw point and
+// view rows arrive together, and batches arrive whole. Once the writers
+// finish, close and reopen must give back the live catalog exactly, group
+// index included. Run under -race to also check the checkpoint's locking
+// against the commit path.
 func TestCheckpointWhileServing(t *testing.T) {
 	const (
 		steps       = 300 // CommitStep calls on sensor -> pv
-		batches     = 100 // AppendRows batches on av
-		batchN      = 4   // rows per batch
-		auxN        = 400 // AppendRaw calls on aux
+		batches     = 100 // CommitStep calls on aux -> av
+		batchN      = 4   // rows per aux step
+		bareN       = 400 // raw-only CommitStep calls on bare (naming av)
 		checkpoints = 20
 	)
 	rawVal := func(t int64) float64 { return float64(t) * 0.5 }
@@ -44,7 +44,7 @@ func TestCheckpointWhileServing(t *testing.T) {
 	fs := faultfs.New()
 	st := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
 	db := st.DB()
-	for _, name := range []string{"sensor", "aux"} {
+	for _, name := range []string{"sensor", "aux", "bare"} {
 		s, err := timeseries.New([]timeseries.Point{{T: 0, V: rawVal(0)}})
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +80,8 @@ func TestCheckpointWhileServing(t *testing.T) {
 			for j := range rows {
 				rows[j] = rowFor(b*batchN + j)
 			}
-			if err := av.AppendRows(rows); err != nil {
+			i := int64(b + 1)
+			if err := db.CommitStep("aux", timeseries.Point{T: i, V: rawVal(i)}, av, rows); err != nil {
 				t.Error(err)
 				return
 			}
@@ -88,8 +89,8 @@ func TestCheckpointWhileServing(t *testing.T) {
 	}()
 	go func() {
 		defer writers.Done()
-		for i := int64(1); i <= auxN; i++ {
-			if err := db.AppendRaw("aux", timeseries.Point{T: i, V: rawVal(i)}); err != nil {
+		for i := int64(1); i <= bareN; i++ {
+			if err := db.CommitStep("bare", timeseries.Point{T: i, V: rawVal(i)}, av, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -104,7 +105,10 @@ func TestCheckpointWhileServing(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				pv.RowsRange(0, math.MaxInt64)
+				if _, err := pv.RowsRange(0, math.MaxInt64); err != nil {
+					t.Error(err)
+					return
+				}
 				av.Times()
 				db.List()
 			}
@@ -163,10 +167,11 @@ func TestCheckpointWhileServing(t *testing.T) {
 		if got := mustView(t, rdb, "pv").SnapshotRows(); !sameBits(got, want) {
 			t.Fatalf("image %d: pv has %d rows for %d sensor points, want the %d its steps produced", i, len(got), n, len(want))
 		}
-		checkRaw(rdb, "aux", auxN)
+		checkRaw(rdb, "bare", bareN)
+		na := checkRaw(rdb, "aux", batches)
 		rows := mustView(t, rdb, "av").SnapshotRows()
-		if len(rows)%batchN != 0 || len(rows) > batches*batchN {
-			t.Fatalf("image %d: av has %d rows, not a whole number of %d-row batches up to %d", i, len(rows), batchN, batches)
+		if len(rows) != (na-1)*batchN {
+			t.Fatalf("image %d: av has %d rows for %d aux points, want the %d its steps produced", i, len(rows), na, (na-1)*batchN)
 		}
 		for j, r := range rows {
 			if r != rowFor(j) {

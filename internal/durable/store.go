@@ -242,6 +242,7 @@ func (s *Store) replayWAL(floor uint64) (uint64, error) {
 			continue
 		}
 	}
+	names := make(map[string]string)
 	for _, seq := range seqs {
 		if seq < floor {
 			continue
@@ -249,7 +250,7 @@ func (s *Store) replayWAL(floor uint64) (uint64, error) {
 		clean, err := wal.ReplayFile(s.fs, s.walDir(), seq, func(payload []byte) error {
 			s.recovery.RecordsReplayed++
 			metReplayRecords.Inc()
-			return s.apply(payload)
+			return s.apply(payload, names)
 		})
 		if err != nil {
 			return 0, fmt.Errorf("durable: replay %s: %w", wal.FileName(seq), err)
@@ -265,9 +266,10 @@ func (s *Store) replayWAL(floor uint64) (uint64, error) {
 	return live + 1, nil
 }
 
-// apply re-applies one replayed record to the (logger-detached) catalog.
-func (s *Store) apply(payload []byte) error {
-	r, err := decodeRecord(payload)
+// apply re-applies one replayed record to the catalog, which has no
+// commit log attached yet; names interns the record's strings.
+func (s *Store) apply(payload []byte, names map[string]string) error {
+	r, err := decodeRecord(payload, names)
 	if err != nil {
 		return err
 	}
@@ -282,32 +284,12 @@ func (s *Store) apply(payload []byte) error {
 			return err
 		}
 		s.noteCreateRaw(r.name)
-	case recAppendRaw:
-		return db.AppendRaw(r.name, r.pt)
 	case recStoreView:
 		meta := storage.ViewMeta{Name: r.name, Source: r.source, MetricName: r.metric, Omega: r.omega}
 		if err := db.StoreView(storage.NewProbTable(meta, r.rows)); err != nil {
 			return err
 		}
 		s.noteStoreView(r.name)
-	case recAppendRows:
-		p, err := db.View(r.name)
-		if err != nil {
-			return err
-		}
-		// Exactly-once: the record carries the table's row count before
-		// the batch. A checkpoint that raced the append may already have
-		// flushed these rows into a segment — then the recovered table is
-		// past prior and the batch is skipped, not appended twice.
-		n := p.NumRows()
-		switch {
-		case n > r.prior:
-			return nil
-		case n < r.prior:
-			return fmt.Errorf("%w: append-rows to %q at %d, table has %d",
-				ErrBadRecord, r.name, r.prior, n)
-		}
-		return p.AppendRows(r.rows)
 	case recStep:
 		p, err := db.View(r.viewName)
 		if err != nil {
@@ -353,20 +335,12 @@ func (s *Store) CreateRaw(name, timeCol, valueCol string, pts []timeseries.Point
 	return nil
 }
 
-func (s *Store) AppendRaw(name string, p timeseries.Point) error {
-	return s.append(encodeAppendRaw(name, p))
-}
-
 func (s *Store) StoreView(meta storage.ViewMeta, rows []view.Row) error {
 	if err := s.append(encodeStoreView(meta, rows)); err != nil {
 		return err
 	}
 	s.noteStoreView(meta.Name)
 	return nil
-}
-
-func (s *Store) AppendRows(name string, prior int, rows []view.Row) error {
-	return s.append(encodeAppendRows(name, prior, rows))
 }
 
 func (s *Store) Step(source string, p timeseries.Point, viewName string, rows []view.Row) error {

@@ -79,7 +79,8 @@ func openStore(t *testing.T, fs wal.FS, opt Options) *Store {
 }
 
 // seedWorkload drives a small deterministic mixed workload: two raw
-// tables, one streamed view, steps, plain appends, and a drop.
+// tables, a streamed view per table, steps with rows on one, raw-only
+// steps on the other, and a drop.
 func seedWorkload(t *testing.T, st *Store, steps int) {
 	t.Helper()
 	db := st.DB()
@@ -101,6 +102,10 @@ func seedWorkload(t *testing.T, st *Store, steps int) {
 	if _, err := db.CreateRawTable("aux", "", "", aux); err != nil {
 		t.Fatal(err)
 	}
+	av := &storage.ProbTable{Name: "av", Source: "aux", Omega: view.Omega{Delta: 1, N: 2}}
+	if err := db.StoreView(av); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < steps; i++ {
 		tt := int64(3 + i)
 		rows := []view.Row{
@@ -110,7 +115,7 @@ func seedWorkload(t *testing.T, st *Store, steps int) {
 		if err := db.CommitStep("sensor", timeseries.Point{T: tt, V: float64(i)}, pv, rows); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.AppendRaw("aux", timeseries.Point{T: tt, V: -float64(i)}); err != nil {
+		if err := db.CommitStep("aux", timeseries.Point{T: tt, V: -float64(i)}, av, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -391,12 +396,19 @@ func TestReopenPreservesEdgeRows(t *testing.T) {
 }
 
 // TestAppendAfterReopenExtendsLazyView: a view recovered from segments is
-// loaded lazily, and an append that arrives before anything has read it
-// must both extend its group index and be logged — a crash right after the
-// append recovers segment rows and appended rows alike.
+// loaded lazily, and a step that arrives before anything has read it must
+// both extend its group index and be logged — a crash right after the step
+// recovers segment rows and appended rows alike.
 func TestAppendAfterReopenExtendsLazyView(t *testing.T) {
 	fs := faultfs.New()
 	st := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
+	s0, err := timeseries.New([]timeseries.Point{{T: 1, V: 1}, {T: 2, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.DB().CreateRawTable("sensor", "", "", s0); err != nil {
+		t.Fatal(err)
+	}
 	pv := &storage.ProbTable{Name: "pv", Source: "sensor", Omega: view.Omega{Delta: 1, N: 2}}
 	pv.AppendRows([]view.Row{{T: 1, Lambda: 0, Prob: 0.5}, {T: 1, Lambda: 1, Prob: 0.5}, {T: 2, Lambda: 0, Prob: 1}})
 	if err := st.DB().StoreView(pv); err != nil {
@@ -412,7 +424,7 @@ func TestAppendAfterReopenExtendsLazyView(t *testing.T) {
 	if rows, _ := st2.DB().ViewResident(); rows != 0 || q.NumRows() != 3 {
 		t.Fatalf("reopened view: %d resident of %d rows before any read, want a pending lazy load", rows, q.NumRows())
 	}
-	if err := q.AppendRows([]view.Row{{T: 5, Lambda: 0, Prob: 1}}); err != nil {
+	if err := st2.DB().CommitStep("sensor", timeseries.Point{T: 5, V: 5}, q, []view.Row{{T: 5, Lambda: 0, Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := groupsIn(t, q, 1, 9); !reflect.DeepEqual(got, []storage.TimeGroup{
@@ -445,8 +457,8 @@ func TestPoisonedLogRejectsUntilReopen(t *testing.T) {
 	if err == nil {
 		t.Fatal("commit with injected fault succeeded")
 	}
-	if err := st.DB().AppendRaw("sensor", timeseries.Point{T: 51, V: 1}); !errors.Is(err, wal.ErrPoisoned) {
-		t.Fatalf("append after fault = %v, want ErrPoisoned", err)
+	if err := st.DB().CommitStep("sensor", timeseries.Point{T: 51, V: 1}, pv, nil); !errors.Is(err, wal.ErrPoisoned) {
+		t.Fatalf("raw-only step after fault = %v, want ErrPoisoned", err)
 	}
 	if got := dumpDB(t, st.DB()); !reflect.DeepEqual(got, want) {
 		t.Fatal("refused commits mutated in-memory state")
@@ -455,5 +467,43 @@ func TestPoisonedLogRejectsUntilReopen(t *testing.T) {
 	defer st2.Close()
 	if got := dumpDB(t, st2.DB()); !reflect.DeepEqual(got, want) {
 		t.Fatal("recovered state differs from last acked state")
+	}
+}
+
+// TestAppendRowsRefusedOnLoggedView: a view the store's catalog holds
+// grows only through CommitStep. AppendRows on its handle is refused with
+// storage.ErrBadSchema before any filesystem operation, so nothing reaches
+// the WAL and a crash recovers the view without the rows; once the view is
+// dropped the handle is a plain table again.
+func TestAppendRowsRefusedOnLoggedView(t *testing.T) {
+	fs := faultfs.New()
+	st := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
+	seedWorkload(t, st, 2)
+	pv := mustView(t, st.DB(), "pv")
+	want := dumpDB(t, st.DB())
+	ops := fs.Ops()
+	if err := pv.AppendRows([]view.Row{{T: 90, Lambda: 0, Prob: 1}}); !errors.Is(err, storage.ErrBadSchema) {
+		t.Fatalf("AppendRows on a logged view = %v, want ErrBadSchema", err)
+	}
+	if n := fs.Ops(); n != ops {
+		t.Fatalf("refused append ran %d filesystem operations", n-ops)
+	}
+	if got := dumpDB(t, st.DB()); !reflect.DeepEqual(got, want) {
+		t.Fatal("refused append changed the catalog")
+	}
+	st2 := openStore(t, fs.CrashImage(), Options{Fsync: true})
+	defer st2.Close()
+	if got := dumpDB(t, st2.DB()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state differs:\n got %+v\nwant %+v", got, want)
+	}
+
+	if err := st.DB().Drop("pv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := pv.AppendRows([]view.Row{{T: 90, Lambda: 0, Prob: 1}}); err != nil {
+		t.Fatalf("AppendRows on a dropped view = %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -23,7 +23,10 @@ func eachTuple(p *storage.ProbTable, tLo, tHi int64, query func(rows []view.Row)
 	if p == nil {
 		return fmt.Errorf("%w: nil view", ErrBadArg)
 	}
-	rows := p.RowsRange(tLo, tHi)
+	rows, err := p.RowsRange(tLo, tHi)
+	if err != nil {
+		return err
+	}
 	if len(rows) == 0 {
 		return ErrNoRows
 	}

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -569,7 +570,10 @@ func (s *Server) handleViewRows(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	rows := pv.RowsRange(from, to)
+	rows, err := pv.RowsRange(from, to)
+	if err != nil {
+		return err
+	}
 	if limit, err := intParam(r, "limit", 0); err != nil {
 		return err
 	} else if limit > 0 && len(rows) > limit {
@@ -578,12 +582,14 @@ func (s *Server) handleViewRows(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, http.StatusOK, ViewRowsResponse{View: pv.Name, Rows: rowsJSON(rows)})
 }
 
+// timeRangeParams reads the from= and to= window bounds; an absent bound
+// is open, the same full int64 range a SQL query without WHERE scans.
 func timeRangeParams(r *http.Request) (from, to int64, err error) {
-	from, err = int64Param(r, "from", -1<<62)
+	from, err = int64Param(r, "from", math.MinInt64)
 	if err != nil {
 		return 0, 0, err
 	}
-	to, err = int64Param(r, "to", 1<<62)
+	to, err = int64Param(r, "to", math.MaxInt64)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -28,14 +28,8 @@ func (l *recLog) op(s string, args ...any) error {
 func (l *recLog) CreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) error {
 	return l.op("create-raw %s %s %s n=%d", name, timeCol, valueCol, len(pts))
 }
-func (l *recLog) AppendRaw(name string, p timeseries.Point) error {
-	return l.op("append-raw %s t=%d", name, p.T)
-}
 func (l *recLog) StoreView(meta ViewMeta, rows []view.Row) error {
 	return l.op("store-view %s src=%s n=%d", meta.Name, meta.Source, len(rows))
-}
-func (l *recLog) AppendRows(view string, prior int, rows []view.Row) error {
-	return l.op("append-rows %s prior=%d n=%d", view, prior, len(rows))
 }
 func (l *recLog) Step(source string, p timeseries.Point, view string, rows []view.Row) error {
 	return l.op("step %s t=%d %s n=%d", source, p.T, view, len(rows))
@@ -62,34 +56,37 @@ func TestCommitLogReceivesMutations(t *testing.T) {
 	if _, err := db.CreateRawTable("raw", "", "", mustSeries(t, timeseries.Point{T: 1, V: 2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AppendRaw("raw", timeseries.Point{T: 2, V: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// An out-of-order point is rejected before logging.
-	if err := db.AppendRaw("raw", timeseries.Point{T: 2, V: 9}); !errors.Is(err, timeseries.ErrUnsorted) {
-		t.Fatalf("stale append = %v, want ErrUnsorted", err)
-	}
 	p := &ProbTable{Name: "pv", Source: "raw"}
 	p.AppendRows([]view.Row{{T: 1, Lambda: 0}})
 	if err := db.StoreView(p); err != nil {
 		t.Fatal(err)
 	}
-	// The stored table's handle is wired: appends through it are logged.
-	if err := p.AppendRows([]view.Row{{T: 2, Lambda: 0}}); err != nil {
+	// A raw-only step: the point alone, no rows.
+	if err := db.CommitStep("raw", timeseries.Point{T: 2, V: 3}, p, nil); err != nil {
 		t.Fatal(err)
+	}
+	// An out-of-order point is rejected before logging.
+	if err := db.CommitStep("raw", timeseries.Point{T: 2, V: 9}, p, nil); !errors.Is(err, timeseries.ErrUnsorted) {
+		t.Fatalf("stale step = %v, want ErrUnsorted", err)
+	}
+	// The stored table's handle refuses unlogged appends.
+	if err := p.AppendRows([]view.Row{{T: 2, Lambda: 0}}); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("AppendRows on a logged table = %v, want ErrBadSchema", err)
 	}
 	if err := db.Drop("pv"); err != nil {
 		t.Fatal(err)
 	}
-	// Appends to a dropped table are applied but no longer logged.
+	// A dropped table is held by no catalog: appends apply, unlogged.
 	if err := p.AppendRows([]view.Row{{T: 3, Lambda: 0}}); err != nil {
 		t.Fatal(err)
 	}
+	if n, _ := db.RawLen("raw"); n != 2 || p.NumRows() != 2 {
+		t.Fatalf("raw len %d, view rows %d; want 2 and 2", n, p.NumRows())
+	}
 	want := []string{
 		"create-raw raw t r n=1",
-		"append-raw raw t=2",
 		"store-view pv src=raw n=1",
-		"append-rows pv prior=1 n=1",
+		"step raw t=2 pv n=0",
 		"drop pv",
 	}
 	if !reflect.DeepEqual(log.ops, want) {
@@ -140,7 +137,8 @@ func TestCommitStepSingleRecord(t *testing.T) {
 
 // TestCommitLogFailureLeavesStateUnchanged: when the log refuses (e.g. a
 // poisoned WAL), the mutation must not be applied — the in-memory state
-// can never run ahead of what recovery will reconstruct.
+// can never run ahead of what recovery will reconstruct. Checked for every
+// record kind: create-raw, store-view, step (with and without rows), drop.
 func TestCommitLogFailureLeavesStateUnchanged(t *testing.T) {
 	db := NewDB()
 	log := &recLog{}
@@ -154,26 +152,43 @@ func TestCommitLogFailureLeavesStateUnchanged(t *testing.T) {
 	}
 	boom := errors.New("wal poisoned")
 	log.fail = boom
-	if err := db.AppendRaw("raw", timeseries.Point{T: 5, V: 1}); !errors.Is(err, boom) {
-		t.Fatalf("AppendRaw = %v", err)
+	if _, err := db.CreateRawTable("raw2", "", "", mustSeries(t)); !errors.Is(err, boom) {
+		t.Fatalf("CreateRawTable = %v", err)
 	}
-	if err := p.AppendRows([]view.Row{{T: 5, Lambda: 0}}); !errors.Is(err, boom) {
-		t.Fatalf("AppendRows = %v", err)
+	p2 := &ProbTable{Name: "pv2", Source: "raw"}
+	if err := db.StoreView(p2); !errors.Is(err, boom) {
+		t.Fatalf("StoreView = %v", err)
+	}
+	// A refused replacement keeps the stored table in place, still logged.
+	if err := db.StoreView(&ProbTable{Name: "pv", Source: "raw"}); !errors.Is(err, boom) {
+		t.Fatalf("StoreView replacement = %v", err)
+	}
+	if err := p.AppendRows([]view.Row{{T: 5, Lambda: 0}}); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("AppendRows on the logged table = %v", err)
 	}
 	if err := db.CommitStep("raw", timeseries.Point{T: 5, V: 1}, p, []view.Row{{T: 5}}); !errors.Is(err, boom) {
 		t.Fatalf("CommitStep = %v", err)
 	}
+	if err := db.CommitStep("raw", timeseries.Point{T: 5, V: 1}, p, nil); !errors.Is(err, boom) {
+		t.Fatalf("raw-only CommitStep = %v", err)
+	}
 	if err := db.Drop("pv"); !errors.Is(err, boom) {
 		t.Fatalf("Drop = %v", err)
 	}
+	if _, err := db.RawTable("raw2"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused create registered the table: %v", err)
+	}
+	if _, err := db.View("pv2"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused store-view registered the view: %v", err)
+	}
 	if n, _ := db.RawLen("raw"); n != 1 {
-		t.Fatalf("raw len = %d after refused appends", n)
+		t.Fatalf("raw len = %d after refused steps", n)
 	}
 	if p.NumRows() != 0 {
-		t.Fatalf("view rows = %d after refused appends", p.NumRows())
+		t.Fatalf("view rows = %d after refused steps", p.NumRows())
 	}
-	if _, err := db.View("pv"); err != nil {
-		t.Fatalf("refused drop removed the view: %v", err)
+	if q, err := db.View("pv"); err != nil || q != p {
+		t.Fatalf("refused drop or replacement changed the view: %v", err)
 	}
 }
 
@@ -221,5 +236,43 @@ func TestLazyLoaderMaterialises(t *testing.T) {
 	}
 	if err := bad.AppendRows([]view.Row{{T: 1}}); !errors.Is(err, boom) {
 		t.Fatalf("AppendRows = %v", err)
+	}
+}
+
+// TestAppendRowsGuardFollowsCatalog: AppendRows is refused exactly while a
+// logged catalog holds the table — from StoreView or SetCommitLog until the
+// log is detached or the table dropped — and a refusal leaves the rows and
+// the log untouched.
+func TestAppendRowsGuardFollowsCatalog(t *testing.T) {
+	db := NewDB()
+	p := &ProbTable{Name: "pv"}
+	if err := db.StoreView(p); err != nil {
+		t.Fatal(err)
+	}
+	appendOne := func(tt int64) error { return p.AppendRows([]view.Row{{T: tt, Lambda: 0, Prob: 1}}) }
+	if err := appendOne(1); err != nil {
+		t.Fatalf("unlogged catalog: %v", err)
+	}
+	log := &recLog{}
+	db.SetCommitLog(log)
+	if err := appendOne(2); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("after SetCommitLog: %v, want ErrBadSchema", err)
+	}
+	db.SetCommitLog(nil)
+	if err := appendOne(3); err != nil {
+		t.Fatalf("after detaching the log: %v", err)
+	}
+	db.SetCommitLog(log)
+	if err := appendOne(4); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("after reattaching the log: %v, want ErrBadSchema", err)
+	}
+	if err := db.Drop("pv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendOne(5); err != nil {
+		t.Fatalf("after Drop: %v", err)
+	}
+	if p.NumRows() != 3 || len(log.ops) != 1 {
+		t.Fatalf("%d rows, log %q; want 3 rows and only the drop logged", p.NumRows(), log.ops)
 	}
 }

@@ -167,8 +167,13 @@ func TestTableMatchesRowModel(t *testing.T) {
 				}
 			case 5:
 				m.touch()
-				if got, want := p.RowsRange(lo, hi), m.inRange(lo, hi); got == nil || !sameRows(got, want) {
-					t.Fatalf("trial %d op %d: RowsRange(%d,%d) = %v, want %v", trial, op, lo, hi, got, want)
+				got, err := p.RowsRange(lo, hi)
+				if m.loadErr != nil {
+					if got != nil || !errors.Is(err, m.loadErr) {
+						t.Fatalf("trial %d op %d: RowsRange on failed load = %v, %v", trial, op, got, err)
+					}
+				} else if want := m.inRange(lo, hi); err != nil || got == nil || !sameRows(got, want) {
+					t.Fatalf("trial %d op %d: RowsRange(%d,%d) = %v, %v; want %v", trial, op, lo, hi, got, err, want)
 				}
 			case 6:
 				m.touch()

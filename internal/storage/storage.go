@@ -36,18 +36,11 @@ var (
 type CommitLog interface {
 	// CreateRaw records the registration of a raw table with its seed points.
 	CreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) error
-	// AppendRaw records one appended raw point.
-	AppendRaw(name string, p timeseries.Point) error
 	// StoreView records the registration (or wholesale replacement) of a view.
 	StoreView(meta ViewMeta, rows []view.Row) error
-	// AppendRows records a batch of rows appended to a view. prior is the
-	// table's row count just before the append: appends are strictly
-	// ordered per table, so a replayer compares prior against the
-	// recovered table's count to apply each batch exactly once even when
-	// a checkpoint already flushed it.
-	AppendRows(view string, prior int, rows []view.Row) error
 	// Step records one atomic ingest step: a raw point and the view rows
-	// it produced, committed together.
+	// it produced (possibly none), committed together. It is the only way
+	// a logged table grows.
 	Step(source string, p timeseries.Point, view string, rows []view.Row) error
 	// Drop records the removal of a table.
 	Drop(name string) error
@@ -91,7 +84,9 @@ type RawTable struct {
 //
 // Rows enter only by being appended — NewProbTable, AppendRows,
 // DB.CommitStep and the lazy loader all end in appendCols — so the index
-// and the columns cannot drift apart and nothing is ever rebuilt. A view
+// and the columns cannot drift apart and nothing is ever rebuilt. While a
+// logged catalog holds the table, DB.CommitStep is the only one of these
+// that applies: AppendRows would bypass the log and is refused. A view
 // that backs an online stream grows while readers scan it: every accessor
 // serialises on the per-table lock, readers see a whole number of appended
 // batches, and appends never block readers of other tables. Point and range
@@ -114,9 +109,10 @@ type ProbTable struct {
 	colLo, colHi []float64
 	colProb      []float64
 
-	// logger, when set, receives every append before it is applied.
-	// Attached while the table sits in a logged catalog, detached on Drop.
-	logger CommitLog
+	// logged is set when the table enters a logged catalog (StoreView,
+	// SetCommitLog) and cleared by Drop or by detaching the log: appends
+	// must then go through DB.CommitStep, so AppendRows refuses them.
+	logged bool
 
 	// load defers materialisation of segment-backed rows: until the first
 	// access that needs them, the table only knows it has pending rows.
@@ -157,9 +153,9 @@ func (p *ProbTable) SetLoader(n int, load RowsLoader) {
 	p.colLambda, p.colLo, p.colHi, p.colProb = nil, nil, nil, nil
 }
 
-func (p *ProbTable) setLogger(l CommitLog) {
+func (p *ProbTable) setLogged(logged bool) {
 	p.mu.Lock()
-	p.logger = l
+	p.logged = logged
 	p.mu.Unlock()
 }
 
@@ -226,30 +222,23 @@ func (p *ProbTable) rlockLoaded() {
 	}
 }
 
-// AppendRows extends the materialised view (online-mode incremental
-// generation). Rows must continue the ascending-timestamp order. When the
-// table sits in a logged catalog the batch is logged before it is applied;
-// a logging failure leaves the table unchanged.
+// AppendRows extends a view no logged catalog holds (an offline build, a
+// bench table). Rows must continue the ascending-timestamp order. A table
+// in a logged catalog is refused with ErrBadSchema and left unchanged: an
+// unlogged append there would be acknowledged and then lost on restart,
+// so its rows enter through DB.CommitStep.
 func (p *ProbTable) AppendRows(rows []view.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.appendLocked(rows, true)
-}
-
-// appendLocked logs (optionally) and applies one row batch. Caller holds
-// the write lock.
-func (p *ProbTable) appendLocked(rows []view.Row, logIt bool) error {
+	if p.logged {
+		return fmt.Errorf("%w: view %q is in a logged catalog; append through DB.CommitStep", ErrBadSchema, p.Name)
+	}
 	p.loadLocked() // a batch lands after the durable rows, never before
 	if p.loadErr != nil {
 		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
-	if logIt && p.logger != nil {
-		if err := p.logger.AppendRows(p.Name, len(p.colProb), rows); err != nil {
-			return err
-		}
 	}
 	p.appendCols(rows)
 	metRowsAppended.Add(int64(len(rows)))
@@ -314,12 +303,16 @@ func (p *ProbTable) groupSpan(tLo, tHi int64) (lo, hi int) {
 	return lo, hi
 }
 
-// RowsRange returns the rows with timestamp in [tLo, tHi] as a fresh slice.
-func (p *ProbTable) RowsRange(tLo, tHi int64) []view.Row {
+// RowsRange returns the rows with timestamp in [tLo, tHi] as a fresh slice,
+// or the error of a failed lazy load.
+func (p *ProbTable) RowsRange(tLo, tHi int64) ([]view.Row, error) {
 	p.rlockLoaded()
 	defer p.mu.RUnlock()
+	if p.loadErr != nil {
+		return nil, fmt.Errorf("view %q: %w", p.Name, p.loadErr)
+	}
 	lo, hi := p.groupSpan(tLo, tHi)
-	return p.rowsOf(p.groups[lo:hi])
+	return p.rowsOf(p.groups[lo:hi]), nil
 }
 
 // RowsAt returns the view rows for timestamp t in arrival (lambda) order,
@@ -431,16 +424,14 @@ type DB struct {
 
 // SetCommitLog attaches a commit log to the catalog: every later mutation
 // is logged before it is applied (write-ahead), in the exact order a
-// replay must re-apply it. Attaching also wires every resident view table,
-// so appends through table handles are logged too. Pass nil to detach —
-// the recovery replayer does, so re-applying logged records does not
-// re-log them.
+// replay must re-apply it. Attaching also marks every resident view table
+// logged, so AppendRows on its handle is refused. Pass nil to detach.
 func (db *DB) SetCommitLog(l CommitLog) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.log = l
 	for _, p := range db.prob {
-		p.setLogger(l)
+		p.setLogged(l != nil)
 	}
 }
 
@@ -547,36 +538,12 @@ func (db *DB) RawTable(name string) (*RawTable, error) {
 	return t, nil
 }
 
-// AppendRaw appends a point to a raw table (online ingestion). The point
-// is validated, then logged, then applied: a rejected point never reaches
-// the commit log, and a logging failure leaves the table unchanged.
-func (db *DB) AppendRaw(name string, p timeseries.Point) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.raw[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if err := t.validateAppend(p); err != nil {
-		return err
-	}
-	if db.log != nil {
-		if err := db.log.AppendRaw(name, p); err != nil {
-			return err
-		}
-	}
-	if err := t.Series.Append(p); err != nil {
-		return err
-	}
-	metRawAppends.Inc()
-	return nil
-}
-
 // CommitStep commits one ingest step atomically: the raw point and the
 // view rows it produced go into a single logged record, and both are
 // applied under the catalog lock before the step is acknowledged. On
 // recovery the step replays as a unit — an acked step never resurfaces
-// with its point but not its rows.
+// with its point but not its rows. A step with no rows appends the raw
+// point alone.
 //
 // The whole step runs under the catalog write lock, which is also what a
 // checkpoint capture takes: a capture therefore sees both sides of the
@@ -610,10 +577,9 @@ func (db *DB) CommitStep(source string, pt timeseries.Point, table *ProbTable, r
 		return err
 	}
 	metRawAppends.Inc()
-	if len(rows) == 0 {
-		return nil
-	}
-	return table.appendLocked(rows, false)
+	table.appendCols(rows)
+	metRowsAppended.Add(int64(len(rows)))
+	return nil
 }
 
 // LastRawTime returns the timestamp of a raw table's most recent point —
@@ -720,7 +686,7 @@ func (db *DB) StoreView(p *ProbTable) error {
 			return err
 		}
 	}
-	p.setLogger(db.log)
+	p.setLogged(db.log != nil)
 	db.prob[p.Name] = p
 	return nil
 }
@@ -755,7 +721,7 @@ func (db *DB) Drop(name string) error {
 				return err
 			}
 		}
-		p.setLogger(nil) // a dropped table's appends are no longer logged
+		p.setLogged(false) // a dropped table is held by no catalog
 		delete(db.prob, name)
 		return nil
 	}

@@ -67,25 +67,30 @@ func TestCreateRawTableDefaultsAndValidation(t *testing.T) {
 	}
 }
 
+// TestAppendRaw appends raw points alone: a step with no rows.
 func TestAppendRaw(t *testing.T) {
 	db := NewDB()
 	s := newTestSeries(t, 3)
 	if _, err := db.CreateRawTable("stream", "t", "r", s); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AppendRaw("stream", timeseries.Point{T: 100, V: 9}); err != nil {
+	p := &ProbTable{Name: "pv", Source: "stream"}
+	if err := db.StoreView(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CommitStep("stream", timeseries.Point{T: 100, V: 9}, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := db.RawTable("stream")
-	if tab.Series.Len() != 4 {
-		t.Errorf("length after append = %d", tab.Series.Len())
+	if tab.Series.Len() != 4 || p.NumRows() != 0 {
+		t.Errorf("after a raw-only step: length %d, view rows %d", tab.Series.Len(), p.NumRows())
 	}
-	if err := db.AppendRaw("missing", timeseries.Point{T: 1, V: 1}); !errors.Is(err, ErrNotFound) {
+	if err := db.CommitStep("missing", timeseries.Point{T: 1, V: 1}, p, nil); !errors.Is(err, ErrNotFound) {
 		t.Error("append to missing table accepted")
 	}
 	// Appending a stale timestamp must propagate the series error.
-	if err := db.AppendRaw("stream", timeseries.Point{T: 50, V: 1}); err == nil {
-		t.Error("stale timestamp accepted")
+	if err := db.CommitStep("stream", timeseries.Point{T: 50, V: 1}, p, nil); !errors.Is(err, timeseries.ErrUnsorted) {
+		t.Errorf("stale timestamp: %v, want ErrUnsorted", err)
 	}
 }
 
