@@ -128,3 +128,33 @@ func TestQuickNelderMeadShiftedQuadratic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNelderMeadTieOrder pins the vertex order among ties. The objective is
+// +Inf on a half-space, as garch's persistence barrier is, and the starting
+// simplex puts three of its four vertices there, so the sort sees a
+// three-way tie at +Inf on the first iteration and more ties as the search
+// runs along the barrier. Which tied vertex counts as the worst steers every
+// later step, so the bits of X and F below (recorded with the stable
+// insertion order: ties keep their vertex index order) change if the
+// ordering of ties does.
+func TestNelderMeadTieOrder(t *testing.T) {
+	f := func(x []float64) float64 {
+		if x[0]+x[1]+x[2] > 1.52 {
+			return math.Inf(1)
+		}
+		return (x[0]-1)*(x[0]-1) + 2*(x[1]-1)*(x[1]-1) + 3*(x[2]-1)*(x[2]-1)
+	}
+	res, err := NelderMead(f, []float64{0.5, 0.5, 0.5}, &NelderMeadSettings{MaxIter: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantX := []uint64{0x3fc8be67d5fb1ff8, 0x3fe30b9ccd51cf66, 0x3fe7689969f55927}
+	for i, w := range wantX {
+		if got := math.Float64bits(res.X[i]); got != w {
+			t.Errorf("X[%d] = %v (bits %#x), want bits %#x", i, res.X[i], got, w)
+		}
+	}
+	if got, w := math.Float64bits(res.F), uint64(0x3ff31dca8ac846bc); got != w {
+		t.Errorf("F = %v (bits %#x), want bits %#x", res.F, got, w)
+	}
+}
