@@ -12,8 +12,9 @@ import (
 //	//tspdb:kernel
 //
 // line in their doc comment (the columnar batch kernels in
-// probdb/columnar.go, the sigma-cache lookup ladder) must stay free of the
-// constructs that put allocations or dynamic dispatch on the scan path:
+// probdb/columnar.go, the sigma-cache lookup ladder, the GARCH likelihood
+// pass) must stay free of the constructs that put allocations or dynamic
+// dispatch on the scan path:
 //
 //   - calls into fmt (every fmt call allocates; hoist error values)
 //   - implicit or explicit conversions of concrete values to interface

@@ -101,13 +101,17 @@ func Fit(a []float64, m, s int, settings *FitSettings) (*Model, error) {
 
 	// Unconstrained parameterisation: theta = [log alpha0, log alpha_1..m,
 	// log beta_1..s]. Stationarity is enforced with a barrier inside the
-	// objective; non-negativity is automatic.
+	// objective; non-negativity is automatic. The objective's working state
+	// is allocated once per call: the decoded model, whose parameters each
+	// evaluation overwrites, and the variance buffer of the recursion.
+	model := &Model{M: m, S: s, Alpha: make([]float64, m), Beta: make([]float64, s)}
+	sigma2 := make([]float64, n)
 	nll := func(theta []float64) float64 {
-		model := decode(theta, m, s)
+		model.decode(theta)
 		if model.Persistence() >= cfg.MaxPersistence {
 			return math.Inf(1)
 		}
-		ll := model.logLikelihood(a, v)
+		ll := model.logLikelihood(a, sigma2, v)
 		return -ll
 	}
 
@@ -139,28 +143,28 @@ func Fit(a []float64, m, s int, settings *FitSettings) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := decode(res.X, m, s)
+	model.decode(res.X)
 	model.LogL = -res.F
 	if math.IsInf(res.F, 1) {
 		// The optimiser never found a stationary point: fall back to a mild
 		// default that is always valid. (Extremely rare; requires an
 		// adversarial window.)
 		model = &Model{M: m, S: s, Alpha0: v * 0.2, Alpha: fill(m, 0.05), Beta: fill(s, 0.7/float64(maxInt(s, 1)))}
-		model.LogL = model.logLikelihood(a, v)
+		model.LogL = model.logLikelihood(a, sigma2, v)
 	}
 	return model, nil
 }
 
-func decode(theta []float64, m, s int) *Model {
-	g := &Model{M: m, S: s, Alpha: make([]float64, m), Beta: make([]float64, s)}
+// decode overwrites g's parameters with the exponentials of theta =
+// [log alpha0, log alpha_1..m, log beta_1..s].
+func (g *Model) decode(theta []float64) {
 	g.Alpha0 = math.Exp(theta[0])
-	for j := 0; j < m; j++ {
+	for j := range g.Alpha {
 		g.Alpha[j] = math.Exp(theta[1+j])
 	}
-	for j := 0; j < s; j++ {
-		g.Beta[j] = math.Exp(theta[1+m+j])
+	for j := range g.Beta {
+		g.Beta[j] = math.Exp(theta[1+g.M+j])
 	}
-	return g
 }
 
 func fill(n int, v float64) []float64 {
@@ -178,43 +182,50 @@ func boolTo01(b bool) float64 {
 	return 0
 }
 
-// logLikelihood computes the Gaussian conditional log-likelihood over a,
-// seeding the variance recursion with seed (typically the sample variance).
-func (g *Model) logLikelihood(a []float64, seed float64) float64 {
-	sigma2 := g.filter(a, seed)
+// log2Pi is the constant term of the Gaussian log-density.
+var log2Pi = math.Log(2 * math.Pi)
+
+// logLikelihood runs the variance recursion (Eq. 5) over the innovation
+// sequence a into sigma2, which must be len(a) long: warm-up entries
+// (i < max(m,s)) are set to seed (typically the sample variance). In the
+// same pass it sums the Gaussian conditional log-likelihood of a[max(m,s):],
+// which is -Inf if any sigma^2_i is not positive or is NaN; the buffer is
+// filled either way. It is Fit's objective, run once per optimiser
+// evaluation, so it allocates nothing.
+//
+//tspdb:kernel
+func (g *Model) logLikelihood(a, sigma2 []float64, seed float64) float64 {
 	k := maxInt(g.M, g.S)
+	for i := 0; i < k && i < len(a); i++ {
+		sigma2[i] = seed
+	}
 	ll := 0.0
+	valid := true
 	for i := k; i < len(a); i++ {
-		s2 := sigma2[i]
-		if s2 <= 0 || math.IsNaN(s2) {
-			return math.Inf(-1)
+		s2 := g.variance(a, sigma2, i)
+		sigma2[i] = s2
+		if !(s2 > 0) { // not positive, or NaN
+			valid = false
 		}
-		ll += -0.5 * (math.Log(2*math.Pi) + math.Log(s2) + a[i]*a[i]/s2)
+		ll += -0.5 * (log2Pi + math.Log(s2) + a[i]*a[i]/s2)
+	}
+	if !valid {
+		return math.Inf(-1)
 	}
 	return ll
 }
 
-// filter runs the variance recursion (Eq. 5) over the full innovation
-// sequence, returning sigma^2_i for every index. Warm-up entries
-// (i < max(m,s)) are set to seed.
-func (g *Model) filter(a []float64, seed float64) []float64 {
-	n := len(a)
-	k := maxInt(g.M, g.S)
-	sigma2 := make([]float64, n)
-	for i := 0; i < k && i < n; i++ {
-		sigma2[i] = seed
+// variance evaluates Eq. 5 at index i from the innovations a[:i] and the
+// variances sigma2[:i]; i may be len(a), which is the forecast of Eq. 6.
+func (g *Model) variance(a, sigma2 []float64, i int) float64 {
+	s2 := g.Alpha0
+	for j := 1; j <= g.M; j++ {
+		s2 += g.Alpha[j-1] * a[i-j] * a[i-j]
 	}
-	for i := k; i < n; i++ {
-		s2 := g.Alpha0
-		for j := 1; j <= g.M; j++ {
-			s2 += g.Alpha[j-1] * a[i-j] * a[i-j]
-		}
-		for j := 1; j <= g.S; j++ {
-			s2 += g.Beta[j-1] * sigma2[i-j]
-		}
-		sigma2[i] = s2
+	for j := 1; j <= g.S; j++ {
+		s2 += g.Beta[j-1] * sigma2[i-j]
 	}
-	return sigma2
+	return s2
 }
 
 // Forecast returns the one-step-ahead conditional variance sigmâ^2_t
@@ -224,15 +235,9 @@ func (g *Model) Forecast(a []float64) (float64, error) {
 	if len(a) < k+1 {
 		return 0, fmt.Errorf("%w: need at least %d innovations", ErrShortInput, k+1)
 	}
-	sigma2 := g.filter(a, stat.Variance(a))
-	n := len(a)
-	s2 := g.Alpha0
-	for j := 1; j <= g.M; j++ {
-		s2 += g.Alpha[j-1] * a[n-j] * a[n-j]
-	}
-	for j := 1; j <= g.S; j++ {
-		s2 += g.Beta[j-1] * sigma2[n-j]
-	}
+	sigma2 := make([]float64, len(a))
+	g.logLikelihood(a, sigma2, stat.Variance(a))
+	s2 := g.variance(a, sigma2, len(a))
 	if s2 <= 0 || math.IsNaN(s2) {
 		return 0, ErrDegenerate
 	}

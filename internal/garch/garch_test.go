@@ -35,6 +35,14 @@ func iidNormal(sigma float64, n int, seed int64) []float64 {
 	return a
 }
 
+// variances returns g's conditional variances over a, the recursion seeded
+// with seed.
+func variances(g *Model, a []float64, seed float64) []float64 {
+	sigma2 := make([]float64, len(a))
+	g.logLikelihood(a, sigma2, seed)
+	return sigma2
+}
+
 func TestFitRecoversPersistence(t *testing.T) {
 	a := simulateGARCH(0.1, 0.15, 0.80, 4000, 1)
 	g, err := Fit(a, 1, 1, nil)
@@ -146,7 +154,7 @@ func TestConditionalVariancesPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s2 := range g.filter(a, stat.Variance(a)) {
+	for i, s2 := range variances(g, a, stat.Variance(a)) {
 		if s2 <= 0 {
 			t.Fatalf("sigma2[%d] = %v", i, s2)
 		}
@@ -176,8 +184,9 @@ func TestLikelihoodImprovesOverStart(t *testing.T) {
 	}
 	// A deliberately bad model must have lower likelihood.
 	bad := &Model{M: 1, S: 1, Alpha0: 10, Alpha: []float64{0.01}, Beta: []float64{0.01}}
-	if bad.logLikelihood(a, 1) >= g.LogL {
-		t.Errorf("fit LL %v not better than bad LL %v", g.LogL, bad.logLikelihood(a, 1))
+	badLL := bad.logLikelihood(a, make([]float64, len(a)), 1)
+	if badLL >= g.LogL {
+		t.Errorf("fit LL %v not better than bad LL %v", g.LogL, badLL)
 	}
 }
 
@@ -270,7 +279,7 @@ func TestVolatilityTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := g.filter(a, stat.Variance(a))
+	s2 := variances(g, a, stat.Variance(a))
 	meanCalm, meanWild := 0.0, 0.0
 	for i := 50; i < n/2; i++ {
 		meanCalm += s2[i]

@@ -7,7 +7,6 @@ package optimize
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrBadArg reports a starting point that is empty or not finite.
@@ -76,11 +75,15 @@ func NelderMead(f Objective, x0 []float64, settings *NelderMeadSettings) (*Resul
 	cfg := settings.withDefaults()
 	n := len(x0)
 
-	// Build the initial simplex.
+	// Every point lives in one buffer allocated once per call: the n+1
+	// simplex vertices, then the centroid, trial (reflected), expansion and
+	// contraction points.
+	buf := make([]float64, (n+5)*n)
+	point := func(i int) []float64 { return buf[i*n : (i+1)*n : (i+1)*n] }
 	verts := make([][]float64, n+1)
 	fvals := make([]float64, n+1)
 	for i := range verts {
-		v := make([]float64, n)
+		v := point(i)
 		copy(v, x0)
 		if i > 0 {
 			j := i - 1
@@ -93,16 +96,22 @@ func NelderMead(f Objective, x0 []float64, settings *NelderMeadSettings) (*Resul
 		verts[i] = v
 		fvals[i] = safeEval(f, v)
 	}
+	centroid, trial, exp, con := point(n+1), point(n+2), point(n+3), point(n+4)
 
+	// sortSimplex orders the vertices by objective value with an insertion
+	// sort. It is stable: tied vertices (several at the +Inf barrier of a
+	// constrained objective, say) keep their index order, which is the
+	// order TestNelderMeadTieOrder and garch's fitted bits depend on.
 	order := make([]int, n+1)
-	centroid := make([]float64, n)
-	trial := make([]float64, n)
-
 	sortSimplex := func() {
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return fvals[order[a]] < fvals[order[b]] })
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && fvals[order[j]] < fvals[order[j-1]]; j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
 	}
 
 	var iters int
@@ -150,7 +159,6 @@ func NelderMead(f Objective, x0 []float64, settings *NelderMeadSettings) (*Resul
 		switch {
 		case fr < fvals[order[0]]:
 			// Expansion.
-			exp := make([]float64, n)
 			for j := 0; j < n; j++ {
 				exp[j] = centroid[j] + 2*(centroid[j]-verts[worst][j])
 			}
@@ -169,7 +177,6 @@ func NelderMead(f Objective, x0 []float64, settings *NelderMeadSettings) (*Resul
 		default:
 			// Contraction (outside if the reflected point improved on the
 			// worst vertex, inside otherwise).
-			con := make([]float64, n)
 			if fr < fvals[worst] {
 				for j := 0; j < n; j++ {
 					con[j] = centroid[j] + 0.5*(trial[j]-centroid[j])

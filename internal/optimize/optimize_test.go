@@ -158,3 +158,27 @@ func TestNelderMeadTieOrder(t *testing.T) {
 		t.Errorf("F = %v (bits %#x), want bits %#x", res.F, got, w)
 	}
 }
+
+// TestNelderMeadAllocsFlat checks that NelderMead allocates once per call,
+// not per iteration: a 10-iteration and a 400-iteration search allocate the
+// same number of times.
+func TestNelderMeadAllocsFlat(t *testing.T) {
+	f := func(x []float64) float64 {
+		return (x[0]-1)*(x[0]-1) + 2*(x[1]+2)*(x[1]+2) + 3*x[2]*x[2]
+	}
+	x0 := []float64{100, 100, 100}
+	allocs := func(maxIter int) float64 {
+		cfg := &NelderMeadSettings{MaxIter: maxIter, TolF: 1e-300, TolX: 1e-300}
+		res, err := NelderMead(f, x0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != maxIter {
+			t.Fatalf("MaxIter %d: stopped after %d iterations", maxIter, res.Iters)
+		}
+		return testing.AllocsPerRun(20, func() { _, _ = NelderMead(f, x0, cfg) })
+	}
+	if short, long := allocs(10), allocs(400); short != long {
+		t.Errorf("allocations grow with iterations: %v at MaxIter 10, %v at 400", short, long)
+	}
+}

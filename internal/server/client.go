@@ -206,8 +206,6 @@ func (c *Client) Buckets(view string, t int64, buckets []BucketJSON) ([]BucketPr
 	return out.Buckets, nil
 }
 
-// Checkpoint asks a durable server to flush its WAL into segment files
-// and trim the replayed prefix.
 // Series fetches the fused multi-statistic endpoint: stats selects a
 // comma-separated subset of "expected,prob,count" ("" selects all three),
 // lo/hi give the value range that prob and count need, and [from, to]
@@ -230,6 +228,8 @@ func (c *Client) Series(view, stats string, lo, hi float64, from, to int64) (*Se
 	return &out, nil
 }
 
+// Checkpoint asks a durable server to flush its WAL into segment files
+// and trim the replayed prefix.
 func (c *Client) Checkpoint() error {
 	return c.do(http.MethodPost, "/checkpoint", nil, nil)
 }
