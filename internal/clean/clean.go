@@ -202,6 +202,21 @@ func (p *Processor) Window() []float64 {
 	return out
 }
 
+// Clone returns an independent copy of the processor's state — window,
+// suspicious run, run count and step count — sharing only the immutable
+// configuration. Stepping the copy leaves p untouched, which is how a
+// caller prepares a batch of values whole and adopts the copy only once
+// the batch has committed.
+func (p *Processor) Clone() *Processor {
+	return &Processor{
+		cfg:    p.cfg,
+		window: append([]float64(nil), p.window...),
+		recent: append([]float64(nil), p.recent...),
+		run:    p.run,
+		steps:  p.steps,
+	}
+}
+
 // Step processes the next raw value r_t.
 func (p *Processor) Step(rt float64) (*StepResult, error) {
 	res, commit, err := p.Prepare(rt)
@@ -215,10 +230,9 @@ func (p *Processor) Step(rt float64) (*StepResult, error) {
 // Prepare computes the full outcome of ingesting r_t — inference, cleaning
 // decision, trend re-adjustment — without mutating any processor state. The
 // returned commit applies the step; discarding it abandons the step with the
-// processor untouched. This is the two-phase form callers use to interleave
-// their own fallible work (e.g. Omega-row generation) between inference and
-// commit so a downstream failure cannot leave the model window advanced past
-// the data that was actually stored.
+// processor untouched. Step is Prepare followed by its commit; a caller
+// that must not advance the processor until its own fallible work has
+// succeeded for a whole batch of values steps a Clone instead.
 func (p *Processor) Prepare(rt float64) (*StepResult, func(), error) {
 	mspan := obs.StartSpan(metModelStage)
 	inf, err := p.cfg.Metric.Infer(p.window)

@@ -135,7 +135,7 @@ func TestStepAtomicOnModelFailure(t *testing.T) {
 // TestCleaningStepAtomicOnGenerateFailure forces the failure between the
 // C-GARCH processor's inference and its commit: the metric returns a poisoned
 // inference (nil distribution, NaN sigma) that row generation rejects. The
-// processor must not consume the point — the Prepare/commit split — so the
+// processor must not consume the point — the batch steps a clone — so the
 // retried point produces rows identical to a never-poisoned control stream.
 func TestCleaningStepAtomicOnGenerateFailure(t *testing.T) {
 	const h = 90

@@ -270,16 +270,16 @@ type Stream struct {
 	engine  *Engine
 	cfg     StreamConfig
 	builder *view.Builder
-	proc    *clean.Processor // C-GARCH path (cleaning enabled)
 	table   *storage.ProbTable
 	metric  density.Metric
 	cache   *sigmacache.Cache
 
-	mu     sync.Mutex // serialises Step; guards lastT, steps, window
+	mu     sync.Mutex // serialises StepBatch; guards every field below
 	lastT  int64      // out-of-order watermark, seeded from the source table
 	steps  int64
 	closed bool
-	window []float64 // plain path: the last H raw values (nil when cleaning)
+	window []float64        // plain path: the last H raw values (nil when cleaning)
+	proc   *clean.Processor // C-GARCH path (nil unless cleaning); replaced by each batch
 }
 
 // OpenStream starts the online mode on a registered raw table. The table
@@ -478,39 +478,61 @@ func (s *Stream) Step(p timeseries.Point) ([]view.Row, error) {
 	return res.Rows, nil
 }
 
-// StepDetailed is Step plus the cleaning outcome.
-//
-// A Step is atomic: either the raw point is stored, the model state advances
-// and the view rows are appended, or an error leaves every piece of state —
-// raw table, model window, materialised view — untouched. The model step is
-// prepared first without committing (inference and row generation, with a
-// commit that advances the window), then the raw point is appended, and
-// only after that success do the model and the view commit. No state change
-// ever needs compensating, so a concurrent snapshot or offline build can
-// never observe a point that a failed step later retracts, and the view is
-// always a subset of the raw table.
+// StepDetailed is Step plus the cleaning outcome: StepBatch with a single
+// point.
 func (s *Stream) StepDetailed(p timeseries.Point) (*StepResult, error) {
+	res, err := s.StepBatch([]timeseries.Point{p})
+	if err != nil {
+		return nil, err
+	}
+	return &res[0], nil
+}
+
+// StepBatch ingests a batch of raw values, in order, as one unit: one
+// result per point, rows identical to the same points stepped one at a
+// time.
+//
+// A batch is atomic: either every raw point is stored, the model state
+// advances past all of them and every view row is appended, or an error
+// leaves every piece of state — raw table, model window, materialised
+// view, WAL — untouched and no row is returned. The batch is prepared
+// whole first, on a copy of the model state (inference, cleaning and row
+// generation for all points); then storage.DB.CommitSteps logs it as one
+// WAL record (one sync on a durable engine) and applies the points and
+// rows; only after that success does the stream adopt the copy. No state
+// change ever needs compensating, so a concurrent checkpoint or offline
+// build can never observe a point that a failed batch later retracts, and
+// the view is always a subset of the raw table.
+func (s *Stream) StepBatch(pts []timeseries.Point) ([]StepResult, error) {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, fmt.Errorf("%w: stream on %q is closed", ErrBadArg, s.cfg.Source)
 	}
-	if p.T <= s.lastT {
-		metOutOfOrder.Inc()
-		return nil, fmt.Errorf("%w: t=%d after t=%d", ErrOutOfOrder, p.T, s.lastT)
+	if len(pts) == 0 {
+		return nil, fmt.Errorf("%w: empty batch", ErrBadArg)
 	}
-	out, commit, err := s.prepare(p)
+	last := s.lastT
+	for _, p := range pts {
+		if p.T <= last {
+			metOutOfOrder.Inc()
+			return nil, fmt.Errorf("%w: t=%d after t=%d", ErrOutOfOrder, p.T, last)
+		}
+		last = p.T
+	}
+	out, rows, adopt, err := s.prepare(pts)
 	if err != nil {
 		metStepErrors.Inc()
 		return nil, err
 	}
-	// Raw point and view rows commit as one unit — on a durable engine a
-	// single WAL record, written before this returns, so an acknowledged
-	// step is never half-recovered.
+	// Raw points and view rows commit as one unit — on a durable engine a
+	// single WAL record, synced before this returns, so an acknowledged
+	// batch is never half-recovered.
 	cspan := obs.StartSpan(metCommitStage)
-	if err := s.engine.db.CommitStep(s.cfg.Source, p, s.table, out.Rows); err != nil {
-		cspan.End()
+	err = s.engine.db.CommitSteps(s.cfg.Source, pts, s.table, rows)
+	cspan.End()
+	if err != nil {
 		// The stream's own watermark starts at the table's last timestamp,
 		// so an unsorted rejection here means a concurrent direct write
 		// moved the raw table ahead — a conflict, not a malformed request.
@@ -521,54 +543,67 @@ func (s *Stream) StepDetailed(p timeseries.Point) (*StepResult, error) {
 		metStepErrors.Inc()
 		return nil, err
 	}
-	cspan.End()
-	commit()
-	s.lastT = p.T
-	s.steps++
-	metSteps.Inc()
+	adopt()
+	s.lastT = last
+	s.steps += int64(len(pts))
+	metSteps.Add(int64(len(pts)))
 	obs.ObserveSince(metStepSeconds, start)
 	return out, nil
 }
 
-// prepare infers the density of one point — from the C-GARCH processor
-// when cleaning, else from the metric over the last H raw values — and
-// generates its view rows without committing any model state; the
-// returned commit advances the window. Every fallible stage runs before
-// any state changes. Caller holds s.mu.
-func (s *Stream) prepare(p timeseries.Point) (*StepResult, func(), error) {
-	res := &StepResult{Cleaned: p.V}
+// prepare infers the density of every point of a batch — through a clone
+// of the C-GARCH processor when cleaning, else from the metric over a
+// copy of the last H raw values extended by the batch — and generates
+// each point's view rows, without touching the stream's model state. The
+// returned adopt installs the advanced state. Every fallible stage runs
+// before any state changes. Caller holds s.mu.
+func (s *Stream) prepare(pts []timeseries.Point) ([]StepResult, []view.Row, func(), error) {
+	out := make([]StepResult, len(pts))
+	rows := make([]view.Row, 0, len(pts)*s.cfg.Omega.N)
 	var (
-		inf    *density.Inference
-		commit func()
+		proc *clean.Processor
+		buf  []float64 // plain path: the window, then the batch's values
 	)
 	if s.proc != nil {
-		st, c, err := s.proc.Prepare(p.V)
-		if err != nil {
-			return nil, nil, err
-		}
-		inf, commit = st.Inference, c
-		res.Cleaned, res.Erroneous, res.TrendChange = st.Cleaned, st.Erroneous, st.TrendChange
+		proc = s.proc.Clone()
 	} else {
-		mspan := obs.StartSpan(metModelStage)
-		var err error
-		inf, err = s.metric.Infer(s.window)
-		mspan.End()
+		buf = make([]float64, len(s.window), len(s.window)+len(pts))
+		copy(buf, s.window)
+	}
+	for i, p := range pts {
+		res := &out[i]
+		res.Cleaned = p.V
+		var inf *density.Inference
+		if proc != nil {
+			st, err := proc.Step(p.V)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			inf = st.Inference
+			res.Cleaned, res.Erroneous, res.TrendChange = st.Cleaned, st.Erroneous, st.TrendChange
+		} else {
+			mspan := obs.StartSpan(metModelStage)
+			var err error
+			inf, err = s.metric.Infer(buf[i : i+len(s.window) : i+len(s.window)])
+			mspan.End()
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			buf = append(buf, p.V)
+		}
+		vspan := obs.StartSpan(metViewStage)
+		r, err := s.builder.GenerateOne(view.Tuple{T: p.T, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist})
+		vspan.End()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		commit = func() {
-			copy(s.window, s.window[1:])
-			s.window[len(s.window)-1] = p.V
-		}
+		res.Rows = r
+		rows = append(rows, r...)
 	}
-	vspan := obs.StartSpan(metViewStage)
-	rows, err := s.builder.GenerateOne(view.Tuple{T: p.T, RHat: inf.RHat, Sigma: inf.Sigma, Dist: inf.Dist})
-	vspan.End()
-	if err != nil {
-		return nil, nil, err
+	if proc != nil {
+		return out, rows, func() { s.proc = proc }, nil
 	}
-	res.Rows = rows
-	return res, commit, nil
+	return out, rows, func() { copy(s.window, buf[len(pts):]) }, nil
 }
 
 // Steps reports how many values the stream has ingested.

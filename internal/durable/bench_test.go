@@ -50,7 +50,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			_, st, pv := benchStore(b, fsync)
 			defer st.Close()
 			db := st.DB()
-			recBytes := len(encodeStep("sensor", timeseries.Point{T: 1, V: 21}, "pv", benchRows(1, 5)))
+			recBytes := len(encodeSteps("sensor", []timeseries.Point{{T: 1, V: 21}}, "pv", benchRows(1, 5)))
 			b.SetBytes(int64(recBytes))
 			b.ReportAllocs()
 			b.ResetTimer()

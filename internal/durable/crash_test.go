@@ -54,6 +54,17 @@ func opStep(source, viewName string, p timeseries.Point, rows []view.Row) script
 	}}
 }
 
+// opSteps commits one multi-point ingest request.
+func opSteps(source, viewName string, pts []timeseries.Point, rows []view.Row) scriptOp {
+	return scriptOp{fmt.Sprintf("steps-%s-t%d-n%d", source, pts[0].T, len(pts)), func(st *Store) error {
+		pv, err := st.DB().View(viewName)
+		if err != nil {
+			return err
+		}
+		return st.DB().CommitSteps(source, pts, pv, rows)
+	}}
+}
+
 func opDrop(name string) scriptOp {
 	return scriptOp{"drop-" + name, func(st *Store) error { return st.DB().Drop(name) }}
 }
@@ -132,12 +143,13 @@ func runCrashTrial(t *testing.T, script []scriptOp, states []map[string]tableDum
 var crashModes = []faultfs.Mode{faultfs.DropUnsynced, faultfs.KeepHalfUnsynced, faultfs.KeepAllUnsynced}
 
 // TestCrashPointMatrix is the exhaustive harness: a fixed script touching
-// every record kind (create-raw, store-view, step with and without rows,
-// drop) and two checkpoints, killed at every mutating
-// filesystem operation — every WAL write and sync, every segment write,
-// the manifest rename, the WAL trim — under all three cache-survival
-// modes. After each crash, recovery must reconstruct exactly the
-// acknowledged prefix: no lost acks, no phantom rows.
+// every record kind production writes (create-raw, store-view, steps of
+// one point and of several, with and without rows, drop) and two
+// checkpoints, killed at every mutating filesystem operation — every WAL
+// write and sync, every segment write, the manifest rename, the WAL trim —
+// under all three cache-survival modes. After each crash, recovery must
+// reconstruct exactly the acknowledged prefix of requests: no lost acks,
+// no phantom rows, and no request recovered in part.
 func TestCrashPointMatrix(t *testing.T) {
 	script := []scriptOp{
 		opCreateRaw("s", []timeseries.Point{{T: 1, V: 10}, {T: 2, V: 11}}),
@@ -160,9 +172,17 @@ func TestCrashPointMatrix(t *testing.T) {
 		opStep("s", "v", timeseries.Point{T: 7, V: 4.5}, []view.Row{
 			{T: 7, Lambda: 0, Lo: 5, Hi: 5.5, Prob: 0.9},
 		}),
+		opSteps("s", "v", []timeseries.Point{{T: 8, V: 5}, {T: 9, V: 5.5}, {T: 10, V: 6}}, []view.Row{
+			{T: 8, Lambda: 0, Lo: 5, Hi: 5.5, Prob: 0.4}, {T: 8, Lambda: 1, Lo: 5.5, Hi: 6, Prob: 0.6},
+			{T: 10, Lambda: 0, Lo: 6, Hi: 6.5, Prob: 1},
+		}),
 		opCheckpoint(),
-		opStep("s", "v", timeseries.Point{T: 8, V: 5}, []view.Row{
-			{T: 8, Lambda: 0, Lo: 5, Hi: 5.5, Prob: 1},
+		opStep("s", "v", timeseries.Point{T: 11, V: 5}, []view.Row{
+			{T: 11, Lambda: 0, Lo: 5, Hi: 5.5, Prob: 1},
+		}),
+		opSteps("s", "v", []timeseries.Point{{T: 12, V: 7}, {T: 13, V: 7.5}}, []view.Row{
+			{T: 12, Lambda: 0, Lo: 7, Hi: 7.5, Prob: 1},
+			{T: 13, Lambda: 0, Lo: 7.5, Hi: 8, Prob: 0.5}, {T: 13, Lambda: 1, Lo: 8, Hi: 8.5, Prob: 0.5},
 		}),
 	}
 	states, total := scriptStates(t, script)
@@ -180,9 +200,9 @@ func TestCrashPointMatrix(t *testing.T) {
 }
 
 // randomScript generates a seeded, always-valid workload: streamed steps
-// with rows, raw-only steps (on the streamed table and on a second raw
-// table that comes and goes), wholesale view replacement, create/drop
-// churn and explicit checkpoints. All data is fixed at generation time, so
+// with rows, multi-point requests, raw-only steps (on the streamed table
+// and on a second raw table that comes and goes), wholesale view
+// replacement, create/drop churn and explicit checkpoints. All data is fixed at generation time, so
 // a script replays identically on every filesystem.
 func randomScript(rng *rand.Rand, n int) []scriptOp {
 	script := []scriptOp{
@@ -203,11 +223,21 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 	}
 	for len(script) < n {
 		switch rng.Intn(10) {
-		case 0, 1, 2, 3:
+		case 0, 1, 2:
 			rawT++
 			lambda = 0
 			script = append(script, opStep("s", "v",
 				timeseries.Point{T: rawT, V: rng.NormFloat64()}, rows(rawT, 1+rng.Intn(3))))
+		case 3:
+			pts := make([]timeseries.Point, 2+rng.Intn(3))
+			var batch []view.Row
+			for i := range pts {
+				rawT++
+				lambda = 0
+				pts[i] = timeseries.Point{T: rawT, V: rng.NormFloat64()}
+				batch = append(batch, rows(rawT, rng.Intn(3))...)
+			}
+			script = append(script, opSteps("s", "v", pts, batch))
 		case 4, 5:
 			rawT++
 			script = append(script, opStep("s", "v", timeseries.Point{T: rawT, V: rng.NormFloat64()}, nil))

@@ -24,13 +24,17 @@ import (
 var ErrBadRecord = errors.New("durable: malformed record")
 
 // Record kinds, one per storage.CommitLog method. The bytes are the
-// on-disk format. Kinds 2 (append-raw), 4 (append-rows) and 7 (reset) are
-// retired: a log holding one fails recovery with ErrBadRecord.
+// on-disk format. Kind 5 (step: one point and its rows) is replayed, no
+// longer written: it decodes as a one-point steps record, so a data
+// directory written before kind 8 recovers. Kinds 2 (append-raw), 4
+// (append-rows) and 7 (reset) are retired: a log holding one fails
+// recovery with ErrBadRecord.
 const (
 	recCreateRaw byte = 1
 	recStoreView byte = 3
 	recStep      byte = 5
 	recDrop      byte = 6
+	recSteps     byte = 8
 )
 
 // record is the decoded form of one WAL payload; which fields are
@@ -43,10 +47,9 @@ type record struct {
 	source   string
 	metric   string
 	omega    view.Omega
-	pt       timeseries.Point
 	pts      []timeseries.Point
 	rows     []view.Row
-	viewName string // step: the view receiving rows
+	viewName string // steps: the view receiving rows
 }
 
 func appendStr(dst []byte, s string) []byte {
@@ -101,11 +104,13 @@ func encodeStoreView(meta storage.ViewMeta, rows []view.Row) []byte {
 	return appendRowBatch(dst, rows)
 }
 
-func encodeStep(source string, p timeseries.Point, viewName string, rows []view.Row) []byte {
-	dst := []byte{recStep}
+// encodeSteps writes one ingest request: the source and view names, the
+// points, then the rows of all of them.
+func encodeSteps(source string, pts []timeseries.Point, viewName string, rows []view.Row) []byte {
+	dst := []byte{recSteps}
 	dst = appendStr(dst, source)
-	dst = appendPoint(dst, p)
 	dst = appendStr(dst, viewName)
+	dst = appendPoints(dst, pts)
 	return appendRowBatch(dst, rows)
 }
 
@@ -244,8 +249,15 @@ func decodeRecord(b []byte, names map[string]string) (record, error) {
 		r.rows = d.rowBatch()
 	case recStep:
 		r.source = d.str()
-		r.pt = d.point()
+		r.pts = []timeseries.Point{d.point()}
 		r.viewName = d.str()
+		r.rows = d.rowBatch()
+	case recSteps:
+		r.source = d.str()
+		r.viewName = d.str()
+		if r.pts = d.points(); len(r.pts) == 0 {
+			d.ok = false // never written: a request holds at least one point
+		}
 		r.rows = d.rowBatch()
 	case recDrop:
 		r.name = d.str()

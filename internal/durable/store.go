@@ -290,12 +290,12 @@ func (s *Store) apply(payload []byte, names map[string]string) error {
 			return err
 		}
 		s.noteStoreView(r.name)
-	case recStep:
+	case recStep, recSteps:
 		p, err := db.View(r.viewName)
 		if err != nil {
 			return err
 		}
-		return db.CommitStep(r.source, r.pt, p, r.rows)
+		return db.CommitSteps(r.source, r.pts, p, r.rows)
 	case recDrop:
 		if err := db.Drop(r.name); err != nil {
 			return err
@@ -343,8 +343,15 @@ func (s *Store) StoreView(meta storage.ViewMeta, rows []view.Row) error {
 	return nil
 }
 
+// Step logs one ingest step: Steps with a single point.
 func (s *Store) Step(source string, p timeseries.Point, viewName string, rows []view.Row) error {
-	return s.append(encodeStep(source, p, viewName, rows))
+	return s.Steps(source, []timeseries.Point{p}, viewName, rows)
+}
+
+// Steps logs one ingest request as a single steps record: one WAL append,
+// so with Options.Fsync one sync however many points it holds.
+func (s *Store) Steps(source string, pts []timeseries.Point, viewName string, rows []view.Row) error {
+	return s.append(encodeSteps(source, pts, viewName, rows))
 }
 
 func (s *Store) Drop(name string) error {

@@ -127,6 +127,7 @@ func (c *Client) OpenStream(table string, req OpenStreamRequest) (*OpenStreamRes
 }
 
 // Ingest streams a batch of points and returns the generated view rows.
+// The batch commits as a unit: on an error none of its points was stored.
 func (c *Client) Ingest(table string, points []PointJSON) (*IngestResponse, error) {
 	var out IngestResponse
 	err := c.do(http.MethodPost, "/tables/"+url.PathEscape(table)+"/points", IngestRequest{Points: points}, &out)

@@ -5,6 +5,7 @@
 //
 // The surface mirrors the engine's two operating modes. Online: PUT a raw
 // table, open a stream on it, then POST batches of points; each batch
+// commits as a unit (all of its points, or on an error none of them) and
 // returns the incrementally generated view rows. Offline: POST Fig. 7
 // statements to /query. Materialised views are scanned with time-range GETs
 // and queried through the probabilistic endpoints (rangeprob, topk,
@@ -251,11 +252,15 @@ type RowJSON struct {
 }
 
 func rowsJSON(rows []view.Row) []RowJSON {
-	out := make([]RowJSON, len(rows))
-	for i, r := range rows {
-		out[i] = RowJSON{T: r.T, Lambda: r.Lambda, Lo: r.Lo, Hi: r.Hi, Prob: r.Prob}
+	return appendRowsJSON(make([]RowJSON, 0, len(rows)), rows)
+}
+
+// appendRowsJSON appends the wire form of rows to dst.
+func appendRowsJSON(dst []RowJSON, rows []view.Row) []RowJSON {
+	for _, r := range rows {
+		dst = append(dst, RowJSON{T: r.T, Lambda: r.Lambda, Lo: r.Lo, Hi: r.Hi, Prob: r.Prob})
 	}
-	return out
+	return dst
 }
 
 // HealthResponse is the GET /healthz payload.
@@ -423,6 +428,11 @@ type IngestResponse struct {
 	TrendChanges int       `json:"trend_changes,omitempty"`
 }
 
+// handleIngest commits the batch as a unit through core.Stream.StepBatch:
+// every point is prepared first, then the whole batch is logged as one WAL
+// record (one sync on a durable engine) and applied. The response goes
+// out only after that; on an error nothing of the batch was stored and no
+// rows are returned.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	stream, err := s.engine.Stream(r.PathValue("table"))
 	if err != nil {
@@ -438,18 +448,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Points) > s.cfg.MaxBatch {
 		return fmt.Errorf("%w: batch of %d exceeds limit %d", errBadRequest, len(req.Points), s.cfg.MaxBatch)
 	}
-	resp := IngestResponse{}
-	for _, p := range req.Points {
-		res, err := stream.StepDetailed(timeseries.Point{T: p.T, V: p.V})
-		if err != nil {
-			// Report the partial batch: rows already generated are durable.
-			if resp.Ingested > 0 {
-				return fmt.Errorf("%w (after %d of %d points ingested)", err, resp.Ingested, len(req.Points))
-			}
-			return err
-		}
-		resp.Ingested++
-		resp.Rows = append(resp.Rows, rowsJSON(res.Rows)...)
+	pts := make([]timeseries.Point, len(req.Points))
+	for i, p := range req.Points {
+		pts[i] = timeseries.Point{T: p.T, V: p.V}
+	}
+	results, err := stream.StepBatch(pts)
+	if err != nil {
+		return err
+	}
+	n := 0
+	for i := range results {
+		n += len(results[i].Rows)
+	}
+	resp := IngestResponse{Ingested: len(results), Rows: make([]RowJSON, 0, n)}
+	for i := range results {
+		res := &results[i]
+		resp.Rows = appendRowsJSON(resp.Rows, res.Rows)
 		if res.Erroneous {
 			resp.Erroneous++
 		}

@@ -31,8 +31,12 @@ func (l *recLog) CreateRaw(name, timeCol, valueCol string, pts []timeseries.Poin
 func (l *recLog) StoreView(meta ViewMeta, rows []view.Row) error {
 	return l.op("store-view %s src=%s n=%d", meta.Name, meta.Source, len(rows))
 }
-func (l *recLog) Step(source string, p timeseries.Point, view string, rows []view.Row) error {
-	return l.op("step %s t=%d %s n=%d", source, p.T, view, len(rows))
+func (l *recLog) Steps(source string, pts []timeseries.Point, view string, rows []view.Row) error {
+	ts := make([]int64, len(pts))
+	for i := range pts {
+		ts[i] = pts[i].T
+	}
+	return l.op("steps %s t=%v %s n=%d", source, ts, view, len(rows))
 }
 func (l *recLog) Drop(name string) error { return l.op("drop %s", name) }
 
@@ -86,7 +90,7 @@ func TestCommitLogReceivesMutations(t *testing.T) {
 	want := []string{
 		"create-raw raw t r n=1",
 		"store-view pv src=raw n=1",
-		"step raw t=2 pv n=0",
+		"steps raw t=[2] pv n=0",
 		"drop pv",
 	}
 	if !reflect.DeepEqual(log.ops, want) {
@@ -95,8 +99,9 @@ func TestCommitLogReceivesMutations(t *testing.T) {
 }
 
 // TestCommitStepSingleRecord pins that one ingest step — raw point plus
-// derived view rows — commits as a single logged record and that a
-// rejected step leaves both the log and the tables untouched.
+// derived view rows — and one multi-point request each commit as a single
+// logged record, and that a rejected step or request — one stale point
+// anywhere in it — leaves both the log and the tables untouched.
 func TestCommitStepSingleRecord(t *testing.T) {
 	db := NewDB()
 	log := &recLog{}
@@ -125,10 +130,35 @@ func TestCommitStepSingleRecord(t *testing.T) {
 	if n, _ := db.RawLen("raw"); n != 2 || p.NumRows() != 2 {
 		t.Fatal("rejected step mutated state")
 	}
+	pts := []timeseries.Point{{T: 3, V: 1}, {T: 4, V: 1}, {T: 5, V: 1}}
+	batch := []view.Row{{T: 3, Lambda: 0}, {T: 5, Lambda: 0}, {T: 5, Lambda: 1}}
+	for _, bad := range []struct {
+		pts  []timeseries.Point
+		rows []view.Row
+		want error
+	}{
+		{[]timeseries.Point{{T: 3, V: 1}, {T: 5, V: 1}, {T: 4, V: 1}}, batch, timeseries.ErrUnsorted},
+		{[]timeseries.Point{{T: 1, V: 1}, {T: 3, V: 1}}, batch, timeseries.ErrUnsorted}, // stale against the table
+		{nil, nil, ErrBadSchema}, // no points
+	} {
+		if err := db.CommitSteps("raw", bad.pts, p, bad.rows); !errors.Is(err, bad.want) {
+			t.Fatalf("request %v with rows %v = %v, want %v", bad.pts, bad.rows, err, bad.want)
+		}
+	}
+	if n, _ := db.RawLen("raw"); n != 2 || p.NumRows() != 2 {
+		t.Fatal("rejected request mutated state")
+	}
+	if err := db.CommitSteps("raw", pts, p, batch); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := db.RawLen("raw"); n != 5 || p.NumRows() != 5 {
+		t.Fatalf("raw len %d, view rows %d after the request; want 5 and 5", n, p.NumRows())
+	}
 	want := []string{
 		"create-raw raw t r n=1",
 		"store-view pv src=raw n=0",
-		"step raw t=2 pv n=2",
+		"steps raw t=[2] pv n=2",
+		"steps raw t=[3 4 5] pv n=3",
 	}
 	if !reflect.DeepEqual(log.ops, want) {
 		t.Fatalf("log ops:\n  got  %q\n  want %q", log.ops, want)

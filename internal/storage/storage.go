@@ -38,10 +38,10 @@ type CommitLog interface {
 	CreateRaw(name, timeCol, valueCol string, pts []timeseries.Point) error
 	// StoreView records the registration (or wholesale replacement) of a view.
 	StoreView(meta ViewMeta, rows []view.Row) error
-	// Step records one atomic ingest step: a raw point and the view rows
-	// it produced (possibly none), committed together. It is the only way
-	// a logged table grows.
-	Step(source string, p timeseries.Point, view string, rows []view.Row) error
+	// Steps records one atomic ingest request: its raw points, in order,
+	// and the view rows they produced (possibly none), committed together
+	// as one record. It is the only way a logged table grows.
+	Steps(source string, pts []timeseries.Point, view string, rows []view.Row) error
 	// Drop records the removal of a table.
 	Drop(name string) error
 }
@@ -83,9 +83,9 @@ type RawTable struct {
 // of exactly the rows asked for.
 //
 // Rows enter only by being appended — NewProbTable, AppendRows,
-// DB.CommitStep and the lazy loader all end in appendCols — so the index
+// DB.CommitSteps and the lazy loader all end in appendCols — so the index
 // and the columns cannot drift apart and nothing is ever rebuilt. While a
-// logged catalog holds the table, DB.CommitStep is the only one of these
+// logged catalog holds the table, DB.CommitSteps is the only one of these
 // that applies: AppendRows would bypass the log and is refused. A view
 // that backs an online stream grows while readers scan it: every accessor
 // serialises on the per-table lock, readers see a whole number of appended
@@ -111,7 +111,7 @@ type ProbTable struct {
 
 	// logged is set when the table enters a logged catalog (StoreView,
 	// SetCommitLog) and cleared by Drop or by detaching the log: appends
-	// must then go through DB.CommitStep, so AppendRows refuses them.
+	// must then go through DB.CommitSteps, so AppendRows refuses them.
 	logged bool
 
 	// load defers materialisation of segment-backed rows: until the first
@@ -226,7 +226,7 @@ func (p *ProbTable) rlockLoaded() {
 // bench table). Rows must continue the ascending-timestamp order. A table
 // in a logged catalog is refused with ErrBadSchema and left unchanged: an
 // unlogged append there would be acknowledged and then lost on restart,
-// so its rows enter through DB.CommitStep.
+// so its rows enter through DB.CommitSteps.
 func (p *ProbTable) AppendRows(rows []view.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -234,7 +234,7 @@ func (p *ProbTable) AppendRows(rows []view.Row) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.logged {
-		return fmt.Errorf("%w: view %q is in a logged catalog; append through DB.CommitStep", ErrBadSchema, p.Name)
+		return fmt.Errorf("%w: view %q is in a logged catalog; append through DB.CommitSteps", ErrBadSchema, p.Name)
 	}
 	p.loadLocked() // a batch lands after the durable rows, never before
 	if p.loadErr != nil {
@@ -509,20 +509,28 @@ func seriesPoints(s *timeseries.Series) ([]timeseries.Point, error) {
 	return pts, nil
 }
 
-// validateAppend rejects the out-of-order point Series.Append would
-// reject, without mutating anything — the pre-log check that keeps the
-// WAL free of records the in-memory table refuses.
-func (t *RawTable) validateAppend(p timeseries.Point) error {
-	n := t.Series.Len()
-	if n == 0 {
-		return nil
-	}
-	last, err := t.Series.At(n - 1)
-	if err != nil {
-		return err
-	}
-	if p.T <= last.T {
-		return fmt.Errorf("%w: t=%d not after t=%d", timeseries.ErrUnsorted, p.T, last.T)
+// validateAppends rejects what Series.Append would reject for pts, in
+// order — a timestamp not strictly after the one before it, the table's
+// last point included — without mutating anything: the pre-log check that
+// keeps the WAL free of records the in-memory table refuses.
+func (t *RawTable) validateAppends(pts []timeseries.Point) error {
+	for i, p := range pts {
+		var prev int64
+		switch n := t.Series.Len(); {
+		case i > 0:
+			prev = pts[i-1].T
+		case n > 0:
+			last, err := t.Series.At(n - 1)
+			if err != nil {
+				return err
+			}
+			prev = last.T
+		default:
+			continue // the first point of an empty table
+		}
+		if p.T <= prev {
+			return fmt.Errorf("%w: t=%d not after t=%d", timeseries.ErrUnsorted, p.T, prev)
+		}
 	}
 	return nil
 }
@@ -538,20 +546,31 @@ func (db *DB) RawTable(name string) (*RawTable, error) {
 	return t, nil
 }
 
-// CommitStep commits one ingest step atomically: the raw point and the
-// view rows it produced go into a single logged record, and both are
-// applied under the catalog lock before the step is acknowledged. On
-// recovery the step replays as a unit — an acked step never resurfaces
-// with its point but not its rows. A step with no rows appends the raw
-// point alone.
-//
-// The whole step runs under the catalog write lock, which is also what a
-// checkpoint capture takes: a capture therefore sees both sides of the
-// step or neither, so the "flushed to segments" / "still in the WAL"
-// boundary is exact.
+// CommitStep commits one ingest step: CommitSteps with a single point.
 func (db *DB) CommitStep(source string, pt timeseries.Point, table *ProbTable, rows []view.Row) error {
+	return db.CommitSteps(source, []timeseries.Point{pt}, table, rows)
+}
+
+// CommitSteps commits one ingest request atomically: the raw points, in
+// order, and the view rows they produced, in point order (a point may
+// produce none), go into a single logged record (one WAL append, so one
+// sync) and are applied under the catalog lock before the request is
+// acknowledged. On recovery the request replays as a unit: an acked
+// request never resurfaces with some of its points, or with a point but
+// not its rows. A timestamp that does not strictly follow the one before
+// it (the table's last point first) rejects the whole request with
+// timeseries.ErrUnsorted, logging and applying nothing.
+//
+// The whole request runs under the catalog write lock, which is also what
+// a checkpoint capture takes: a capture therefore sees all of the request
+// or none of it, so the "flushed to segments" / "still in the WAL"
+// boundary is exact.
+func (db *DB) CommitSteps(source string, pts []timeseries.Point, table *ProbTable, rows []view.Row) error {
 	if table == nil {
 		return fmt.Errorf("%w: nil view", ErrBadSchema)
+	}
+	if len(pts) == 0 {
+		return fmt.Errorf("%w: no points", ErrBadSchema)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -559,7 +578,7 @@ func (db *DB) CommitStep(source string, pt timeseries.Point, table *ProbTable, r
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, source)
 	}
-	if err := t.validateAppend(pt); err != nil {
+	if err := t.validateAppends(pts); err != nil {
 		return err
 	}
 	table.mu.Lock()
@@ -569,14 +588,16 @@ func (db *DB) CommitStep(source string, pt timeseries.Point, table *ProbTable, r
 		return fmt.Errorf("view %q: %w", table.Name, table.loadErr)
 	}
 	if db.log != nil {
-		if err := db.log.Step(source, pt, table.Name, rows); err != nil {
+		if err := db.log.Steps(source, pts, table.Name, rows); err != nil {
 			return err
 		}
 	}
-	if err := t.Series.Append(pt); err != nil {
-		return err
+	for _, p := range pts {
+		if err := t.Series.Append(p); err != nil {
+			return err
+		}
 	}
-	metRawAppends.Inc()
+	metRawAppends.Add(int64(len(pts)))
 	table.appendCols(rows)
 	metRowsAppended.Add(int64(len(rows)))
 	return nil

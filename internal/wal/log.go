@@ -173,9 +173,10 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// Sync flushes the live file. With Options.Fsync set it is a no-op
-// between appends; without it, callers use Sync to place an explicit
-// durability barrier (e.g. before acknowledging a batch).
+// Sync flushes the live file: it always calls File.Sync, whatever
+// Options.Fsync says. With Fsync off, callers use it to place an explicit
+// durability barrier; with Fsync on, every Append already synced its own
+// record, so a Sync between appends repeats that sync.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
