@@ -20,6 +20,13 @@ import (
 // reslicing, no per-row or per-group dispatch and no allocation. Point
 // helpers use the per-group form, ForEachGroupCols.
 //
+// Window scans read only the rows a value range can touch: on an ordered
+// table (storage.Cols.Ordered, true of every builder view) groupRangeProb
+// binary-searches each tuple's Omega grid for the rows overlapping (lo, hi]
+// and runs rangeProbCols on that sub-span alone. The rows it skips are the
+// rows the whole-tuple loop passes over without adding anything, so every
+// sum adds the same terms in the same order.
+//
 // Results are bit-identical to the row oracle in oracle_test.go: the kernels
 // perform the same floating-point operations in the same order, they just
 // read operands from columns instead of view.Row structs. The zero-width
@@ -94,6 +101,45 @@ func rangeProbCols(rlo, rhi, prob []float64, lo, hi float64) float64 {
 	return total
 }
 
+// groupRangeProb is P(lo < R <= hi) for the tuple g of c, plus the number
+// of rows it read. On ordered columns it first rejects a tuple lying wholly
+// outside the range in O(1) (its last Hi <= lo, or its first Lo > hi), then
+// narrows to rows [a, b): a is the first row with Hi > lo, b the first with
+// Lo > hi. Every row before a has Hi <= lo and every row from b on has
+// Lo > hi; rangeProbCols adds nothing for either (a zero-width row fails
+// lo < Lo <= hi, any other has overlapHi <= overlapLo), so the narrowed sum
+// is the whole-tuple sum bit for bit. Unordered columns scan the whole
+// tuple. lo and hi are pre-validated.
+//
+//tspdb:kernel
+func groupRangeProb(g storage.TimeGroup, c storage.Cols, lo, hi float64) (q float64, read int) {
+	a, b := g.Off, g.Off+g.Len
+	if c.Ordered {
+		if c.Hi[b-1] <= lo || c.Lo[a] > hi {
+			return 0, 0
+		}
+		a = firstAbove(c.Hi, a, b, lo)
+		b = firstAbove(c.Lo, a, b, hi)
+	}
+	return rangeProbCols(c.Lo[a:b], c.Hi[a:b], c.Prob[a:b], lo, hi), b - a
+}
+
+// firstAbove returns the first i in [lo, hi) with x[i] > v, or hi when there
+// is none; x[lo:hi] must be non-decreasing and NaN-free.
+//
+//tspdb:kernel
+func firstAbove(x []float64, lo, hi int, v float64) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x[m] > v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
 // ExpectedSeries returns the expected true value at every timestamp of the
 // view within [tLo, tHi] — the model-based view abstraction of MauveDB
 // (reference [25]) recovered from the probabilistic database. It is the
@@ -113,13 +159,16 @@ func ProbSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]TimeSer
 // scanProbs runs one columnar pass over [tLo, tHi], computing each tuple's
 // P(lo < R_t <= hi) and handing it to reduce; a false return stops the scan
 // early (the reducer's result is decided). It reports the number of tuples
-// visited before the stop — zero means ErrNoRows territory. Shared scan
-// under the zero-allocation reducers ExpectedCount, AnyInRange, AllInRange.
+// visited before the stop — zero means ErrNoRows territory — and the plan,
+// whose RowsRead counts the rows those tuples' narrowed scans read. Shared
+// scan under the zero-allocation reducers ExpectedCount, AnyInRange,
+// AllInRange.
 //
 //tspdb:kernel
-func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func(q float64) bool) (int, error) {
+func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func(q float64) bool) (int, ScanPlan, error) {
+	var plan ScanPlan
 	if p == nil {
-		return 0, errNilView
+		return 0, plan, errNilView
 	}
 	n := 0
 	err := p.RangeCols(tLo, tHi, func(groups []storage.TimeGroup, c storage.Cols) error {
@@ -131,8 +180,8 @@ func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func
 			return errRange(lo, hi)
 		}
 		for _, g := range groups {
-			end := g.Off + g.Len
-			q := rangeProbCols(c.Lo[g.Off:end], c.Hi[g.Off:end], c.Prob[g.Off:end], lo, hi)
+			q, read := groupRangeProb(g, c, lo, hi)
+			plan.RowsRead += read
 			n++
 			if !reduce(q) {
 				return nil
@@ -140,13 +189,14 @@ func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func
 		}
 		return nil
 	})
+	noteRowsRead(plan.RowsRead)
 	if err != nil {
-		return n, err
+		return n, plan, err
 	}
 	if n == 0 {
-		return 0, ErrNoRows
+		return 0, plan, ErrNoRows
 	}
-	return n, nil
+	return n, plan, nil
 }
 
 // ExpectedCount returns the expected number of timestamps in [tLo, tHi]
@@ -156,7 +206,7 @@ func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func
 //tspdb:kernel
 func ExpectedCount(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
 	sum := 0.0
-	if _, err := scanProbs(p, tLo, tHi, lo, hi, func(q float64) bool {
+	if _, _, err := scanProbs(p, tLo, tHi, lo, hi, func(q float64) bool {
 		sum += q
 		return true
 	}); err != nil {
@@ -167,47 +217,62 @@ func ExpectedCount(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float6
 
 // AnyInRange returns P(at least one R_t in (lo, hi]) over [tLo, tHi] under
 // tuple independence: 1 - prod(1 - p_t).
+func AnyInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
+	v, _, err := AnyInRangePlan(p, tLo, tHi, lo, hi)
+	return v, err
+}
+
+// AnyInRangePlan is AnyInRange plus its scan plan for explain output: only
+// RowsRead is set, the scan never parallelises.
 //
 //tspdb:kernel
-func AnyInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
+func AnyInRangePlan(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, ScanPlan, error) {
 	// Work in log space to stay accurate when many tuples are involved.
 	logNone, certain := 0.0, false
-	if _, err := scanProbs(p, tLo, tHi, lo, hi, func(q float64) bool {
+	_, plan, err := scanProbs(p, tLo, tHi, lo, hi, func(q float64) bool {
 		if 1-q <= 0 {
 			certain = true // a certain tuple decides the disjunction
 			return false
 		}
 		logNone += math.Log(1 - q)
 		return true
-	}); err != nil {
-		return 0, err
+	})
+	if err != nil {
+		return 0, plan, err
 	}
 	if certain {
-		return 1, nil
+		return 1, plan, nil
 	}
-	return 1 - math.Exp(logNone), nil
+	return 1 - math.Exp(logNone), plan, nil
 }
 
 // AllInRange returns P(every R_t in (lo, hi]) over [tLo, tHi] under tuple
 // independence: prod(p_t).
+func AllInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
+	v, _, err := AllInRangePlan(p, tLo, tHi, lo, hi)
+	return v, err
+}
+
+// AllInRangePlan is AllInRange plus its scan plan, as AnyInRangePlan.
 //
 //tspdb:kernel
-func AllInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
+func AllInRangePlan(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, ScanPlan, error) {
 	logAll, impossible := 0.0, false
-	if _, err := scanProbs(p, tLo, tHi, lo, hi, func(q float64) bool {
+	_, plan, err := scanProbs(p, tLo, tHi, lo, hi, func(q float64) bool {
 		if q <= 0 {
 			impossible = true // an impossible tuple decides the conjunction
 			return false
 		}
 		logAll += math.Log(q)
 		return true
-	}); err != nil {
-		return 0, err
+	})
+	if err != nil {
+		return 0, plan, err
 	}
 	if impossible {
-		return 0, nil
+		return 0, plan, nil
 	}
-	return math.Exp(logAll), nil
+	return math.Exp(logAll), plan, nil
 }
 
 // ExceedanceCountDistribution returns the probability mass function of the
@@ -274,6 +339,7 @@ func RangeProbAt(p *storage.ProbTable, t int64, lo, hi float64) (float64, error)
 			return errRange(lo, hi)
 		}
 		out = rangeProbCols(g.Lo, g.Hi, g.Prob, lo, hi)
+		noteRowsRead(len(g.Prob))
 		return nil
 	})
 	return out, err
@@ -301,6 +367,7 @@ func TopKAt(p *storage.ProbTable, t int64, k int) ([]view.Row, error) {
 			}
 			return g.Lambda[ia] < g.Lambda[ib]
 		})
+		noteRowsRead(n)
 		m := k
 		if m > n {
 			m = n
@@ -331,6 +398,7 @@ func BucketQueryAt(p *storage.ProbTable, t int64, buckets []Bucket) ([]BucketPro
 			}
 			out = append(out, BucketProb{Bucket: b, Prob: rangeProbCols(g.Lo, g.Hi, g.Prob, b.Lo, b.Hi)})
 		}
+		noteRowsRead(len(g.Prob) * len(out))
 		sort.Slice(out, func(i, j int) bool {
 			if out[i].Prob != out[j].Prob {
 				return out[i].Prob > out[j].Prob

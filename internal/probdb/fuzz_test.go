@@ -112,6 +112,15 @@ func FuzzColumnarKernels(f *testing.F) {
 	f.Add(uint8(3), 0.0, 1.0, 0.5, 1.0, 1.0, 0.5, uint8(2), 2.0, 0.0, 0.4, int8(0), int8(3), -1.0, 2.0)
 	f.Add(uint8(2), 2.0, 0.0, 1.0, 0.0, 0.5, 0.2, uint8(4), 5.0, -1.0, 0.3, int8(2), int8(1), 0.0, 5.0) // inverted window
 	f.Add(uint8(1), 0.0, 1e9, 1.0, 0.0, 0.0, 0.0, uint8(1), 1.0, 0.0, 0.0, int8(1), int8(2), 2.0, 1.0)  // inverted range
+	// Ordered tables (every tuple's Lo and Hi ascend), where the kernels
+	// narrow each tuple to the rows the range can touch: bounds inside a
+	// row, on row edges, lo == hi on a zero-width row's point, -0, and a
+	// range that misses the first tuple entirely.
+	f.Add(uint8(2), 0.0, 1.0, 0.5, 1.0, 1.0, 0.5, uint8(2), -1.0, 1.0, 0.25, int8(0), int8(3), 0.5, 1.5)
+	f.Add(uint8(2), 0.0, 1.0, 0.5, 1.0, 1.0, 0.5, uint8(2), -1.0, 1.0, 0.25, int8(1), int8(2), 0.0, 1.0)
+	f.Add(uint8(3), 0.0, 1.0, 0.5, 1.0, 0.0, 0.5, uint8(3), -2.0, 2.0, 0.25, int8(1), int8(2), 1.0, 1.0)
+	f.Add(uint8(3), 0.0, 1.0, 0.5, 1.0, 0.0, 0.5, uint8(3), -2.0, 2.0, 0.25, int8(1), int8(2), math.Copysign(0, -1), 0.0)
+	f.Add(uint8(2), 0.0, 1.0, 0.5, 1.0, 1.0, 0.5, uint8(2), -1.0, 1.0, 0.25, int8(1), int8(2), 2.0, 3.0)
 	f.Fuzz(func(t *testing.T, n1 uint8, lo1, w1, p1, lo2, w2, p2 float64,
 		n2 uint8, lo3, w3, p3 float64, tLo8, tHi8 int8, qlo, qhi float64) {
 		g1 := fuzzRows(n1, lo1, w1, p1, lo2, w2, p2)

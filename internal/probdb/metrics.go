@@ -11,7 +11,9 @@ var (
 	metGroupsScanned = obs.Default.Counter("tspdb_probdb_groups_scanned_total",
 		"Distinct timestamps in ranges handed to the kernels.")
 	metRowsScanned = obs.Default.Counter("tspdb_probdb_rows_scanned_total",
-		"Rows in ranges handed to the kernels (early-stopping reducers may visit fewer).")
+		"Rows in ranges handed to the kernels (tspdb_probdb_rows_read_total counts those read).")
+	metRowsRead = obs.Default.Counter("tspdb_probdb_rows_read_total",
+		"Rows the kernels read: a window scan skips the rows outside its value range, an early stop the tuples after it; a tuple read by several passes counts once per pass.")
 	metParScans = obs.Default.Counter("tspdb_probdb_parallel_scans_total",
 		"Range scans executed by the chunked worker pool.")
 	metSeqScans = obs.Default.Counter("tspdb_probdb_sequential_scans_total",
@@ -35,9 +37,11 @@ func noteScan(groups []storage.TimeGroup) {
 	}
 }
 
-// notePlan accounts how one range scan executed: pooled scans also record
-// their worker and chunk counts. One call per query, nothing per chunk.
+// notePlan accounts how one range scan executed: the rows it read, and for
+// a pooled scan its worker and chunk counts. One call per query, nothing
+// per chunk.
 func notePlan(plan ScanPlan) {
+	noteRowsRead(plan.RowsRead)
 	if plan.Workers > 1 {
 		metParScans.Inc()
 		metScanWorkers.Observe(float64(plan.Workers))
@@ -45,6 +49,12 @@ func notePlan(plan ScanPlan) {
 		return
 	}
 	metSeqScans.Inc()
+}
+
+// noteRowsRead accounts the rows one query's kernel read: one call per
+// query, after any chunks have summed their counts.
+func noteRowsRead(n int) {
+	metRowsRead.Add(int64(n))
 }
 
 // noteScanGroup accounts a point-query kernel touching one group.

@@ -22,12 +22,15 @@ import (
 // byte-identical output at any worker count.
 //
 // FusedSeries is the second half and the only window kernel: one pass over
-// the Lo/Hi/Prob columns that computes any subset of {expected series, prob
-// series, expected count} simultaneously, per accumulator performing the
-// same operations in the same order as the row oracle — a dashboard issuing
-// all three statistics pays one scan instead of three. ExpectedSeriesPar,
-// ProbSeriesPar and ExpectedCountPar are its single-statistic projections,
-// and ExpectedSeries and ProbSeries those at workers=1.
+// the group index and the Lo/Hi/Prob columns that computes any subset of
+// {expected series, prob series, expected count} simultaneously, per
+// accumulator performing the same operations in the same order as the row
+// oracle — a dashboard issuing all three statistics pays one scan instead
+// of three. The expected series reads each tuple's sums off the group
+// index; the probabilities read only the rows the range can touch.
+// ExpectedSeriesPar, ProbSeriesPar and ExpectedCountPar are its
+// single-statistic projections, and ExpectedSeries and ProbSeries those at
+// workers=1.
 //
 // ExpectedCount, AnyInRange and AllInRange (columnar.go) stay on the
 // sequential scanProbs reducer on purpose: they allocate nothing, and the
@@ -48,37 +51,53 @@ const parChunksPerWorker = 4
 var errNoStats = fmt.Errorf("%w: no statistics requested", ErrBadArg)
 
 // ScanPlan reports how a kernel invocation executed, for explain output:
-// Workers goroutines over Chunks contiguous group chunks. {1, 1} is the
-// sequential fast path.
+// Workers goroutines over Chunks contiguous group chunks ({1, 1} for the
+// sequential fast path, {0, 0} for a scan that never parallelises), and
+// RowsRead, the rows it actually read: its window's rows less those grid
+// narrowing or an early stop skipped, and none for an expected-value-only
+// pass, which reads the group index alone.
 type ScanPlan struct {
-	Workers int
-	Chunks  int
+	Workers  int
+	Chunks   int
+	RowsRead int
 }
 
 // seqPlan is the fast-path plan.
 var seqPlan = ScanPlan{Workers: 1, Chunks: 1}
 
+// runSequential is forEachGroupPar's fast path: the whole span as one chunk
+// on the calling goroutine.
+//
+//tspdb:kernel
+func runSequential(n int, runChunk func(lo, hi int) (int, error)) (ScanPlan, error) {
+	plan := seqPlan
+	var err error
+	plan.RowsRead, err = runChunk(0, n)
+	notePlan(plan)
+	return plan, err
+}
+
 // forEachGroupPar runs runChunk(lo, hi) over contiguous sub-spans of groups
 // that concatenate to [0, len(groups)), either inline (sequential fast
 // path) or on a worker pool. runChunk must write only into output slots
-// owned by its span. On failure the error of the earliest failing chunk is
-// returned — chunks before it all succeeded, so it is the same error the
-// sequential left-to-right scan would have hit first.
+// owned by its span, and returns the rows it read; their sum over the
+// chunks is the plan's RowsRead, and tspdb_probdb_rows_read_total gains it
+// once. On failure the error of the earliest failing chunk is returned —
+// chunks before it all succeeded, so it is the same error the sequential
+// left-to-right scan would have hit first.
 //
 // Callers invoke this inside a RangeCols callback: the table read lock is
 // held, and the pool joins before returning, so no worker ever touches the
 // column slices after the callback ends.
 //
 //tspdb:kernel
-func forEachGroupPar(groups []storage.TimeGroup, workers int, runChunk func(lo, hi int) error) (ScanPlan, error) {
+func forEachGroupPar(groups []storage.TimeGroup, workers int, runChunk func(lo, hi int) (int, error)) (ScanPlan, error) {
 	if workers <= 1 || storage.SpanRows(groups) < parCutoffRows {
-		notePlan(seqPlan)
-		return seqPlan, runChunk(0, len(groups))
+		return runSequential(len(groups), runChunk)
 	}
 	chunks := storage.ChunkGroups(groups, workers*parChunksPerWorker)
 	if len(chunks) <= 1 {
-		notePlan(seqPlan)
-		return seqPlan, runChunk(0, len(groups))
+		return runSequential(len(groups), runChunk)
 	}
 	if workers > len(chunks) {
 		workers = len(chunks)
@@ -88,7 +107,12 @@ func forEachGroupPar(groups []storage.TimeGroup, workers int, runChunk func(lo, 
 		failed atomic.Int64 // lowest failing chunk index; len(chunks) = none
 		wg     sync.WaitGroup
 	)
-	errs := make([]error, len(chunks))
+	// One slot per chunk, written only by the worker that ran it.
+	type chunkResult struct {
+		read int
+		err  error
+	}
+	results := make([]chunkResult, len(chunks))
 	failed.Store(int64(len(chunks)))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -102,11 +126,11 @@ func forEachGroupPar(groups []storage.TimeGroup, workers int, runChunk func(lo, 
 					return
 				}
 				ch := chunks[ci]
-				err := runChunk(ch.Lo, ch.Hi)
+				n, err := runChunk(ch.Lo, ch.Hi)
+				results[ci] = chunkResult{read: n, err: err}
 				if err == nil {
 					continue
 				}
-				errs[ci] = err
 				for {
 					cur := failed.Load()
 					if int64(ci) >= cur || failed.CompareAndSwap(cur, int64(ci)) {
@@ -119,60 +143,39 @@ func forEachGroupPar(groups []storage.TimeGroup, workers int, runChunk func(lo, 
 	}
 	wg.Wait()
 	plan := ScanPlan{Workers: workers, Chunks: len(chunks)}
+	for _, r := range results {
+		plan.RowsRead += r.read
+	}
 	notePlan(plan)
 	if i := failed.Load(); int(i) < len(chunks) {
-		return plan, errs[i]
+		return plan, results[i].err
 	}
 	return plan, nil
 }
 
-// expectedAccumCols is Expected's accumulation over column slices, without
-// the normalisation: the fused chunk needs the raw (num, den) pair to decide
-// zero-mass itself.
-//
-//tspdb:kernel
-func expectedAccumCols(rlo, rhi, prob []float64) (num, den float64) {
-	rhi = rhi[:len(rlo)]
-	prob = prob[:len(rlo)]
-	for i := range rlo {
-		mid := (rlo[i] + rhi[i]) / 2
-		num += mid * prob[i]
-		den += prob[i]
-	}
-	return num, den
-}
-
 // fusedChunk evaluates one contiguous chunk of groups into preallocated,
 // chunk-owned output slots: outE[i]/outP[i]/outQ[i] belong to groups[i].
-// A nil slice deselects that statistic. Each selected statistic runs its
-// own loop over the group's rows — the second loop hits rows still hot in
-// L1 (groups are a handful of rows), so a fused pass pays the column memory
-// traffic once and each statistic is the same arithmetic whatever else is
-// selected. The first zero-mass group stops the chunk.
+// A nil slice deselects that statistic. The expected value is the group
+// index's Num/Den, O(1) per tuple; the range probability reads the tuple's
+// narrowed span through groupRangeProb. It returns the rows it read. The
+// first zero-mass group stops the chunk.
 //
 //tspdb:kernel
-func fusedChunk(groups []storage.TimeGroup, c storage.Cols, lo, hi float64, outE, outP []TimeSeriesPoint, outQ []float64) error {
-	wantE := outE != nil
+func fusedChunk(groups []storage.TimeGroup, c storage.Cols, lo, hi float64, outE, outP []TimeSeriesPoint, outQ []float64) (int, error) {
 	wantQ := outP != nil || outQ != nil
+	read := 0
 	for i, g := range groups {
-		end := g.Off + g.Len
-		rlo, rhi, pm := c.Lo[g.Off:end], c.Hi[g.Off:end], c.Prob[g.Off:end]
-		var num, den, q float64
-		switch {
-		case wantE && wantQ:
-			num, den = expectedAccumCols(rlo, rhi, pm)
-			q = rangeProbCols(rlo, rhi, pm, lo, hi)
-		case wantE:
-			num, den = expectedAccumCols(rlo, rhi, pm)
-		default:
-			q = rangeProbCols(rlo, rhi, pm, lo, hi)
-		}
-		if wantE {
-			if den == 0 {
-				return errZeroMass
+		if outE != nil {
+			if g.Den == 0 {
+				return read, errZeroMass
 			}
-			outE[i] = TimeSeriesPoint{T: g.T, Value: num / den}
+			outE[i] = TimeSeriesPoint{T: g.T, Value: g.Num / g.Den}
 		}
+		if !wantQ {
+			continue
+		}
+		q, n := groupRangeProb(g, c, lo, hi)
+		read += n
 		if outP != nil {
 			outP[i] = TimeSeriesPoint{T: g.T, Value: q}
 		}
@@ -180,7 +183,7 @@ func fusedChunk(groups []storage.TimeGroup, c storage.Cols, lo, hi float64, outE
 			outQ[i] = q
 		}
 	}
-	return nil
+	return read, nil
 }
 
 // FusedStats selects which statistics one FusedSeries pass computes.
@@ -264,7 +267,7 @@ func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want Fuse
 			outQ = make([]float64, len(groups))
 		}
 		var err error
-		plan, err = forEachGroupPar(groups, workers, func(gl, gh int) error {
+		plan, err = forEachGroupPar(groups, workers, func(gl, gh int) (int, error) {
 			var e, pr []TimeSeriesPoint
 			var qs []float64
 			if outE != nil {

@@ -62,6 +62,12 @@ type Stats struct {
 	// (for a build: tuples inferred and rows materialised).
 	Groups int `json:"groups_scanned"`
 	Rows   int `json:"rows_scanned"`
+	// RowsRead is how many of those rows the kernels actually read: a
+	// columnar window scan skips a tuple's rows outside the value range,
+	// EXPECTED reads none (the group index holds each tuple's sums), and an
+	// early-stopping ANY or ALLIN none past its deciding tuple. A row path
+	// reads every row of its span; a build reads none.
+	RowsRead int `json:"rows_read"`
 	// Workers and Chunks report how a parallel-capable scan executed:
 	// Workers goroutines over Chunks contiguous group chunks, {1, 1} for the
 	// sequential fast path. A build reports only Workers, the size of its
@@ -298,7 +304,7 @@ func execSelect(db *storage.DB, s *SelectStmt, opts Options) (*Result, error) {
 		groups, rows := pv.RangeSize(tLo, tHi)
 		res := &Result{
 			Kind: "rows", Columns: []string{"t", "lambda", "lo", "hi", "prob"},
-			Stats: Stats{Path: "row", Groups: groups, Rows: rows},
+			Stats: Stats{Path: "row", Groups: groups, Rows: rows, RowsRead: rows},
 		}
 		span, err := pv.RowsRange(tLo, tHi)
 		if err != nil {
@@ -329,7 +335,7 @@ func execSelect(db *storage.DB, s *SelectStmt, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = Stats{Path: "raw", Rows: sub.Len()}
+	res.Stats = Stats{Path: "raw", Rows: sub.Len(), RowsRead: sub.Len()}
 	for i := 0; i < sub.Len(); i++ {
 		p, err := sub.At(i)
 		if err != nil {
@@ -368,17 +374,17 @@ func execAggregate(pv *storage.ProbTable, s *SelectStmt, tLo, tHi int64, opts Op
 		}
 		res, plan = seriesResult("prob", series, s.Limit), p
 	case "ANY":
-		v, err := probdb.AnyInRange(pv, tLo, tHi, s.Agg.Lo, s.Agg.Hi)
+		v, p, err := probdb.AnyInRangePlan(pv, tLo, tHi, s.Agg.Lo, s.Agg.Hi)
 		if err != nil {
 			return nil, err
 		}
-		res = scalarResult("any", v)
+		res, plan = scalarResult("any", v), p
 	case "ALLIN":
-		v, err := probdb.AllInRange(pv, tLo, tHi, s.Agg.Lo, s.Agg.Hi)
+		v, p, err := probdb.AllInRangePlan(pv, tLo, tHi, s.Agg.Lo, s.Agg.Hi)
 		if err != nil {
 			return nil, err
 		}
-		res = scalarResult("allin", v)
+		res, plan = scalarResult("allin", v), p
 	case "COUNT":
 		v, p, err := probdb.ExpectedCountPar(pv, tLo, tHi, s.Agg.Lo, s.Agg.Hi, workers)
 		if err != nil {
@@ -389,7 +395,7 @@ func execAggregate(pv *storage.ProbTable, s *SelectStmt, tLo, tHi int64, opts Op
 		return nil, fmt.Errorf("%w: aggregate %q", ErrUnsupported, s.Agg.Name)
 	}
 	groups, rows := pv.RangeSize(tLo, tHi)
-	res.Stats = Stats{Path: "columnar", Groups: groups, Rows: rows,
+	res.Stats = Stats{Path: "columnar", Groups: groups, Rows: rows, RowsRead: plan.RowsRead,
 		Workers: plan.Workers, Chunks: plan.Chunks}
 	return res, nil
 }

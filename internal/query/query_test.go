@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/storage"
 	"repro/internal/timeseries"
+	"repro/internal/view"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -582,5 +583,47 @@ func TestExecWindowBelowMinimumIsRaised(t *testing.T) {
 	}
 	if res.View.NumRows() == 0 {
 		t.Error("no rows generated")
+	}
+}
+
+// TestExecAggregateRowsRead pins the rows_read each aggregate reports on a
+// hand-built ordered view: three tuples whose grids are (0,1], (1,2],
+// (2,3], (3,4] with mass 1/4 each. (1.5, 2.5] touches two rows of each.
+func TestExecAggregateRowsRead(t *testing.T) {
+	var rows []view.Row
+	for ts := int64(1); ts <= 3; ts++ {
+		for i := 0; i < 4; i++ {
+			rows = append(rows, view.Row{T: ts, Lambda: i - 2, Lo: float64(i), Hi: float64(i + 1), Prob: 0.25})
+		}
+	}
+	db := storage.NewDB()
+	if err := db.StoreView(storage.NewProbTable(storage.ViewMeta{Name: "pv", Source: "raw"}, rows)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		read int
+	}{
+		{"SELECT * FROM pv", 12},
+		{"SELECT EXPECTED FROM pv", 0},
+		{"SELECT PROB(1.5, 2.5) FROM pv", 6},
+		{"SELECT COUNT(1.5, 2.5) FROM pv", 6},
+		{"SELECT ANY(1.5, 2.5) FROM pv", 6},
+		{"SELECT ALLIN(1.5, 2.5) FROM pv", 6},
+		{"SELECT ALLIN(10, 11) FROM pv", 0},    // t=1 decides it, its grid wholly below
+		{"SELECT ANY(-1, 5) FROM pv", 4},       // t=1 is certain: one tuple read
+		{"SELECT COUNT(2, 2) FROM pv", 3},      // lo == hi on an edge: reads the row above it, which adds 0
+		{"SELECT COUNT(-1, 0.5) FROM pv", 3},   // only each tuple's first row
+		{"SELECT COUNT(4, 9) FROM pv", 0},      // every grid ends at 4
+		{"SELECT COUNT(-9, 9) FROM pv", 12},    // every row
+		{"SELECT COUNT(2.5, 2.75) FROM pv", 3}, // inside one row
+	} {
+		res, err := ExecWith(db, c.q, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if res.Stats.Rows != 12 || res.Stats.RowsRead != c.read {
+			t.Errorf("%s: scanned %d rows, read %d; want 12, %d", c.q, res.Stats.Rows, res.Stats.RowsRead, c.read)
+		}
 	}
 }

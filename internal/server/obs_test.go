@@ -287,7 +287,10 @@ func TestRequestIDGenerated(t *testing.T) {
 
 // TestExplainStats drives ?explain=1 end to end across /query and the
 // probabilistic endpoints: the view holds 81 tuples (t in [40,120]) of 8
-// rows each, so a [50,60] scan must report 11 groups and 88 rows.
+// rows each, so a [50,60] scan must report 11 groups and 88 rows. Rows
+// read: a listing reads them all, EXPECTED none (the group index holds each
+// tuple's sums), a value range covering every grid all of them, one around
+// a single value a few, a point kernel its tuple once per pass.
 func TestExplainStats(t *testing.T) {
 	ts, client, _ := newTestServer(t, Config{})
 	if _, err := client.Exec(`CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=8 WINDOW 16 FROM campus WHERE t >= 40 AND t <= 120`); err != nil {
@@ -306,31 +309,35 @@ func TestExplainStats(t *testing.T) {
 	if sel.Stats.Statement != "select" || sel.Stats.Path != "row" {
 		t.Errorf("select stats = %+v, want statement=select path=row", sel.Stats)
 	}
-	if sel.Stats.Groups != 11 || sel.Stats.Rows != 88 {
-		t.Errorf("select scanned %d groups / %d rows, want 11 / 88", sel.Stats.Groups, sel.Stats.Rows)
+	if sel.Stats.Groups != 11 || sel.Stats.Rows != 88 || sel.Stats.RowsRead != 88 {
+		t.Errorf("select scanned %d groups / %d rows, read %d, want 11 / 88 / 88", sel.Stats.Groups, sel.Stats.Rows, sel.Stats.RowsRead)
 	}
 	if sel.Stats.ParseNs <= 0 || sel.Stats.ExecNs <= 0 {
 		t.Errorf("timings not populated: %+v", sel.Stats)
 	}
 
 	agg := postQuery(t, ts.URL, "?explain=1", `SELECT EXPECTED FROM pv WHERE t >= 50 AND t <= 60`)
-	if agg.Stats == nil || agg.Stats.Path != "columnar" || agg.Stats.Groups != 11 || agg.Stats.Rows != 88 {
-		t.Errorf("aggregate stats = %+v, want columnar 11 / 88", agg.Stats)
+	if agg.Stats == nil || agg.Stats.Path != "columnar" || agg.Stats.Groups != 11 || agg.Stats.Rows != 88 || agg.Stats.RowsRead != 0 {
+		t.Errorf("aggregate stats = %+v, want columnar 11 / 88, 0 read", agg.Stats)
+	}
+	cnt := postQuery(t, ts.URL, "?explain=1", `SELECT COUNT(21.4, 21.6) FROM pv WHERE t >= 50 AND t <= 60`)
+	if cnt.Stats == nil || cnt.Stats.Rows != 88 || cnt.Stats.RowsRead <= 0 || cnt.Stats.RowsRead >= 44 {
+		t.Errorf("narrow COUNT stats = %+v, want 88 rows scanned, a few read", cnt.Stats)
 	}
 
 	var rp RangeProbResponse
 	getJSON(t, ts.URL+"/views/pv/rangeprob?lo=0&hi=100&from=50&to=60&explain=1", &rp)
-	if rp.Stats == nil || rp.Stats.Statement != "rangeprob" || rp.Stats.Groups != 11 || rp.Stats.Rows != 88 {
-		t.Errorf("rangeprob stats = %+v, want 11 groups / 88 rows", rp.Stats)
+	if rp.Stats == nil || rp.Stats.Statement != "rangeprob" || rp.Stats.Groups != 11 || rp.Stats.Rows != 88 || rp.Stats.RowsRead != 88 {
+		t.Errorf("rangeprob stats = %+v, want 11 groups / 88 rows, all read", rp.Stats)
 	}
 
 	var tk TopKResponse
 	getJSON(t, ts.URL+"/views/pv/topk?t=60&k=3&explain=1", &tk)
-	if tk.Stats == nil || tk.Stats.Statement != "topk" || tk.Stats.Groups != 1 || tk.Stats.Rows != 8 {
-		t.Errorf("topk stats = %+v, want 1 group / 8 rows", tk.Stats)
+	if tk.Stats == nil || tk.Stats.Statement != "topk" || tk.Stats.Groups != 1 || tk.Stats.Rows != 8 || tk.Stats.RowsRead != 8 {
+		t.Errorf("topk stats = %+v, want 1 group / 8 rows, all read", tk.Stats)
 	}
 
-	body, _ := json.Marshal(BucketsRequest{T: 60, Buckets: []BucketJSON{{Name: "all", Lo: 0, Hi: 100}}})
+	body, _ := json.Marshal(BucketsRequest{T: 60, Buckets: []BucketJSON{{Name: "all", Lo: 0, Hi: 100}, {Name: "none", Lo: -2, Hi: -1}}})
 	resp, err := http.Post(ts.URL+"/views/pv/buckets?explain=1", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +347,8 @@ func TestExplainStats(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&bk); err != nil {
 		t.Fatal(err)
 	}
-	if bk.Stats == nil || bk.Stats.Statement != "buckets" || bk.Stats.Groups != 1 || bk.Stats.Rows != 8 {
-		t.Errorf("buckets stats = %+v, want 1 group / 8 rows", bk.Stats)
+	if bk.Stats == nil || bk.Stats.Statement != "buckets" || bk.Stats.Groups != 1 || bk.Stats.Rows != 8 || bk.Stats.RowsRead != 16 {
+		t.Errorf("buckets stats = %+v, want 1 group / 8 rows, read once per bucket", bk.Stats)
 	}
 }
 

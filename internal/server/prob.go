@@ -29,7 +29,9 @@ type RangeProbResponse struct {
 
 // probStats assembles the ?explain=1 statistics of one probdb endpoint: the
 // kernels run columnar over the view's group index, so the scanned span is
-// read off the index in O(log T) after the fact.
+// read off the index in O(log T) after the fact. RowsRead starts as that
+// span, which a point kernel reads whole; window endpoints replace it with
+// their scan plan's count.
 func probStats(statement string, pv *storage.ProbTable, tLo, tHi int64, start time.Time) *query.Stats {
 	groups, rows := pv.RangeSize(tLo, tHi)
 	return &query.Stats{
@@ -37,6 +39,7 @@ func probStats(statement string, pv *storage.ProbTable, tLo, tHi int64, start ti
 		Path:      "columnar",
 		Groups:    groups,
 		Rows:      rows,
+		RowsRead:  rows,
 		ExecNs:    time.Since(start).Nanoseconds(),
 	}
 }
@@ -93,7 +96,7 @@ func (s *Server) handleRangeProb(w http.ResponseWriter, r *http.Request) error {
 	resp.Series = timeValuesJSON(series)
 	if explainRequested(r) {
 		resp.Stats = probStats("rangeprob", pv, from, to, start)
-		resp.Stats.Workers, resp.Stats.Chunks = plan.Workers, plan.Chunks
+		resp.Stats.Workers, resp.Stats.Chunks, resp.Stats.RowsRead = plan.Workers, plan.Chunks, plan.RowsRead
 	}
 	return writeJSON(w, http.StatusOK, resp)
 }
@@ -186,6 +189,7 @@ func (s *Server) handleBuckets(w http.ResponseWriter, r *http.Request) error {
 	resp := BucketsResponse{View: pv.Name, T: req.T, Buckets: make([]BucketProbJSON, len(probs))}
 	if explainRequested(r) {
 		resp.Stats = probStats("buckets", pv, req.T, req.T, start)
+		resp.Stats.RowsRead *= len(buckets) // one pass over the tuple per bucket
 	}
 	for i, bp := range probs {
 		resp.Buckets[i] = BucketProbJSON{

@@ -98,7 +98,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) error {
 	if explainRequested(r) {
 		st := probStats("series", pv, from, to, start)
 		st.Path = "fused"
-		st.Workers, st.Chunks = plan.Workers, plan.Chunks
+		st.Workers, st.Chunks, st.RowsRead = plan.Workers, plan.Chunks, plan.RowsRead
 		resp.Stats = st
 	}
 	return writeJSON(w, http.StatusOK, resp)

@@ -78,8 +78,8 @@ func TestSeriesEndpoint(t *testing.T) {
 	if st.Statement != "series" || st.Path != "fused" {
 		t.Errorf("stats = %+v, want statement=series path=fused", st)
 	}
-	if st.Groups != 11 || st.Rows != 88 {
-		t.Errorf("scanned %d groups / %d rows, want 11 / 88", st.Groups, st.Rows)
+	if st.Groups != 11 || st.Rows != 88 || st.RowsRead != 88 {
+		t.Errorf("scanned %d groups / %d rows, read %d; want 11 / 88 / 88", st.Groups, st.Rows, st.RowsRead)
 	}
 	// The window sits far below the parallel cutoff: sequential fast path.
 	if st.Workers != 1 || st.Chunks != 1 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/view"
@@ -55,17 +56,47 @@ func (m *rowModel) inRange(lo, hi int64) []view.Row {
 	return out
 }
 
-// modelGroups recomputes the group layout of rows from scratch.
+// modelGroups recomputes the group layout of rows from scratch, with each
+// group's expected-value sums taken over its rows in order.
 func modelGroups(rows []view.Row) []TimeGroup {
 	var gs []TimeGroup
 	for i, r := range rows {
-		if n := len(gs); n > 0 && gs[n-1].T == r.T {
-			gs[n-1].Len++
-		} else {
-			gs = append(gs, TimeGroup{T: r.T, Off: i, Len: 1})
+		if n := len(gs); n == 0 || gs[n-1].T != r.T {
+			gs = append(gs, TimeGroup{T: r.T, Off: i})
 		}
+		g := &gs[len(gs)-1]
+		g.Len++
+		mid := (r.Lo + r.Hi) / 2
+		g.Num += mid * r.Prob
+		g.Den += r.Prob
 	}
 	return gs
+}
+
+// modelOrdered recomputes the order flag of rows from scratch: no NaN
+// bound, and within each timestamp Lo and Hi non-decreasing.
+func modelOrdered(rows []view.Row) bool {
+	for i, r := range rows {
+		if math.IsNaN(r.Lo) || math.IsNaN(r.Hi) {
+			return false
+		}
+		if i > 0 && rows[i-1].T == r.T && (r.Lo < rows[i-1].Lo || r.Hi < rows[i-1].Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameGroup compares group-index entries, the sums bit for bit except
+// that any two NaNs match: a NaN's payload and sign depend on which
+// operand the compiled add takes first, which Go does not fix.
+func sameGroup(a, b TimeGroup) bool {
+	return a.T == b.T && a.Off == b.Off && a.Len == b.Len &&
+		sameSum(a.Num, b.Num) && sameSum(a.Den, b.Den)
+}
+
+func sameSum(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
 // sameRows compares bit for bit, so NaN payloads and signed zeros count.
@@ -118,16 +149,56 @@ func modelBatch(rng *rand.Rand, last int64, repeat bool) []view.Row {
 	return rows
 }
 
+// gridBatch orders a modelBatch in place the way builder grids are: NaN
+// bounds become 0, and each timestamp's Lo and Hi are sorted ascending
+// (separately, so a row may still be inverted or zero-width). Only the
+// batch is ordered: its first timestamp may extend the table's last group
+// with rows below that group's last row.
+func gridBatch(rows []view.Row) {
+	for start := 0; start < len(rows); {
+		end := start + 1
+		for end < len(rows) && rows[end].T == rows[start].T {
+			end++
+		}
+		var los, his []float64
+		for _, r := range rows[start:end] {
+			los, his = append(los, zeroNaN(r.Lo)), append(his, zeroNaN(r.Hi))
+		}
+		sort.Float64s(los)
+		sort.Float64s(his)
+		for i := range los {
+			rows[start+i].Lo, rows[start+i].Hi = los[i], his[i]
+		}
+		start = end
+	}
+}
+
+func zeroNaN(x float64) float64 {
+	if math.IsNaN(x) {
+		return 0
+	}
+	return x
+}
+
 // TestTableMatchesRowModel drives random interleavings of appends, lazy
-// loads (successful and failing) and every accessor against rowModel.
+// loads (successful and failing) and every accessor against rowModel. Odd
+// trials draw grid-ordered batches, so the order flag is seen holding,
+// broken by an extending append, and reset by a lazy load.
 func TestTableMatchesRowModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	boom := errors.New("segment unreadable")
 	for trial := 0; trial < 150; trial++ {
+		draw := func(last int64, repeat bool) []view.Row {
+			rows := modelBatch(rng, last, repeat)
+			if trial%2 == 1 {
+				gridBatch(rows)
+			}
+			return rows
+		}
 		p := &ProbTable{Name: "pv"}
 		m := &rowModel{}
 		if trial%3 == 0 {
-			seed := modelBatch(rng, 0, false)
+			seed := draw(0, false)
 			p = NewProbTable(ViewMeta{Name: "pv"}, seed)
 			m.rows = seed
 		}
@@ -136,7 +207,7 @@ func TestTableMatchesRowModel(t *testing.T) {
 			hi := lo + int64(rng.Intn(int(m.lastT())+4)) - 2 // sometimes inverted
 			switch rng.Intn(14) {
 			case 0, 1, 2:
-				batch := modelBatch(rng, m.lastT(), m.numRows() > 0 && rng.Intn(3) == 0)
+				batch := draw(m.lastT(), m.numRows() > 0 && rng.Intn(3) == 0)
 				err := p.AppendRows(batch)
 				m.touch()
 				if m.loadErr != nil {
@@ -150,7 +221,7 @@ func TestTableMatchesRowModel(t *testing.T) {
 				}
 				m.rows = append(m.rows, batch...)
 			case 3:
-				loads := modelBatch(rng, 0, false)
+				loads := draw(0, false)
 				*m = rowModel{armed: true, loadN: len(loads), loads: loads}
 				if rng.Intn(3) == 0 {
 					m.loads, m.failing = nil, boom
@@ -232,9 +303,12 @@ func TestTableMatchesRowModel(t *testing.T) {
 						t.Fatalf("trial %d op %d: RangeCols(%d,%d) %d groups, want %d", trial, op, lo, hi, len(groups), len(want))
 					}
 					for i := range want {
-						if groups[i] != want[i] {
+						if !sameGroup(groups[i], want[i]) {
 							t.Fatalf("trial %d op %d: group %d = %+v, want %+v", trial, op, i, groups[i], want[i])
 						}
+					}
+					if c.Ordered != modelOrdered(m.rows) {
+						t.Fatalf("trial %d op %d: Ordered = %v, want %v", trial, op, c.Ordered, !c.Ordered)
 					}
 					got := make([]view.Row, len(c.Prob))
 					for _, g := range all { // the columns span the whole table; Lambda is not among them

@@ -11,6 +11,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -74,9 +75,18 @@ type RawTable struct {
 //
 // The table is its columns. Row i of the view is (colLambda[i], colLo[i],
 // colHi[i], colProb[i]) — 32 B/row — and its timestamp lives in the group
-// index: one TimeGroup{T, Off, Len} per distinct timestamp (24 B/tuple)
-// saying that rows [Off, Off+Len) belong to T, in the order they arrived.
-// Rows are in ascending-timestamp order, all rows of a timestamp contiguous.
+// index: one TimeGroup{T, Off, Len, Num, Den} per distinct timestamp
+// (40 B/tuple) saying that rows [Off, Off+Len) belong to T, in the order
+// they arrived, and carrying the tuple's expected-value sums. Rows are in
+// ascending-timestamp order, all rows of a timestamp contiguous.
+//
+// The table also keeps one order flag: whether every tuple's Lo and Hi
+// columns ascend (non-decreasing in row order) and hold no NaN, as every
+// Omega grid the view builder emits does. Cols hands it to the kernels,
+// which then binary-search a tuple for the rows a value range can touch;
+// a table that breaks the order (only hand-built or fuzzed rows do) is
+// scanned whole.
+//
 // There is no []view.Row copy: view.Row is the interchange type (WAL
 // records, segments, JSON), and RowsAt, RowsRange, SnapshotRows and the
 // checkpoint capture build rows from the columns on demand, one allocation
@@ -108,6 +118,11 @@ type ProbTable struct {
 	colLambda    []int
 	colLo, colHi []float64
 	colProb      []float64
+
+	// unordered is set once a resident row breaks the order Cols.Ordered
+	// promises: a NaN bound, or a Lo or Hi below the previous row's of the
+	// same tuple. Only SetLoader, which empties the columns, clears it.
+	unordered bool
 
 	// logged is set when the table enters a logged catalog (StoreView,
 	// SetCommitLog) and cleared by Drop or by detaching the log: appends
@@ -151,6 +166,7 @@ func (p *ProbTable) SetLoader(n int, load RowsLoader) {
 	metIndexGroups.Add(-float64(len(p.groups)))
 	p.groups = nil
 	p.colLambda, p.colLo, p.colHi, p.colProb = nil, nil, nil, nil
+	p.unordered = false
 }
 
 func (p *ProbTable) setLogged(logged bool) {
@@ -161,14 +177,20 @@ func (p *ProbTable) setLogged(logged bool) {
 
 // TimeGroup locates the rows of one timestamp inside the columns: positions
 // [Off, Off+Len) are exactly the rows with timestamp T, in arrival order.
+// Num and Den are the tuple's expected-value sums — Num the sum of
+// (Lo+Hi)/2 * Prob, Den the sum of Prob — accumulated in row order with the
+// operations probdb.Expected performs, so Num/Den is its result bit for bit.
 type TimeGroup struct {
 	T        int64
 	Off, Len int
+	Num, Den float64
 }
 
 // appendCols is the one place rows become resident: it extends the four
-// columns and the group index by rows. Caller holds the write lock (or the
-// table is not yet shared).
+// columns and the group index by rows, and keeps each group's sums and the
+// table's order flag. A row is checked against the previous row of its
+// tuple, which an earlier append may have delivered. Caller holds the write
+// lock (or the table is not yet shared).
 func (p *ProbTable) appendCols(rows []view.Row) {
 	off, groupsBefore := len(p.colProb), len(p.groups)
 	p.colLambda = slices.Grow(p.colLambda, len(rows))
@@ -181,11 +203,21 @@ func (p *ProbTable) appendCols(rows []view.Row) {
 		p.colLo = append(p.colLo, r.Lo)
 		p.colHi = append(p.colHi, r.Hi)
 		p.colProb = append(p.colProb, r.Prob)
+		ordered := !math.IsNaN(r.Lo) && !math.IsNaN(r.Hi)
 		if n := len(p.groups); n > 0 && p.groups[n-1].T == r.T {
-			p.groups[n-1].Len++
+			prev := off + i - 1
+			ordered = ordered && r.Lo >= p.colLo[prev] && r.Hi >= p.colHi[prev]
 		} else {
-			p.groups = append(p.groups, TimeGroup{T: r.T, Off: off + i, Len: 1})
+			p.groups = append(p.groups, TimeGroup{T: r.T, Off: off + i})
 		}
+		if !ordered {
+			p.unordered = true
+		}
+		g := &p.groups[len(p.groups)-1]
+		g.Len++
+		mid := (r.Lo + r.Hi) / 2
+		g.Num += mid * r.Prob
+		g.Den += r.Prob
 	}
 	metIndexGroups.Add(float64(len(p.groups) - groupsBefore))
 }
@@ -362,9 +394,11 @@ type GroupCols struct {
 
 // Cols is the whole table's value columns as handed to RangeCols, addressed
 // through TimeGroup spans (Lo[g.Off : g.Off+g.Len] are the lows of group g,
-// and so on).
+// and so on). Ordered reports that within every group Lo and Hi are
+// non-decreasing in row order and NaN-free (see ProbTable).
 type Cols struct {
 	Lo, Hi, Prob []float64
+	Ordered      bool
 }
 
 // ForEachGroupCols calls fn once per distinct timestamp in [tLo, tHi],
@@ -411,7 +445,7 @@ func (p *ProbTable) RangeCols(tLo, tHi int64, fn func(groups []TimeGroup, c Cols
 		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
 	}
 	lo, hi := p.groupSpan(tLo, tHi)
-	return fn(p.groups[lo:hi], Cols{Lo: p.colLo, Hi: p.colHi, Prob: p.colProb})
+	return fn(p.groups[lo:hi], Cols{Lo: p.colLo, Hi: p.colHi, Prob: p.colProb, Ordered: !p.unordered})
 }
 
 // DB is the catalog.

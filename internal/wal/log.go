@@ -186,10 +186,12 @@ func (l *Log) Sync() error {
 	if l.err != nil {
 		return fmt.Errorf("%w: %v", ErrPoisoned, l.err)
 	}
+	syncStart := time.Now()
 	if err := l.f.Sync(); err != nil {
 		l.err = err
 		return err
 	}
+	obs.ObserveSince(metFsync, syncStart)
 	return nil
 }
 
@@ -245,9 +247,11 @@ func (l *Log) Close() error {
 		l.f.Close()
 		return nil
 	}
+	syncStart := time.Now()
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
 		return err
 	}
+	obs.ObserveSince(metFsync, syncStart)
 	return l.f.Close()
 }

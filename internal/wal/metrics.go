@@ -9,7 +9,7 @@ var (
 	metAppend = obs.Default.Histogram("tspdb_wal_append_seconds",
 		"WAL Append latency (frame + write + optional fsync).", obs.DurationBuckets)
 	metFsync = obs.Default.Histogram("tspdb_wal_fsync_seconds",
-		"WAL file sync latency (per-append fsync and rotation seals).", obs.DurationBuckets)
+		"WAL file sync latency (per-append fsync, explicit Sync, rotation seals and the final sync on Close).", obs.DurationBuckets)
 	metRecords = obs.Default.Counter("tspdb_wal_records_total",
 		"Records appended to the WAL.")
 	metBytes = obs.Default.Counter("tspdb_wal_bytes_total",
