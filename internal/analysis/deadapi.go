@@ -5,21 +5,24 @@ import (
 	"go/types"
 	"path/filepath"
 	"slices"
+	"strings"
 )
 
 // DeadAPI returns the deadapi analyzer. An exported func, method, var,
-// const or type of a package under internal/ is a finding when no non-test
-// file of the main module, nor of the module in directory extra (relative
-// to the main module's root), refers to it from outside its own
-// declaration. Uses always come from the whole of both modules, so a run
-// over a subset reports nothing a full run would not. Exempt are methods
+// const or type of a package under internal/, or of the package at the
+// root of an internal/ tree (the module's root package, a facade over
+// internal/), is a finding when no non-test file of the main module, nor of
+// the module in directory extra (relative to the main module's root),
+// refers to it from outside its own declaration. Uses always come from the
+// whole of both modules, so a run over a subset reports nothing a full run
+// would not. Exempt are methods
 // implementing an interface the program declares or imports, every symbol
 // of a package no non-test package imports (test support), and the methods
 // of the types named in exempt, as "pkgname.Type".
 func DeadAPI(extra string, exempt ...string) *Analyzer {
 	return &Analyzer{
 		Name: "deadapi",
-		Doc:  "exported internal/ symbols need a non-test reference in the module or " + extra,
+		Doc:  "exported internal/ and root-package symbols need a non-test reference in the module or " + extra,
 		Run: func(prog *Program, report Reporter) error {
 			return runDeadAPI(prog, report, extra, exempt)
 		},
@@ -42,11 +45,15 @@ func runDeadAPI(prog *Program, report Reporter, extra string, exempt []string) e
 
 	used := make(map[apiKey]bool)
 	imported := make(map[string]bool)
+	facades := make(map[string]bool)
 	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	u := &universe{pkgs: make(map[string]*types.Package), ifaces: map[string][]*types.Interface{"Error": {errIface}}}
 	for _, p := range []*Program{full, ext} {
 		for _, pkg := range p.Pkgs {
 			collectUses(pkg, used)
+			if i := strings.LastIndex(pkg.Path+"/", "/internal/"); i > 0 {
+				facades[pkg.Path[:i]] = true
+			}
 			for _, imp := range pkg.Types.Imports() {
 				imported[imp.Path()] = true
 			}
@@ -55,7 +62,7 @@ func runDeadAPI(prog *Program, report Reporter, extra string, exempt []string) e
 	}
 
 	for _, pkg := range prog.Pkgs {
-		if !pathMatches(pkg.Path, []string{"internal"}) || !imported[pkg.Path] {
+		if !(pathMatches(pkg.Path, []string{"internal"}) || facades[pkg.Path]) || !imported[pkg.Path] {
 			continue
 		}
 		for id, obj := range pkg.Info.Defs {

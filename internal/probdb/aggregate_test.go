@@ -31,7 +31,7 @@ func tableOf(rows []view.Row) *storage.ProbTable {
 }
 
 func TestExpectedSeries(t *testing.T) {
-	pts, err := ExpectedSeries(twoTupleTable(), 1, 2)
+	pts, _, err := ExpectedSeriesPar(twoTupleTable(), 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +45,16 @@ func TestExpectedSeries(t *testing.T) {
 	if math.Abs(pts[1].Value-1.3) > 1e-12 {
 		t.Errorf("E[t=2] = %v", pts[1].Value)
 	}
-	if _, err := ExpectedSeries(twoTupleTable(), 10, 20); !errors.Is(err, ErrNoRows) {
+	if _, _, err := ExpectedSeriesPar(twoTupleTable(), 10, 20, 1); !errors.Is(err, ErrNoRows) {
 		t.Error("empty range accepted")
 	}
-	if _, err := ExpectedSeries(nil, 0, 10); !errors.Is(err, ErrBadArg) {
+	if _, _, err := ExpectedSeriesPar(nil, 0, 10, 1); !errors.Is(err, ErrBadArg) {
 		t.Error("nil view accepted")
 	}
 }
 
 func TestProbSeries(t *testing.T) {
-	pts, err := ProbSeries(twoTupleTable(), 1, 2, 1, 2)
+	pts, _, err := ProbSeriesPar(twoTupleTable(), 1, 2, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestProbSeries(t *testing.T) {
 }
 
 func TestExpectedCount(t *testing.T) {
-	c, err := ExpectedCount(twoTupleTable(), 1, 2, 1, 2)
+	c, _, err := ExpectedCountPar(twoTupleTable(), 1, 2, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,28 +74,28 @@ func TestExpectedCount(t *testing.T) {
 }
 
 func TestAnyAllInRange(t *testing.T) {
-	any, err := AnyInRange(twoTupleTable(), 1, 2, 1, 2)
+	any, _, err := AnyInRangePlan(twoTupleTable(), 1, 2, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 1 - 0.5*0.2 = 0.9
 	if math.Abs(any-0.9) > 1e-12 {
-		t.Errorf("AnyInRange = %v", any)
+		t.Errorf("AnyInRangePlan = %v", any)
 	}
-	all, err := AllInRange(twoTupleTable(), 1, 2, 1, 2)
+	all, _, err := AllInRangePlan(twoTupleTable(), 1, 2, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 0.5*0.8 = 0.4
 	if math.Abs(all-0.4) > 1e-12 {
-		t.Errorf("AllInRange = %v", all)
+		t.Errorf("AllInRangePlan = %v", all)
 	}
 	// Degenerate: a certain tuple makes Any = 1.
 	certain := twoTupleRows()
 	certain[2].Prob = 0
 	certain[3].Prob = 1
 	pt := tableOf(certain)
-	any, err = AnyInRange(pt, 1, 2, 1, 2)
+	any, _, err = AnyInRangePlan(pt, 1, 2, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAnyAllInRange(t *testing.T) {
 		t.Errorf("certain tuple: Any = %v", any)
 	}
 	// A zero-probability tuple makes All = 0.
-	all, err = AllInRange(pt, 1, 2, 0, 1)
+	all, _, err = AllInRangePlan(pt, 1, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,75 +112,25 @@ func TestAnyAllInRange(t *testing.T) {
 	}
 }
 
-func TestExceedanceCountDistribution(t *testing.T) {
-	pmf, err := ExceedanceCountDistribution(twoTupleTable(), 1, 2, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two tuples with p = 0.5 and 0.8:
-	// P(0) = 0.5*0.2 = 0.1, P(1) = 0.5*0.2 + 0.5*0.8 = 0.5, P(2) = 0.4.
-	want := []float64{0.1, 0.5, 0.4}
-	if len(pmf) != 3 {
-		t.Fatalf("pmf length %d", len(pmf))
-	}
-	total := 0.0
-	for i, w := range want {
-		if math.Abs(pmf[i]-w) > 1e-12 {
-			t.Errorf("pmf[%d] = %v, want %v", i, pmf[i], w)
-		}
-		total += pmf[i]
-	}
-	if math.Abs(total-1) > 1e-12 {
-		t.Errorf("pmf sums to %v", total)
-	}
-}
-
-func TestCountAtLeast(t *testing.T) {
-	p1, err := CountAtLeast(twoTupleTable(), 1, 2, 1, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p1-0.9) > 1e-12 {
-		t.Errorf("P(count>=1) = %v, want 0.9", p1)
-	}
-	p2, err := CountAtLeast(twoTupleTable(), 1, 2, 1, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p2-0.4) > 1e-12 {
-		t.Errorf("P(count>=2) = %v, want 0.4", p2)
-	}
-	p0, err := CountAtLeast(twoTupleTable(), 1, 2, 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p0-1) > 1e-12 {
-		t.Errorf("P(count>=0) = %v", p0)
-	}
-	pBig, err := CountAtLeast(twoTupleTable(), 1, 2, 1, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pBig != 0 {
-		t.Errorf("P(count>=5) = %v", pBig)
-	}
-	if _, err := CountAtLeast(twoTupleTable(), 1, 2, 1, 2, -1); !errors.Is(err, ErrBadArg) {
-		t.Error("negative k accepted")
-	}
-}
-
-// Consistency: AnyInRange must equal CountAtLeast(..., 1) and AllInRange
-// must equal the top PMF entry.
+// Consistency: the early-stop reducers must agree with the probability
+// series they fold: AnyInRange is 1 - prod(1 - p_t), AllInRange prod(p_t).
 func TestAggregateConsistency(t *testing.T) {
 	pv := twoTupleTable()
-	anyP, _ := AnyInRange(pv, 1, 2, 1, 2)
-	atLeast1, _ := CountAtLeast(pv, 1, 2, 1, 2, 1)
-	if math.Abs(anyP-atLeast1) > 1e-12 {
-		t.Errorf("Any %v != P(count>=1) %v", anyP, atLeast1)
+	probs, _, err := ProbSeriesPar(pv, 1, 2, 1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allP, _ := AllInRange(pv, 1, 2, 1, 2)
-	pmf, _ := ExceedanceCountDistribution(pv, 1, 2, 1, 2)
-	if math.Abs(allP-pmf[len(pmf)-1]) > 1e-12 {
-		t.Errorf("All %v != P(count=n) %v", allP, pmf[len(pmf)-1])
+	none, all := 1.0, 1.0
+	for _, pt := range probs {
+		none *= 1 - pt.Value
+		all *= pt.Value
+	}
+	anyP, _, _ := AnyInRangePlan(pv, 1, 2, 1, 2)
+	if math.Abs(anyP-(1-none)) > 1e-12 {
+		t.Errorf("Any %v != 1 - prod(1 - p_t) %v", anyP, 1-none)
+	}
+	allP, _, _ := AllInRangePlan(pv, 1, 2, 1, 2)
+	if math.Abs(allP-all) > 1e-12 {
+		t.Errorf("All %v != prod(p_t) %v", allP, all)
 	}
 }

@@ -37,7 +37,7 @@ func allocView(tb testing.TB) *storage.ProbTable {
 func TestKernelReducersAllocFree(t *testing.T) {
 	p := allocView(t)
 	// Touch the lazy group index and columns outside the measured region.
-	if _, err := ExpectedCount(p, 1, 64, 0, 100); err != nil {
+	if _, _, err := AllInRangePlan(p, 1, 64, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,9 +45,8 @@ func TestKernelReducersAllocFree(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"ExpectedCount", func() error { _, err := ExpectedCount(p, 1, 64, 0, 100); return err }},
-		{"AnyInRange", func() error { _, err := AnyInRange(p, 1, 64, 2, 5); return err }},
-		{"AllInRange", func() error { _, err := AllInRange(p, 1, 64, 0, 100); return err }},
+		{"AnyInRange", func() error { _, _, err := AnyInRangePlan(p, 1, 64, 2, 5); return err }},
+		{"AllInRange", func() error { _, _, err := AllInRangePlan(p, 1, 64, 0, 100); return err }},
 		{"RangeProbAt", func() error { _, err := RangeProbAt(p, 32, 0, 100); return err }},
 	}
 	for _, k := range kernels {

@@ -45,25 +45,12 @@ func reportRowsPerSec(b *testing.B) {
 	}
 }
 
-func BenchmarkExpectedSeries(b *testing.B) {
-	p := benchView(b)
-	b.Run("columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ExpectedSeries(p, 0, benchTuples); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRowsPerSec(b)
-	})
-}
-
 func BenchmarkProbSeries(b *testing.B) {
 	p := benchView(b)
 	b.Run("columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ProbSeries(p, 0, benchTuples, 2, 6); err != nil {
+			if _, _, err := ProbSeriesPar(p, 0, benchTuples, 2, 6, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -71,14 +58,17 @@ func BenchmarkProbSeries(b *testing.B) {
 	})
 }
 
-// BenchmarkExpectedCount and BenchmarkAnyInRange cover the scalar reducers
-// (no output series to build — pure scan cost).
-func BenchmarkExpectedCount(b *testing.B) {
+// BenchmarkAnyInRange covers the early-stop scalar reducer that SQL ANY
+// runs through scanProbs: no output series to build, pure scan cost. The
+// range (2, 5] is narrower than every bench-view tuple's span, so no tuple
+// has probability 1 and the scan reads the whole window instead of
+// stopping at the first certain tuple.
+func BenchmarkAnyInRange(b *testing.B) {
 	p := benchView(b)
 	b.Run("columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ExpectedCount(p, 0, benchTuples, 2, 6); err != nil {
+			if _, _, err := AnyInRangePlan(p, 0, benchTuples, 2, 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -101,7 +91,7 @@ func BenchmarkRangeProbAt(b *testing.B) {
 // series.
 func TestBenchPathsIdentical(t *testing.T) {
 	p := benchView(t)
-	gotE, err := ExpectedSeries(p, 0, benchTuples)
+	gotE, _, err := ExpectedSeriesPar(p, 0, benchTuples, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +99,7 @@ func TestBenchPathsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotP, err := ProbSeries(p, 0, benchTuples, 2, 6)
+	gotP, _, err := ProbSeriesPar(p, 0, benchTuples, 2, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

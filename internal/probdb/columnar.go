@@ -10,15 +10,15 @@ import (
 )
 
 // Column kernels: the public aggregate and point-query entry points over
-// the columns a storage.ProbTable consists of. Window series (ExpectedSeries,
-// ProbSeries and everything built on them) are projections of the one
-// chunked pass, FusedSeries in parallel.go. The early-stop reducers
-// (ExpectedCount, AnyInRange, AllInRange) share scanProbs: one
-// storage.RangeCols call — a single read-lock acquisition handing back the
-// group spans and the Lo/Hi/Prob columns — and a plain double loop, groups
-// outside, a branch-light column scan inside, with bounds checks hoisted by
-// reslicing, no per-row or per-group dispatch and no allocation. Point
-// helpers use the per-group form, ForEachGroupCols.
+// the columns a storage.ProbTable consists of. Window series and the
+// expected count are projections of the one chunked pass, FusedSeries in
+// parallel.go. The early-stop reducers (AnyInRangePlan, AllInRangePlan)
+// share scanProbs: one storage.RangeCols call — a single read-lock
+// acquisition handing back the group spans and the Lo/Hi/Prob columns —
+// and a plain double loop, groups outside, a branch-light column scan
+// inside, with bounds checks hoisted by reslicing, no per-row or per-group
+// dispatch and no allocation. Point helpers use the per-group form,
+// ForEachGroupCols.
 //
 // Window scans read only the rows a value range can touch: on an ordered
 // table (storage.Cols.Ordered, true of every builder view) groupRangeProb
@@ -140,29 +140,13 @@ func firstAbove(x []float64, lo, hi int, v float64) int {
 	return lo
 }
 
-// ExpectedSeries returns the expected true value at every timestamp of the
-// view within [tLo, tHi] — the model-based view abstraction of MauveDB
-// (reference [25]) recovered from the probabilistic database. It is the
-// fused pass on the calling goroutine.
-func ExpectedSeries(p *storage.ProbTable, tLo, tHi int64) ([]TimeSeriesPoint, error) {
-	out, _, err := ExpectedSeriesPar(p, tLo, tHi, 1)
-	return out, err
-}
-
-// ProbSeries returns P(lo < R_t <= hi) at every timestamp of the view within
-// [tLo, tHi]: the fused pass on the calling goroutine.
-func ProbSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]TimeSeriesPoint, error) {
-	out, _, err := ProbSeriesPar(p, tLo, tHi, lo, hi, 1)
-	return out, err
-}
-
 // scanProbs runs one columnar pass over [tLo, tHi], computing each tuple's
 // P(lo < R_t <= hi) and handing it to reduce; a false return stops the scan
 // early (the reducer's result is decided). It reports the number of tuples
 // visited before the stop — zero means ErrNoRows territory — and the plan,
 // whose RowsRead counts the rows those tuples' narrowed scans read. Shared
-// scan under the zero-allocation reducers ExpectedCount, AnyInRange,
-// AllInRange.
+// scan under the zero-allocation reducers AnyInRangePlan and
+// AllInRangePlan.
 //
 //tspdb:kernel
 func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func(q float64) bool) (int, ScanPlan, error) {
@@ -199,31 +183,9 @@ func scanProbs(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, reduce func
 	return n, plan, nil
 }
 
-// ExpectedCount returns the expected number of timestamps in [tLo, tHi]
-// whose true value lies in (lo, hi]: the sum of per-tuple probabilities
-// (linearity of expectation, no independence needed).
-//
-//tspdb:kernel
-func ExpectedCount(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
-	sum := 0.0
-	if _, _, err := scanProbs(p, tLo, tHi, lo, hi, func(q float64) bool {
-		sum += q
-		return true
-	}); err != nil {
-		return 0, err
-	}
-	return sum, nil
-}
-
-// AnyInRange returns P(at least one R_t in (lo, hi]) over [tLo, tHi] under
-// tuple independence: 1 - prod(1 - p_t).
-func AnyInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
-	v, _, err := AnyInRangePlan(p, tLo, tHi, lo, hi)
-	return v, err
-}
-
-// AnyInRangePlan is AnyInRange plus its scan plan for explain output: only
-// RowsRead is set, the scan never parallelises.
+// AnyInRangePlan returns P(at least one R_t in (lo, hi]) over [tLo, tHi]
+// under tuple independence, 1 - prod(1 - p_t), plus its scan plan for
+// explain output: only RowsRead is set, the scan never parallelises.
 //
 //tspdb:kernel
 func AnyInRangePlan(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, ScanPlan, error) {
@@ -246,14 +208,8 @@ func AnyInRangePlan(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float
 	return 1 - math.Exp(logNone), plan, nil
 }
 
-// AllInRange returns P(every R_t in (lo, hi]) over [tLo, tHi] under tuple
-// independence: prod(p_t).
-func AllInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
-	v, _, err := AllInRangePlan(p, tLo, tHi, lo, hi)
-	return v, err
-}
-
-// AllInRangePlan is AllInRange plus its scan plan, as AnyInRangePlan.
+// AllInRangePlan returns P(every R_t in (lo, hi]) over [tLo, tHi] under
+// tuple independence, prod(p_t), plus its scan plan, as AnyInRangePlan.
 //
 //tspdb:kernel
 func AllInRangePlan(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, ScanPlan, error) {
@@ -273,31 +229,6 @@ func AllInRangePlan(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float
 		return 0, plan, nil
 	}
 	return math.Exp(logAll), plan, nil
-}
-
-// ExceedanceCountDistribution returns the probability mass function of the
-// number of timestamps in [tLo, tHi] whose value lies in (lo, hi], computed
-// by the exact Poisson-binomial dynamic program over the per-tuple
-// probabilities. Entry k of the result is P(count = k).
-func ExceedanceCountDistribution(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]float64, error) {
-	series, err := ProbSeries(p, tLo, tHi, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return poissonBinomialPMF(series), nil
-}
-
-// CountAtLeast returns P(count >= k) from the Poisson-binomial distribution
-// of ExceedanceCountDistribution.
-func CountAtLeast(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, k int) (float64, error) {
-	if k < 0 {
-		return 0, fmt.Errorf("%w: k=%d", ErrBadArg, k)
-	}
-	pmf, err := ExceedanceCountDistribution(p, tLo, tHi, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return pmfTailSum(pmf, k), nil
 }
 
 // Point-query helpers: the single-timestamp consumers behind the server's

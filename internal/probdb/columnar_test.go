@@ -35,55 +35,39 @@ func sameErr(t *testing.T, what string, got, want error) {
 func checkKernelsMatch(t *testing.T, p *storage.ProbTable, tLo, tHi int64, lo, hi float64) {
 	t.Helper()
 
-	gotE, errE := ExpectedSeries(p, tLo, tHi)
+	gotE, _, errE := ExpectedSeriesPar(p, tLo, tHi, 1)
 	wantE, werrE := rowExpectedSeries(p, tLo, tHi)
-	sameErr(t, "ExpectedSeries", errE, werrE)
+	sameErr(t, "ExpectedSeriesPar", errE, werrE)
 	if !reflect.DeepEqual(gotE, wantE) {
-		t.Fatalf("ExpectedSeries(%d,%d) diverged from row oracle", tLo, tHi)
+		t.Fatalf("ExpectedSeriesPar(%d,%d) diverged from row oracle", tLo, tHi)
 	}
 
-	gotP, errP := ProbSeries(p, tLo, tHi, lo, hi)
+	gotP, _, errP := ProbSeriesPar(p, tLo, tHi, lo, hi, 1)
 	wantP, werrP := rowProbSeries(p, tLo, tHi, lo, hi)
-	sameErr(t, "ProbSeries", errP, werrP)
+	sameErr(t, "ProbSeriesPar", errP, werrP)
 	if !reflect.DeepEqual(gotP, wantP) {
-		t.Fatalf("ProbSeries(%d,%d,%v,%v) diverged from row oracle", tLo, tHi, lo, hi)
+		t.Fatalf("ProbSeriesPar(%d,%d,%v,%v) diverged from row oracle", tLo, tHi, lo, hi)
 	}
 
-	gotC, errC := ExpectedCount(p, tLo, tHi, lo, hi)
+	gotC, _, errC := ExpectedCountPar(p, tLo, tHi, lo, hi, 1)
 	wantC, werrC := rowExpectedCount(p, tLo, tHi, lo, hi)
-	sameErr(t, "ExpectedCount", errC, werrC)
+	sameErr(t, "ExpectedCountPar", errC, werrC)
 	if gotC != wantC {
-		t.Fatalf("ExpectedCount = %v, oracle %v", gotC, wantC)
+		t.Fatalf("ExpectedCountPar = %v, oracle %v", gotC, wantC)
 	}
 
-	gotAny, errAny := AnyInRange(p, tLo, tHi, lo, hi)
+	gotAny, _, errAny := AnyInRangePlan(p, tLo, tHi, lo, hi)
 	wantAny, werrAny := rowAnyInRange(p, tLo, tHi, lo, hi)
-	sameErr(t, "AnyInRange", errAny, werrAny)
+	sameErr(t, "AnyInRangePlan", errAny, werrAny)
 	if gotAny != wantAny {
-		t.Fatalf("AnyInRange = %v, oracle %v", gotAny, wantAny)
+		t.Fatalf("AnyInRangePlan = %v, oracle %v", gotAny, wantAny)
 	}
 
-	gotAll, errAll := AllInRange(p, tLo, tHi, lo, hi)
+	gotAll, _, errAll := AllInRangePlan(p, tLo, tHi, lo, hi)
 	wantAll, werrAll := rowAllInRange(p, tLo, tHi, lo, hi)
-	sameErr(t, "AllInRange", errAll, werrAll)
+	sameErr(t, "AllInRangePlan", errAll, werrAll)
 	if gotAll != wantAll {
-		t.Fatalf("AllInRange = %v, oracle %v", gotAll, wantAll)
-	}
-
-	gotPMF, errPMF := ExceedanceCountDistribution(p, tLo, tHi, lo, hi)
-	wantPMF, werrPMF := rowExceedanceCountDistribution(p, tLo, tHi, lo, hi)
-	sameErr(t, "ExceedanceCountDistribution", errPMF, werrPMF)
-	if !reflect.DeepEqual(gotPMF, wantPMF) {
-		t.Fatalf("ExceedanceCountDistribution diverged from row oracle")
-	}
-
-	for _, k := range []int{-1, 0, 1, 3} {
-		gotK, errK := CountAtLeast(p, tLo, tHi, lo, hi, k)
-		wantK, werrK := rowCountAtLeast(p, tLo, tHi, lo, hi, k)
-		sameErr(t, "CountAtLeast", errK, werrK)
-		if gotK != wantK {
-			t.Fatalf("CountAtLeast(k=%d) = %v, oracle %v", k, gotK, wantK)
-		}
+		t.Fatalf("AllInRangePlan = %v, oracle %v", gotAll, wantAll)
 	}
 }
 
@@ -178,27 +162,27 @@ func TestColumnarKernelsDirectAssignment(t *testing.T) {
 
 // TestColumnarKernelsNilAndEmpty pins the degenerate inputs.
 func TestColumnarKernelsNilAndEmpty(t *testing.T) {
-	if _, err := ExpectedSeries(nil, 0, 10); !errors.Is(err, ErrBadArg) {
+	if _, _, err := ExpectedSeriesPar(nil, 0, 10, 1); !errors.Is(err, ErrBadArg) {
 		t.Errorf("nil view: %v", err)
 	}
-	if _, err := ProbSeries(nil, 0, 10, 0, 1); !errors.Is(err, ErrBadArg) {
+	if _, _, err := ProbSeriesPar(nil, 0, 10, 0, 1, 1); !errors.Is(err, ErrBadArg) {
 		t.Errorf("nil view: %v", err)
 	}
 	if _, err := RangeProbAt(nil, 1, 0, 1); !errors.Is(err, ErrBadArg) {
 		t.Errorf("nil view: %v", err)
 	}
 	empty := &storage.ProbTable{Name: "pv"}
-	if _, err := ExpectedSeries(empty, 0, 10); !errors.Is(err, ErrNoRows) {
+	if _, _, err := ExpectedSeriesPar(empty, 0, 10, 1); !errors.Is(err, ErrNoRows) {
 		t.Errorf("empty view: %v", err)
 	}
 	// Empty range + invalid value range: no-rows wins, like the row path.
 	p := randomView(rand.New(rand.NewSource(1)), 5)
 	maxT := p.Times()[len(p.Times())-1]
-	if _, err := ProbSeries(p, maxT+5, maxT+9, 4, 2); !errors.Is(err, ErrNoRows) {
+	if _, _, err := ProbSeriesPar(p, maxT+5, maxT+9, 4, 2, 1); !errors.Is(err, ErrNoRows) {
 		t.Errorf("empty window with bad range: %v", err)
 	}
 	// Non-empty window + invalid value range: bad-arg, like the row path.
-	if _, err := ProbSeries(p, 0, maxT, 4, 2); !errors.Is(err, ErrBadArg) {
+	if _, _, err := ProbSeriesPar(p, 0, maxT, 4, 2, 1); !errors.Is(err, ErrBadArg) {
 		t.Errorf("bad range: %v", err)
 	}
 }
@@ -236,7 +220,7 @@ func TestColumnarKernelsUnderConcurrentAppend(t *testing.T) {
 					return
 				default:
 				}
-				series, err := ExpectedSeries(p, 0, tuples)
+				series, _, err := ExpectedSeriesPar(p, 0, tuples, 1)
 				if err != nil {
 					t.Error(err)
 					return
@@ -248,7 +232,7 @@ func TestColumnarKernelsUnderConcurrentAppend(t *testing.T) {
 						return
 					}
 				}
-				if _, err := ExpectedCount(p, 0, tuples, 0, 2); err != nil {
+				if _, _, err := AllInRangePlan(p, 0, tuples, 0, 2); err != nil {
 					t.Error(err)
 					return
 				}

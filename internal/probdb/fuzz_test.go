@@ -74,22 +74,6 @@ func FuzzRangeProb(f *testing.F) {
 	})
 }
 
-func FuzzQuantile(f *testing.F) {
-	f.Add(uint8(3), 0.0, 1.0, 0.25, 1.0, 0.0, 0.5, 0.5)
-	f.Add(uint8(2), 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.99)
-	f.Add(uint8(4), 1.0, -2.0, 0.1, 3.0, 4.0, 0.0, 0.01)
-	f.Fuzz(func(t *testing.T, n uint8, lo1, w1, p1, lo2, w2, p2, q float64) {
-		rows := fuzzRows(n, lo1, w1, p1, lo2, w2, p2)
-		skipOutsideDomain(t, rows)
-		v, err := Quantile(rows, q)
-		finiteOrErr(t, "Quantile", v, err)
-		lo, hi, err := CredibleInterval(rows, q)
-		if err == nil && (math.IsNaN(lo) || math.IsNaN(hi)) {
-			t.Fatalf("CredibleInterval returned NaN: [%v, %v]", lo, hi)
-		}
-	})
-}
-
 func FuzzExpected(f *testing.F) {
 	f.Add(uint8(2), 0.0, 1.0, 0.5, 1.0, 1.0, 0.5)
 	f.Add(uint8(1), 3.0, 0.0, 0.7, 0.0, 0.0, 0.0) // lone point mass
@@ -140,47 +124,41 @@ func FuzzColumnarKernels(f *testing.F) {
 		p := storage.NewProbTable(storage.ViewMeta{Name: "pv"}, rows)
 		tLo, tHi := int64(tLo8), int64(tHi8)
 
-		gotE, errE := ExpectedSeries(p, tLo, tHi)
+		gotE, _, errE := ExpectedSeriesPar(p, tLo, tHi, 1)
 		wantE, werrE := rowExpectedSeries(p, tLo, tHi)
 		if (errE != nil) != (werrE != nil) || !reflect.DeepEqual(gotE, wantE) {
-			t.Fatalf("ExpectedSeries: columnar (%v, %v) vs oracle (%v, %v)", gotE, errE, wantE, werrE)
+			t.Fatalf("ExpectedSeriesPar: columnar (%v, %v) vs oracle (%v, %v)", gotE, errE, wantE, werrE)
 		}
 
-		gotP, errP := ProbSeries(p, tLo, tHi, qlo, qhi)
+		gotP, _, errP := ProbSeriesPar(p, tLo, tHi, qlo, qhi, 1)
 		wantP, werrP := rowProbSeries(p, tLo, tHi, qlo, qhi)
 		if (errP != nil) != (werrP != nil) || !reflect.DeepEqual(gotP, wantP) {
-			t.Fatalf("ProbSeries: columnar (%v, %v) vs oracle (%v, %v)", gotP, errP, wantP, werrP)
+			t.Fatalf("ProbSeriesPar: columnar (%v, %v) vs oracle (%v, %v)", gotP, errP, wantP, werrP)
 		}
 
-		gotC, errC := ExpectedCount(p, tLo, tHi, qlo, qhi)
+		gotC, _, errC := ExpectedCountPar(p, tLo, tHi, qlo, qhi, 1)
 		wantC, werrC := rowExpectedCount(p, tLo, tHi, qlo, qhi)
 		if (errC != nil) != (werrC != nil) || gotC != wantC {
-			t.Fatalf("ExpectedCount: columnar (%v, %v) vs oracle (%v, %v)", gotC, errC, wantC, werrC)
+			t.Fatalf("ExpectedCountPar: columnar (%v, %v) vs oracle (%v, %v)", gotC, errC, wantC, werrC)
 		}
 
-		gotAny, errAny := AnyInRange(p, tLo, tHi, qlo, qhi)
+		gotAny, _, errAny := AnyInRangePlan(p, tLo, tHi, qlo, qhi)
 		wantAny, werrAny := rowAnyInRange(p, tLo, tHi, qlo, qhi)
 		if (errAny != nil) != (werrAny != nil) || gotAny != wantAny {
-			t.Fatalf("AnyInRange: columnar (%v, %v) vs oracle (%v, %v)", gotAny, errAny, wantAny, werrAny)
+			t.Fatalf("AnyInRangePlan: columnar (%v, %v) vs oracle (%v, %v)", gotAny, errAny, wantAny, werrAny)
 		}
 
-		gotAll, errAll := AllInRange(p, tLo, tHi, qlo, qhi)
+		gotAll, _, errAll := AllInRangePlan(p, tLo, tHi, qlo, qhi)
 		wantAll, werrAll := rowAllInRange(p, tLo, tHi, qlo, qhi)
 		if (errAll != nil) != (werrAll != nil) || gotAll != wantAll {
-			t.Fatalf("AllInRange: columnar (%v, %v) vs oracle (%v, %v)", gotAll, errAll, wantAll, werrAll)
+			t.Fatalf("AllInRangePlan: columnar (%v, %v) vs oracle (%v, %v)", gotAll, errAll, wantAll, werrAll)
 		}
 
-		gotPMF, errPMF := ExceedanceCountDistribution(p, tLo, tHi, qlo, qhi)
-		wantPMF, werrPMF := rowExceedanceCountDistribution(p, tLo, tHi, qlo, qhi)
-		if (errPMF != nil) != (werrPMF != nil) || !reflect.DeepEqual(gotPMF, wantPMF) {
-			t.Fatalf("ExceedanceCountDistribution: columnar (%v, %v) vs oracle (%v, %v)", gotPMF, errPMF, wantPMF, werrPMF)
-		}
-
-		// Fused pass vs the three independent kernels it replaces, both on
-		// the sequential fast path and with the worker pool forced on. On
-		// success every statistic must match bit-for-bit; on failure at
-		// least one independent kernel must have failed too (the fused pass
-		// is all-or-nothing across its statistics).
+		// Three-statistic fused pass vs its single-statistic projections,
+		// both on the sequential fast path and with the worker pool forced
+		// on. On success every statistic must match bit-for-bit; on failure
+		// at least one projection must have failed too (the fused pass is
+		// all-or-nothing across its statistics).
 		oldCutoff := parCutoffRows
 		for _, workers := range []int{1, 3} {
 			parCutoffRows = 0
@@ -188,14 +166,14 @@ func FuzzColumnarKernels(f *testing.F) {
 			parCutoffRows = oldCutoff
 			if errF == nil {
 				if errE != nil || errP != nil || errC != nil {
-					t.Fatalf("fused(w=%d) succeeded; independents errored (%v, %v, %v)", workers, errE, errP, errC)
+					t.Fatalf("fused(w=%d) succeeded; projections errored (%v, %v, %v)", workers, errE, errP, errC)
 				}
 				if !reflect.DeepEqual(fr.Expected, gotE) || !reflect.DeepEqual(fr.Prob, gotP) || fr.Count != gotC {
 					t.Fatalf("fused(w=%d) diverged: (%v, %v, %v) vs (%v, %v, %v)",
 						workers, fr.Expected, fr.Prob, fr.Count, gotE, gotP, gotC)
 				}
 			} else if errE == nil && errP == nil && errC == nil {
-				t.Fatalf("fused(w=%d) errored %v; every independent kernel succeeded", workers, errF)
+				t.Fatalf("fused(w=%d) errored %v; every projection succeeded", workers, errF)
 			}
 		}
 
@@ -228,7 +206,7 @@ func FuzzColumnarKernels(f *testing.F) {
 	})
 }
 
-func FuzzTopKAndThreshold(f *testing.F) {
+func FuzzTopK(f *testing.F) {
 	f.Add(uint8(4), 0.0, 1.0, 0.5, 1.0, 0.0, 0.25, uint8(2))
 	f.Fuzz(func(t *testing.T, n uint8, lo1, w1, p1, lo2, w2, p2 float64, k uint8) {
 		rows := fuzzRows(n, lo1, w1, p1, lo2, w2, p2)
@@ -238,12 +216,6 @@ func FuzzTopKAndThreshold(f *testing.F) {
 				if top[i].Prob > top[i-1].Prob {
 					t.Fatalf("TopK not descending at %d", i)
 				}
-			}
-		}
-		p := math.Abs(p1)
-		if p <= 1 && !math.IsNaN(p) {
-			if _, err := Threshold(rows, p); err != nil && len(rows) > 0 {
-				t.Fatalf("Threshold(%v) on %d rows: %v", p, len(rows), err)
 			}
 		}
 	})

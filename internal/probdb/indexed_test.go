@@ -53,28 +53,28 @@ func TestIndexedAggregatesMatchLegacyScan(t *testing.T) {
 			lo := rng.Float64() * 12
 			hi := lo + rng.Float64()*3
 
-			gotE, errE := ExpectedSeries(p, tLo, tHi)
+			gotE, _, errE := ExpectedSeriesPar(p, tLo, tHi, 1)
 			wantE, werrE := rowExpectedSeries(p, tLo, tHi)
 			if (errE != nil) != (werrE != nil) {
-				t.Fatalf("ExpectedSeries err %v vs %v", errE, werrE)
+				t.Fatalf("ExpectedSeriesPar err %v vs %v", errE, werrE)
 			}
 			if !reflect.DeepEqual(gotE, wantE) {
-				t.Fatalf("trial %d: ExpectedSeries(%d,%d) diverged from flat scan", trial, tLo, tHi)
+				t.Fatalf("trial %d: ExpectedSeriesPar(%d,%d) diverged from flat scan", trial, tLo, tHi)
 			}
 
-			gotP, errP := ProbSeries(p, tLo, tHi, lo, hi)
+			gotP, _, errP := ProbSeriesPar(p, tLo, tHi, lo, hi, 1)
 			wantP, werrP := rowProbSeries(p, tLo, tHi, lo, hi)
 			if (errP != nil) != (werrP != nil) {
-				t.Fatalf("ProbSeries err %v vs %v", errP, werrP)
+				t.Fatalf("ProbSeriesPar err %v vs %v", errP, werrP)
 			}
 			if !reflect.DeepEqual(gotP, wantP) {
-				t.Fatalf("trial %d: ProbSeries(%d,%d) diverged from flat scan", trial, tLo, tHi)
+				t.Fatalf("trial %d: ProbSeriesPar(%d,%d) diverged from flat scan", trial, tLo, tHi)
 			}
 
-			gotC, errC := ExpectedCount(p, tLo, tHi, lo, hi)
+			gotC, _, errC := ExpectedCountPar(p, tLo, tHi, lo, hi, 1)
 			wantC, werrC := rowExpectedCount(p, tLo, tHi, lo, hi)
 			if (errC != nil) != (werrC != nil) || gotC != wantC {
-				t.Fatalf("trial %d: ExpectedCount = %v (%v), flat scan %v (%v)", trial, gotC, errC, wantC, werrC)
+				t.Fatalf("trial %d: ExpectedCountPar = %v (%v), flat scan %v (%v)", trial, gotC, errC, wantC, werrC)
 			}
 
 			// Point helpers match querying the copied rows directly.
@@ -137,7 +137,7 @@ func TestIndexedAggregatesUnderConcurrentAppend(t *testing.T) {
 					return
 				default:
 				}
-				series, err := ExpectedSeries(p, 0, tuples)
+				series, _, err := ExpectedSeriesPar(p, 0, tuples, 1)
 				if err != nil {
 					t.Error(err)
 					return
@@ -149,7 +149,7 @@ func TestIndexedAggregatesUnderConcurrentAppend(t *testing.T) {
 						return
 					}
 				}
-				if _, err := ExpectedCount(p, 0, tuples, 0, 2); err != nil {
+				if _, _, err := ExpectedCountPar(p, 0, tuples, 0, 2, 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -167,17 +167,29 @@ func TestRangeProbZeroWidthRows(t *testing.T) {
 		{T: 1, Lambda: -1, Lo: 2, Hi: 2, Prob: 0.4}, // point mass at 2
 		{T: 1, Lambda: 0, Lo: 2, Hi: 3, Prob: 0.6},
 	}
+	// A tuple whose outer row is unbounded: a range covering it whole adds
+	// its mass outright instead of dividing Inf by Inf.
+	tail := []view.Row{
+		{T: 1, Lambda: -1, Lo: math.Inf(-1), Hi: -1.75, Prob: 0.25},
+		{T: 1, Lambda: 0, Lo: -1.75, Hi: 0, Prob: 0.75},
+	}
 	cases := []struct {
+		rows         []view.Row // nil: rows
 		lo, hi, want float64
 	}{
-		{0, 5, 1.0},    // point mass inside (0,5]
-		{2, 5, 0.6},    // lo < Lo fails: (2,5] excludes the mass at 2
-		{1, 2, 0.4},    // hi inclusive: (1,2] includes the mass at 2
-		{3, 9, 0.0},    // fully to the right
-		{-1, 1.5, 0.0}, // fully to the left
+		{nil, 0, 5, 1.0},    // point mass inside (0,5]
+		{nil, 2, 5, 0.6},    // lo < Lo fails: (2,5] excludes the mass at 2
+		{nil, 1, 2, 0.4},    // hi inclusive: (1,2] includes the mass at 2
+		{nil, 3, 9, 0.0},    // fully to the right
+		{nil, -1, 1.5, 0.0}, // fully to the left
+		{tail, math.Inf(-1), math.Inf(1), 1.0},
 	}
 	for _, tc := range cases {
-		got, err := RangeProb(rows, tc.lo, tc.hi)
+		rs := tc.rows
+		if rs == nil {
+			rs = rows
+		}
+		got, err := RangeProb(rs, tc.lo, tc.hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,31 +208,26 @@ func TestRangeProbZeroWidthRows(t *testing.T) {
 	}
 }
 
-// TestQuantileDegenerateRows covers zero-width and zero-probability buckets
-// in Quantile and the CredibleInterval built on it.
+// TestQuantileDegenerateRows covers zero-width buckets in the per-tuple
+// reducers that survive Quantile's removal: a point mass between two
+// intervals, and a distribution that is a point mass alone.
 func TestQuantileDegenerateRows(t *testing.T) {
 	rows := []view.Row{
 		{T: 1, Lo: 0, Hi: 1, Prob: 0.25},
 		{T: 1, Lo: 1, Hi: 1, Prob: 0.5}, // point mass straddles the median
 		{T: 1, Lo: 1, Hi: 2, Prob: 0.25},
 	}
-	q, err := Quantile(rows, 0.5)
+	// E = 0.5*0.25 + 1*0.5 + 1.5*0.25 = 1
+	e, err := Expected(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(q) || q != 1 {
-		t.Errorf("median = %v, want 1 (the point mass)", q)
-	}
-	lo, hi, err := CredibleInterval(rows, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-		t.Errorf("credible interval [%v, %v] not finite/ordered", lo, hi)
+	if math.IsNaN(e) || math.Abs(e-1) > 1e-12 {
+		t.Errorf("Expected = %v, want 1", e)
 	}
 
 	// Expected over a pure point mass is the point itself.
-	e, err := Expected([]view.Row{{T: 1, Lo: 3, Hi: 3, Prob: 0.7}})
+	e, err = Expected([]view.Row{{T: 1, Lo: 3, Hi: 3, Prob: 0.7}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,12 +60,12 @@ func seriesOver(p *storage.ProbTable, tLo, tHi int64, query func(rows []view.Row
 	return out, nil
 }
 
-// rowExpectedSeries is the row-at-a-time oracle for ExpectedSeries.
+// rowExpectedSeries is the row-at-a-time oracle for ExpectedSeriesPar.
 func rowExpectedSeries(p *storage.ProbTable, tLo, tHi int64) ([]TimeSeriesPoint, error) {
 	return seriesOver(p, tLo, tHi, Expected)
 }
 
-// rowProbSeries is the row-at-a-time oracle for ProbSeries.
+// rowProbSeries is the row-at-a-time oracle for ProbSeriesPar.
 func rowProbSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]TimeSeriesPoint, error) {
 	return seriesOver(p, tLo, tHi, func(rows []view.Row) (float64, error) {
 		return RangeProb(rows, lo, hi)
@@ -81,7 +81,7 @@ func eachProb(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, fn func(q fl
 		func(_ int64, q float64) error { return fn(q) })
 }
 
-// rowExpectedCount is the row-at-a-time oracle for ExpectedCount.
+// rowExpectedCount is the row-at-a-time oracle for ExpectedCountPar.
 func rowExpectedCount(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
 	sum := 0.0
 	if err := eachProb(p, tLo, tHi, lo, hi, func(q float64) error {
@@ -97,7 +97,7 @@ func rowExpectedCount(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (flo
 // is decided, ending the indexed pass early without surfacing an error.
 var errStopScan = errors.New("probdb: stop scan")
 
-// rowAnyInRange is the row-at-a-time oracle for AnyInRange.
+// rowAnyInRange is the row-at-a-time oracle for AnyInRangePlan.
 func rowAnyInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
 	// Work in log space to stay accurate when many tuples are involved.
 	logNone, certain := 0.0, false
@@ -118,7 +118,7 @@ func rowAnyInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float6
 	return 1 - math.Exp(logNone), nil
 }
 
-// rowAllInRange is the row-at-a-time oracle for AllInRange.
+// rowAllInRange is the row-at-a-time oracle for AllInRangePlan.
 func rowAllInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float64, error) {
 	logAll, impossible := 0.0, false
 	err := eachProb(p, tLo, tHi, lo, hi, func(q float64) error {
@@ -136,28 +136,6 @@ func rowAllInRange(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) (float6
 		return 0, err
 	}
 	return math.Exp(logAll), nil
-}
-
-// rowExceedanceCountDistribution is the row-at-a-time oracle for
-// ExceedanceCountDistribution.
-func rowExceedanceCountDistribution(p *storage.ProbTable, tLo, tHi int64, lo, hi float64) ([]float64, error) {
-	series, err := rowProbSeries(p, tLo, tHi, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return poissonBinomialPMF(series), nil
-}
-
-// rowCountAtLeast is the row-at-a-time oracle for CountAtLeast.
-func rowCountAtLeast(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, k int) (float64, error) {
-	if k < 0 {
-		return 0, fmt.Errorf("%w: k=%d", ErrBadArg, k)
-	}
-	pmf, err := rowExceedanceCountDistribution(p, tLo, tHi, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return pmfTailSum(pmf, k), nil
 }
 
 // atGroup runs fn on the rows of timestamp t, returning ErrNoRows when the

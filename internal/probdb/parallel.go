@@ -15,11 +15,11 @@ import (
 // row-balanced chunks, workers claim chunks off an atomic cursor, and every
 // chunk writes its per-group results into preallocated, disjoint slots of
 // the output — so the merged result is a pure function of the input, not of
-// scheduling. Cross-group reductions (ExpectedCount's sum) are folded
-// sequentially in group order after the pool joins, which replays the exact
-// floating-point addition sequence of the single-threaded kernel. Together
-// these give the same guarantee shape as the PR 1 parallel view builder:
-// byte-identical output at any worker count.
+// scheduling. Cross-group reductions (the expected count's sum) are folded
+// sequentially in group order after the pool joins, so the addition
+// sequence is the same at every worker count. Together these give the same
+// guarantee shape as the parallel view builder: byte-identical output at any
+// worker count.
 //
 // FusedSeries is the second half and the only window kernel: one pass over
 // the group index and the Lo/Hi/Prob columns that computes any subset of
@@ -29,12 +29,12 @@ import (
 // of three. The expected series reads each tuple's sums off the group
 // index; the probabilities read only the rows the range can touch.
 // ExpectedSeriesPar, ProbSeriesPar and ExpectedCountPar are its
-// single-statistic projections, and ExpectedSeries and ProbSeries those at
-// workers=1.
+// single-statistic projections; workers = 1 runs them on the calling
+// goroutine.
 //
-// ExpectedCount, AnyInRange and AllInRange (columnar.go) stay on the
-// sequential scanProbs reducer on purpose: they allocate nothing, and the
-// latter two decide the answer mid-scan, which chunking would forfeit.
+// AnyInRangePlan and AllInRangePlan (columnar.go) stay on the sequential
+// scanProbs reducer on purpose: they allocate nothing, and they decide the
+// answer mid-scan, which chunking would forfeit.
 
 // parCutoffRows is the sequential fast-path threshold: a window covering
 // fewer rows runs on the calling goroutine, so small queries pay zero pool
@@ -188,9 +188,9 @@ func fusedChunk(groups []storage.TimeGroup, c storage.Cols, lo, hi float64, outE
 
 // FusedStats selects which statistics one FusedSeries pass computes.
 type FusedStats struct {
-	Expected bool // expected-value series (ExpectedSeries)
-	Prob     bool // P(lo < R_t <= hi) series (ProbSeries)
-	Count    bool // expected number of tuples in (lo, hi] (ExpectedCount)
+	Expected bool // expected-value series
+	Prob     bool // P(lo < R_t <= hi) series
+	Count    bool // expected number of tuples in (lo, hi]
 }
 
 // n reports how many statistics are selected.
@@ -206,6 +206,12 @@ func (s FusedStats) n() int {
 		n++
 	}
 	return n
+}
+
+// TimeSeriesPoint pairs a timestamp with a per-tuple scalar.
+type TimeSeriesPoint struct {
+	T     int64
+	Value float64
 }
 
 // FusedResult holds the statistics of one fused pass; deselected fields
@@ -286,10 +292,9 @@ func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want Fuse
 		}
 		res.Expected, res.Prob = outE, outP
 		if want.Count {
-			// Sequential in-order fold: the exact addition sequence of the
-			// sequential ExpectedCount, so the sum is bit-identical at
-			// any worker count. The parallel phase only filled the
-			// per-group terms.
+			// Sequential in-order fold: the same addition sequence at
+			// any worker count, so the sum is bit-identical. The
+			// parallel phase only filled the per-group terms.
 			sum := 0.0
 			if outQ != nil {
 				for _, q := range outQ {
@@ -313,24 +318,29 @@ func FusedSeries(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want Fuse
 	return res, plan, nil
 }
 
-// ExpectedSeriesPar is ExpectedSeries on the chunked worker pool: identical
-// output bytes (values and error shape) at any worker count, plus the scan
-// plan for explain output.
+// ExpectedSeriesPar returns the expected true value at every timestamp of
+// the view within [tLo, tHi] — the model-based view abstraction of MauveDB
+// (reference [25]) recovered from the probabilistic database — on the
+// chunked worker pool: identical output bytes (values and error shape) at
+// any worker count, plus the scan plan for explain output.
 func ExpectedSeriesPar(p *storage.ProbTable, tLo, tHi int64, workers int) ([]TimeSeriesPoint, ScanPlan, error) {
 	res, plan, err := FusedSeries(p, tLo, tHi, 0, 0, FusedStats{Expected: true}, workers)
 	return res.Expected, plan, err
 }
 
-// ProbSeriesPar is ProbSeries on the chunked worker pool.
+// ProbSeriesPar returns P(lo < R_t <= hi) at every timestamp of the view
+// within [tLo, tHi], on the chunked worker pool.
 func ProbSeriesPar(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, workers int) ([]TimeSeriesPoint, ScanPlan, error) {
 	res, plan, err := FusedSeries(p, tLo, tHi, lo, hi, FusedStats{Prob: true}, workers)
 	return res.Prob, plan, err
 }
 
-// ExpectedCountPar is ExpectedCount on the chunked worker pool. The
-// per-group probabilities are computed in parallel; the sum folds
-// sequentially in group order, so the result is bit-identical to
-// ExpectedCount's.
+// ExpectedCountPar returns the expected number of timestamps in [tLo, tHi]
+// whose true value lies in (lo, hi]: the sum of per-tuple probabilities
+// (linearity of expectation, no independence needed). The per-group
+// probabilities are computed on the chunked worker pool; the sum folds
+// sequentially in group order, so the result is bit-identical at any
+// worker count.
 func ExpectedCountPar(p *storage.ProbTable, tLo, tHi int64, lo, hi float64, workers int) (float64, ScanPlan, error) {
 	res, plan, err := FusedSeries(p, tLo, tHi, lo, hi, FusedStats{Count: true}, workers)
 	return res.Count, plan, err

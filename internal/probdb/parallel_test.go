@@ -87,10 +87,10 @@ func checkParallelKernelsMatch(t *testing.T, p *storage.ProbTable, tLo, tHi int6
 	}
 }
 
-// checkFusedMatchesIndependent compares one fused pass against the three
-// standalone columnar kernels. When the fused pass succeeds every selected
-// statistic must match its standalone kernel exactly; when it fails, at
-// least one standalone kernel must fail with the same sentinel (the fused
+// checkFusedMatchesIndependent compares one fused pass against its three
+// single-statistic projections on the sequential fast path. When the fused
+// pass succeeds every selected statistic must match its projection exactly;
+// when it fails, at least one projection must fail with the same sentinel (the fused
 // pass is all-or-nothing, so it cannot be required to fail identically to
 // each — e.g. a zero-mass group fails Expected but not Prob).
 func checkFusedMatchesIndependent(t *testing.T, p *storage.ProbTable, tLo, tHi int64, lo, hi float64, want FusedStats, workers int) {
@@ -99,21 +99,21 @@ func checkFusedMatchesIndependent(t *testing.T, p *storage.ProbTable, tLo, tHi i
 
 	var errs []error
 	if want.Expected {
-		wantE, err := ExpectedSeries(p, tLo, tHi)
+		wantE, _, err := ExpectedSeriesPar(p, tLo, tHi, 1)
 		errs = append(errs, err)
 		if errF == nil && (err != nil || !reflect.DeepEqual(fr.Expected, wantE)) {
 			t.Fatalf("fused Expected diverged (w=%d): err=%v", workers, err)
 		}
 	}
 	if want.Prob {
-		wantP, err := ProbSeries(p, tLo, tHi, lo, hi)
+		wantP, _, err := ProbSeriesPar(p, tLo, tHi, lo, hi, 1)
 		errs = append(errs, err)
 		if errF == nil && (err != nil || !reflect.DeepEqual(fr.Prob, wantP)) {
 			t.Fatalf("fused Prob diverged (w=%d): err=%v", workers, err)
 		}
 	}
 	if want.Count {
-		wantC, err := ExpectedCount(p, tLo, tHi, lo, hi)
+		wantC, _, err := ExpectedCountPar(p, tLo, tHi, lo, hi, 1)
 		errs = append(errs, err)
 		if errF == nil && (err != nil || fr.Count != wantC) {
 			t.Fatalf("fused Count = %v, standalone %v (w=%d, err=%v)", fr.Count, wantC, workers, err)
@@ -243,14 +243,14 @@ func TestParallelErrorShapes(t *testing.T) {
 		t.Errorf("expected-only with unused bad range: %v", err)
 	}
 
-	// A zero-mass tuple deep in the window fails the parallel kernel with
-	// the same sentinel the sequential kernel reports, at any worker count.
+	// A zero-mass tuple deep in the window fails the pooled kernel with the
+	// same sentinel the sequential fast path reports, at any worker count.
 	z := &storage.ProbTable{Name: "pv", Omega: view.Omega{Delta: 1, N: 1}}
 	for i := 0; i < 200; i++ {
 		z.AppendRows([]view.Row{{T: int64(i), Lambda: 0, Lo: 0, Hi: 1, Prob: 1}})
 	}
 	z.AppendRows([]view.Row{{T: 200, Lambda: 0, Lo: 0, Hi: 1, Prob: 0}}) // zero mass
-	_, wantErr := ExpectedSeries(z, 0, 300)
+	_, _, wantErr := ExpectedSeriesPar(z, 0, 300, 1)
 	if wantErr == nil {
 		t.Fatal("sequential kernel accepted the zero-mass tuple")
 	}

@@ -3,10 +3,11 @@
 // that motivate the paper's pipeline (Section I: the output "can be directly
 // consumed by a wide variety of existing probabilistic queries").
 //
-// Queries operate on the view rows of a single timestamp (a tuple-independent
-// discrete distribution over Omega ranges): range probability, probability
-// thresholding, top-k ranges, expected value, and bucketed queries such as
-// "which room is Alice in" (Fig. 1).
+// Row queries operate on the view rows of a single timestamp (a
+// tuple-independent discrete distribution over Omega ranges): range
+// probability, top-k ranges, expected value, and bucketed queries such as
+// "which room is Alice in" (Fig. 1). The column kernels answer the same
+// questions on a storage.ProbTable, at one timestamp or over a window.
 package probdb
 
 import (
@@ -53,28 +54,17 @@ func RangeProb(rows []view.Row, lo, hi float64) (float64, error) {
 		if overlapHi <= overlapLo {
 			continue
 		}
+		if overlapLo == r.Lo && overlapHi == r.Hi {
+			// Row fully covered: its whole mass, as rangeProbCols adds it.
+			// For a finite row the fraction would be x/x == 1 exactly; for
+			// a row with an infinite bound it would be Inf/Inf = NaN.
+			total += r.Prob
+			continue
+		}
 		frac := (overlapHi - overlapLo) / (r.Hi - r.Lo)
 		total += frac * r.Prob
 	}
 	return total, nil
-}
-
-// Threshold returns the Omega ranges whose probability is at least p — the
-// probabilistic threshold query of Cheng et al. ([1], [14] in the paper).
-func Threshold(rows []view.Row, p float64) ([]view.Row, error) {
-	if len(rows) == 0 {
-		return nil, ErrNoRows
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return nil, fmt.Errorf("%w: threshold %v", ErrBadArg, p)
-	}
-	var out []view.Row
-	for _, r := range rows {
-		if r.Prob >= p {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // TopK returns the k most probable Omega ranges in descending probability
@@ -170,57 +160,4 @@ func MostLikelyBucket(rows []view.Row, buckets []Bucket) (BucketProb, error) {
 		return BucketProb{}, err
 	}
 	return ps[0], nil
-}
-
-// Quantile returns the q-quantile (0 < q < 1) of the bucketed distribution:
-// the value below which a fraction q of the (normalised) probability mass
-// lies, interpolating linearly within the bucket that straddles q. Rows must
-// be in ascending range order (the order the view builder emits).
-func Quantile(rows []view.Row, q float64) (float64, error) {
-	if len(rows) == 0 {
-		return 0, ErrNoRows
-	}
-	if q <= 0 || q >= 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("%w: quantile %v", ErrBadArg, q)
-	}
-	total := 0.0
-	for _, r := range rows {
-		total += r.Prob
-	}
-	if total <= 0 {
-		return 0, fmt.Errorf("%w: zero total probability", ErrBadArg)
-	}
-	target := q * total
-	run := 0.0
-	for _, r := range rows {
-		if run+r.Prob >= target {
-			// Zero-probability and zero-width (point mass) buckets admit no
-			// interpolation: the quantile is the bucket's location itself.
-			if r.Prob == 0 || r.Hi == r.Lo {
-				return r.Lo, nil
-			}
-			frac := (target - run) / r.Prob
-			return r.Lo + frac*(r.Hi-r.Lo), nil
-		}
-		run += r.Prob
-	}
-	return rows[len(rows)-1].Hi, nil
-}
-
-// CredibleInterval returns the central credible interval covering fraction
-// level (e.g. 0.95) of the bucketed distribution's mass.
-func CredibleInterval(rows []view.Row, level float64) (lo, hi float64, err error) {
-	if level <= 0 || level >= 1 || math.IsNaN(level) {
-		return 0, 0, fmt.Errorf("%w: level %v", ErrBadArg, level)
-	}
-	tail := (1 - level) / 2
-	lo, err = Quantile(rows, tail)
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = Quantile(rows, 1-tail)
-	if err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
 }

@@ -60,31 +60,6 @@ func TestRangeProbValidation(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	rows, err := Threshold(fourRows(), 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows above 0.25", len(rows))
-	}
-	for _, r := range rows {
-		if r.Prob < 0.25 {
-			t.Errorf("row below threshold: %v", r.Prob)
-		}
-	}
-	all, _ := Threshold(fourRows(), 0)
-	if len(all) != 4 {
-		t.Error("threshold 0 should return all rows")
-	}
-	if _, err := Threshold(fourRows(), 1.5); !errors.Is(err, ErrBadArg) {
-		t.Error("threshold > 1 accepted")
-	}
-	if _, err := Threshold(nil, 0.5); !errors.Is(err, ErrNoRows) {
-		t.Error("empty rows accepted")
-	}
-}
-
 func TestTopK(t *testing.T) {
 	top2, err := TopK(fourRows(), 2)
 	if err != nil {
@@ -193,77 +168,6 @@ func TestBucketQueryValidation(t *testing.T) {
 	}
 	if _, err := BucketQuery(fourRows(), []Bucket{{Name: "bad", Lo: 2, Hi: 1}}); !errors.Is(err, ErrBadArg) {
 		t.Error("inverted bucket accepted")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	rows := fourRows()
-	// CDF: 0.1 at 1, 0.3 at 2, 0.7 at 3, 1.0 at 4.
-	cases := []struct{ q, want float64 }{
-		{0.1, 1.0},
-		{0.05, 0.5}, // halfway through bucket 1
-		{0.3, 2.0},
-		{0.5, 2.5}, // halfway through bucket 3 (0.3 + 0.2 of 0.4)
-		{0.7, 3.0},
-		{0.85, 3.5},
-	}
-	for _, c := range cases {
-		got, err := Quantile(rows, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileValidation(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrNoRows) {
-		t.Error("empty rows accepted")
-	}
-	for _, q := range []float64{0, 1, -0.5, math.NaN()} {
-		if _, err := Quantile(fourRows(), q); !errors.Is(err, ErrBadArg) {
-			t.Errorf("q=%v accepted", q)
-		}
-	}
-	zero := []view.Row{{T: 1, Lo: 0, Hi: 1, Prob: 0}}
-	if _, err := Quantile(zero, 0.5); !errors.Is(err, ErrBadArg) {
-		t.Error("zero-mass rows accepted")
-	}
-}
-
-func TestQuantileNormalisesTruncatedMass(t *testing.T) {
-	rows := fourRows()
-	for i := range rows {
-		rows[i].Prob /= 3 // truncated tails must not shift quantiles
-	}
-	got, err := Quantile(rows, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("median = %v, want 2.5", got)
-	}
-}
-
-func TestCredibleInterval(t *testing.T) {
-	lo, hi, err := CredibleInterval(fourRows(), 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// tails of 0.1 each: lo = Quantile(0.1) = 1, hi = Quantile(0.9) = 11/3.
-	if math.Abs(lo-1) > 1e-12 {
-		t.Errorf("lo = %v", lo)
-	}
-	if math.Abs(hi-11.0/3.0) > 1e-12 {
-		t.Errorf("hi = %v, want %v", hi, 11.0/3.0)
-	}
-	if lo >= hi {
-		t.Error("empty interval")
-	}
-	if _, _, err := CredibleInterval(fourRows(), 1.5); !errors.Is(err, ErrBadArg) {
-		t.Error("level > 1 accepted")
 	}
 }
 

@@ -353,9 +353,9 @@ func execSelect(db *storage.DB, s *SelectStmt, opts Options) (*Result, error) {
 }
 
 // execAggregate evaluates a probabilistic aggregate over a view. EXPECTED,
-// PROB and COUNT run on the chunked worker pool (byte-identical to the
-// sequential kernels at any worker count); ANY and ALLIN stay sequential —
-// their early-stop reducers decide the answer mid-scan.
+// PROB and COUNT run on the chunked worker pool (byte-identical output at
+// any worker count); ANY and ALLIN stay sequential — their early-stop
+// reducers decide the answer mid-scan.
 func execAggregate(pv *storage.ProbTable, s *SelectStmt, tLo, tHi int64, opts Options) (*Result, error) {
 	workers := ResolveParallelism(opts.Parallelism)
 	var res *Result

@@ -30,15 +30,15 @@ func TestSeriesEndpoint(t *testing.T) {
 			len(resp.Expected), len(resp.Prob), resp.Count)
 	}
 
-	wantE, err := probdb.ExpectedSeries(pv, 50, 60)
+	wantE, _, err := probdb.ExpectedSeriesPar(pv, 50, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantP, err := probdb.ProbSeries(pv, 50, 60, 0, 100)
+	wantP, _, err := probdb.ProbSeriesPar(pv, 50, 60, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC, err := probdb.ExpectedCount(pv, 50, 60, 0, 100)
+	wantC, _, err := probdb.ExpectedCountPar(pv, 50, 60, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

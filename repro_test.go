@@ -1,7 +1,10 @@
 package repro_test
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -53,48 +56,39 @@ func TestPublicAPIOfflinePipeline(t *testing.T) {
 	if exp < 0 || exp > 25 {
 		t.Errorf("expected value %v implausible", exp)
 	}
-	p, err := repro.RangeProb(rows, rows[0].Lo, rows[len(rows)-1].Hi)
-	if err != nil {
-		t.Fatal(err)
+	total := 0.0
+	for _, r := range rows {
+		total += r.Prob
 	}
-	if p <= 0 || p > 1 {
-		t.Errorf("total range probability %v", p)
+	if total <= 0 || total > 1+1e-9 {
+		t.Errorf("total range probability %v", total)
 	}
 }
 
+// TestPublicAPIMetricConstructors builds one view per dynamic density
+// metric through the METRIC clause, the facade's way to choose a metric;
+// C-GARCH takes its variance threshold from LearnSVMax.
 func TestPublicAPIMetricConstructors(t *testing.T) {
 	vals := arValues(300, 2)
-	s := repro.FromValues(vals)
-
-	ut, err := repro.NewUniformThresholding(1, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt, err := repro.NewVariableThresholding(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag, err := repro.NewARMAGARCH(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := repro.NewKalmanGARCH()
 	svMax, err := repro.LearnSVMax(vals[:100], 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := repro.NewCGARCH(1, 0, svMax)
-	if err != nil {
+	engine := repro.NewEngine()
+	if err := engine.RegisterSeries("raw_values", repro.FromValues(vals)); err != nil {
 		t.Fatal(err)
 	}
-
-	for _, m := range []repro.Metric{ut, vt, ag, kg, cg} {
-		res, err := repro.EvaluateMetric(s, m, 90, 10)
+	for _, metric := range []string{"UT(u=2)", "VT", "ARMA_GARCH", "KALMAN_GARCH", fmt.Sprintf("CGARCH(svmax=%g)", svMax)} {
+		res, err := engine.Exec(`CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=8
+			METRIC ` + metric + ` WINDOW 90 FROM raw_values WHERE t >= 200 AND t <= 210`)
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", metric, err)
 		}
-		if res.Distance < 0 {
-			t.Errorf("%s: negative distance", m.Name())
+		if n := res.View.NumRows(); n != 11*8 {
+			t.Errorf("%s: %d view rows, want %d", metric, n, 11*8)
+		}
+		if _, err := engine.Exec("DROP TABLE pv"); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -172,7 +166,33 @@ func TestPublicAPISeriesCSV(t *testing.T) {
 	if s.Len() != 2 {
 		t.Errorf("len = %d", s.Len())
 	}
-	if _, err := repro.NewSeries([]repro.Point{{T: 1, V: 1}, {T: 2, V: 2}}); err != nil {
+}
+
+// TestReadmeQuickstartIsExample pins README's quickstart to
+// examples/quickstart: its go block must be a verbatim excerpt of main.go,
+// so the documented program is one that builds and runs.
+func TestReadmeQuickstartIsExample(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
 		t.Fatal(err)
+	}
+	src, err := os.ReadFile(filepath.Join("examples", "quickstart", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "## Quickstart\n")
+	if !ok {
+		t.Fatal("README has no Quickstart section")
+	}
+	_, block, ok := strings.Cut(section, "```go\n")
+	if !ok {
+		t.Fatal("README's Quickstart has no go block")
+	}
+	block, _, ok = strings.Cut(block, "```\n")
+	if !ok || strings.TrimSpace(block) == "" {
+		t.Fatal("README's Quickstart go block is empty or unterminated")
+	}
+	if !strings.Contains(string(src), block) {
+		t.Errorf("README's Quickstart is not an excerpt of examples/quickstart/main.go:\n%s", block)
 	}
 }
