@@ -1,11 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
+	"net/url"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -77,7 +81,7 @@ func TestSIGKILLRecovery(t *testing.T) {
 		t.Fatalf("served rows differ from acked ingest responses: %d vs %d", len(preRows.Rows), len(ackedRows))
 	}
 	probeT := int64(h + 2)
-	preProb, err := client.RangeProb("pv", probeT, -1000, 1000)
+	preProb, err := rangeProb(client, "pv", probeT, -1000, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestSIGKILLRecovery(t *testing.T) {
 			t.Fatalf("phantom row %d at t=%d before the acked frontier", i, r.T)
 		}
 	}
-	postProb, err := client2.RangeProb("pv", probeT, -1000, 1000)
+	postProb, err := rangeProb(client2, "pv", probeT, -1000, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,4 +199,27 @@ func waitHealthy(t *testing.T, client *server.Client) *server.HealthResponse {
 	}
 	t.Fatal(fmt.Errorf("daemon never became healthy: %w", lastErr))
 	return nil
+}
+
+// rangeProb asks the daemon's /rangeprob for P(lo < R_t <= hi) at one
+// timestamp of a view.
+func rangeProb(client *server.Client, view string, t int64, lo, hi float64) (float64, error) {
+	q := url.Values{
+		"t":  {strconv.FormatInt(t, 10)},
+		"lo": {strconv.FormatFloat(lo, 'g', -1, 64)},
+		"hi": {strconv.FormatFloat(hi, 'g', -1, 64)},
+	}
+	resp, err := http.Get(client.Base + "/views/" + url.PathEscape(view) + "/rangeprob?" + q.Encode())
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var out server.RangeProbResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return 0, err
+	}
+	if resp.StatusCode != http.StatusOK || out.Prob == nil {
+		return 0, fmt.Errorf("GET /rangeprob: HTTP %d, prob %v", resp.StatusCode, out.Prob)
+	}
+	return *out.Prob, nil
 }

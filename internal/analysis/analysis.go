@@ -78,7 +78,7 @@ func All() []*Analyzer {
 		HotPathAlloc(),
 		WALOrder(DefaultWALOrderScope),
 		ObsReg(),
-		DeadAPI("bench", "server.Client"),
+		DeadAPI("bench"),
 	}
 }
 

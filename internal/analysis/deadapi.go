@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"path/filepath"
-	"slices"
 	"strings"
 )
 
@@ -15,16 +14,15 @@ import (
 // the module in directory extra (relative to the main module's root),
 // refers to it from outside its own declaration. Uses always come from the
 // whole of both modules, so a run over a subset reports nothing a full run
-// would not. Exempt are methods
-// implementing an interface the program declares or imports, every symbol
-// of a package no non-test package imports (test support), and the methods
-// of the types named in exempt, as "pkgname.Type".
-func DeadAPI(extra string, exempt ...string) *Analyzer {
+// would not. Exempt are methods implementing an interface the program
+// declares or imports, and every symbol of a package no non-test package
+// imports (test support).
+func DeadAPI(extra string) *Analyzer {
 	return &Analyzer{
 		Name: "deadapi",
 		Doc:  "exported internal/ and root-package symbols need a non-test reference in the module or " + extra,
 		Run: func(prog *Program, report Reporter) error {
-			return runDeadAPI(prog, report, extra, exempt)
+			return runDeadAPI(prog, report, extra)
 		},
 	}
 }
@@ -33,7 +31,7 @@ func DeadAPI(extra string, exempt ...string) *Analyzer {
 // type, the same way whichever type-checker produced the object.
 type apiKey struct{ pkg, recv, name string }
 
-func runDeadAPI(prog *Program, report Reporter, extra string, exempt []string) error {
+func runDeadAPI(prog *Program, report Reporter, extra string) error {
 	full, err := Load(prog.Root)
 	if err != nil {
 		return err
@@ -72,7 +70,7 @@ func runDeadAPI(prog *Program, report Reporter, extra string, exempt []string) e
 			}
 			name := pkg.Name + "." + k.name
 			if k.recv != "" {
-				if slices.Contains(exempt, pkg.Name+"."+k.recv) || u.implementsAny(k) {
+				if u.implementsAny(k) {
 					continue
 				}
 				name = pkg.Name + "." + k.recv + "." + k.name

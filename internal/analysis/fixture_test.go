@@ -112,7 +112,7 @@ func TestObsRegFixture(t *testing.T) {
 }
 
 func TestDeadAPIFixture(t *testing.T) {
-	a := DeadAPI("deadapi/bench", "server.Client")
+	a := DeadAPI("deadapi/bench")
 	runFixture(t, "deadapi", a)
 	// A run over one package reports exactly what the full run reports
 	// there: uses still come from the whole module and its second module.

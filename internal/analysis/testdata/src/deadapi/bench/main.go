@@ -2,12 +2,8 @@
 // module that sees the fixture packages through export data only.
 package main
 
-import (
-	"fixtures/deadapi/internal/lib"
-	"fixtures/deadapi/internal/server"
-)
+import "fixtures/deadapi/internal/lib"
 
 func main() {
 	lib.UsedByBench()
-	_ = server.NewClient("localhost:0")
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // DefaultWALOrderScope lists the packages whose functions touch durable
-// files: the WAL, segment sealing and the checkpoint store. (Matched as
-// path-segment suffixes.)
+// files: the WAL and the checkpoint store, which seals segments and the
+// manifest. (Matched as path-segment suffixes.)
 var DefaultWALOrderScope = []string{
-	"internal/wal", "internal/segment", "internal/durable",
+	"internal/wal", "internal/durable",
 }
 
 // WALOrder returns the walorder analyzer. Within the scope packages, any

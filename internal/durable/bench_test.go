@@ -103,3 +103,44 @@ func BenchmarkRecoveryReplay200k(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkViewSegmentLoad measures the lazy load of a checkpointed view:
+// one segment of 500 tuples of n = 8 rows, read whole, verified and
+// decoded. The workload and the checkpoint that writes the segment run
+// outside the timer.
+func BenchmarkViewSegmentLoad(b *testing.B) {
+	const tuples, n = 500, 8
+	fs, st, _ := benchStore(b, false)
+	defer st.Close()
+	pv := &storage.ProbTable{Name: "pv8", Source: "sensor", Omega: view.Omega{Delta: 0.5, N: n}}
+	if err := st.DB().StoreView(pv); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < tuples; i++ {
+		tt := int64(i + 1)
+		if err := st.DB().CommitStep("sensor", timeseries.Point{T: tt, V: 21}, pv, benchRows(tt, n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	m, err := readManifest(fs, "data")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var load storage.RowsLoader
+	for _, v := range m.Views {
+		if v.Name == "pv8" {
+			load = st.viewLoader(v)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := load()
+		if err != nil || len(rows) != tuples*n {
+			b.Fatalf("loaded %d rows (%v), want %d", len(rows), err, tuples*n)
+		}
+	}
+}

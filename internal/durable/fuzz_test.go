@@ -25,7 +25,7 @@ func FuzzWALReplay(f *testing.F) {
 	valid = wal.AppendFrame(valid, encodeCreateRaw("raw", "t", "r",
 		[]timeseries.Point{{T: 1, V: 2}, {T: 2, V: 2.5}}))
 	valid = wal.AppendFrame(valid, encodeStoreView(meta, []view.Row{{T: 1, Lambda: 0, Lo: 0, Hi: 1, Prob: 0.4}}))
-	valid = wal.AppendFrame(valid, legacyStep("raw", timeseries.Point{T: 3, V: 3}, "pv", nil))
+	valid = wal.AppendFrame(valid, encodeSteps("raw", []timeseries.Point{{T: 3, V: 3}}, "pv", nil))
 	valid = wal.AppendFrame(valid, encodeSteps("raw", []timeseries.Point{{T: 4, V: 4}, {T: 5, V: 4.5}}, "pv",
 		[]view.Row{{T: 4, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.6}}))
 	valid = wal.AppendFrame(valid, encodeStoreView(meta, []view.Row{{T: 4, Lambda: 1, Lo: 2, Hi: 3, Prob: 0.2}}))

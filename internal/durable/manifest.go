@@ -2,8 +2,10 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"path/filepath"
 
 	"repro/internal/wal"
@@ -42,12 +44,21 @@ type manifest struct {
 	Views   []manifestView `json:"views,omitempty"`
 }
 
+// manifestVersion is the manifest format this build reads and writes.
+// Version 2 lists segments that are one sealed WAL record each; a data
+// directory of version 1 segments is refused at Open.
+const manifestVersion = 2
+
 // readManifest loads the manifest, returning (nil, nil) when none exists
-// yet — a fresh data directory.
+// yet — a fresh data directory. Any other failure to open it fails: a
+// manifest that exists but cannot be read is not an empty catalog.
 func readManifest(fs wal.FS, dir string) (*manifest, error) {
 	f, err := fs.Open(filepath.Join(dir, manifestName))
-	if err != nil {
+	if errors.Is(err, iofs.ErrNotExist) {
 		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("durable: open manifest: %w", err)
 	}
 	data, err := io.ReadAll(f)
 	f.Close()
@@ -58,34 +69,18 @@ func readManifest(fs wal.FS, dir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("durable: parse manifest: %w", err)
 	}
-	if m.Version != 1 {
+	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("durable: manifest version %d not supported", m.Version)
 	}
 	return &m, nil
 }
 
-// writeManifest atomically replaces the manifest: temp file, full write,
-// sync, rename. The rename is the checkpoint's commit point.
+// writeManifest atomically replaces the manifest. The rename inside seal
+// is the checkpoint's commit point.
 func writeManifest(fs wal.FS, dir string, m *manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, filepath.Join(dir, manifestName))
+	return seal(fs, filepath.Join(dir, manifestName), data)
 }

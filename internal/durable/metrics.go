@@ -31,6 +31,16 @@ var (
 		"WAL files deleted after a checkpoint covered them.")
 	metSegsDeleted = obs.Default.Counter("tspdb_segments_deleted_total",
 		"Segment files removed by GC (unreferenced by the manifest).")
+	metSegsWritten = obs.Default.Counter("tspdb_segments_written_total",
+		"Segment files sealed.")
+	metSegBytesWritten = obs.Default.Counter("tspdb_segment_bytes_written_total",
+		"Bytes written into sealed segment files.")
+	metSegsOpened = obs.Default.Counter("tspdb_segments_opened_total",
+		"Segment files read back whole.")
+	metSegBytesRead = obs.Default.Counter("tspdb_segment_bytes_read_total",
+		"Bytes read from segment files.")
+	metSegSeal = obs.Default.Histogram("tspdb_segment_seal_seconds",
+		"Segment seal latency (write + sync + rename).", obs.DurationBuckets)
 )
 
 // lastCkptUnixNano is the wall clock of the last committed checkpoint,

@@ -1,9 +1,10 @@
 // Package durable is the crash-safe storage engine behind the catalog: a
 // write-ahead log (internal/wal) that records every committed mutation
-// before it is acknowledged, time-partitioned immutable segment files
-// (internal/segment) the log is checkpointed into, and a recovery path
-// that reconstructs exactly the acknowledged state from manifest +
-// segments + log replay.
+// before it is acknowledged, immutable segment files the log is
+// checkpointed into, and a recovery path that reconstructs exactly the
+// acknowledged state from manifest + segments + log replay. One byte
+// format serves both: a segment file is one sealed record of this file's
+// codec (see segment.go), as a WAL frame holds one.
 package durable
 
 import (
@@ -17,22 +18,22 @@ import (
 	"repro/internal/view"
 )
 
-// ErrBadRecord reports a WAL payload that does not decode as a record.
-// The record framing already catches torn and corrupt bytes via CRC, so a
-// bad record means a version mismatch or a software bug — recovery stops
-// rather than guessing.
+// ErrBadRecord reports bytes that do not hold the record they should: a
+// WAL payload that does not decode, or a segment file whose magic, frame
+// or record does not verify, or whose record is not the table its manifest
+// entry lists. WAL framing already catches torn bytes via CRC, so a bad
+// WAL record means a version mismatch or a software bug; a bad segment,
+// which is read whole, is corruption too. Recovery stops rather than
+// guessing.
 var ErrBadRecord = errors.New("durable: malformed record")
 
 // Record kinds, one per storage.CommitLog method. The bytes are the
-// on-disk format. Kind 5 (step: one point and its rows) is replayed, no
-// longer written: it decodes as a one-point steps record, so a data
-// directory written before kind 8 recovers. Kinds 2 (append-raw), 4
-// (append-rows) and 7 (reset) are retired: a log holding one fails
+// on-disk format. Kinds 2 (append-raw), 4 (append-rows), 5 (step: one
+// point and its rows) and 7 (reset) are retired: a log holding one fails
 // recovery with ErrBadRecord.
 const (
 	recCreateRaw byte = 1
 	recStoreView byte = 3
-	recStep      byte = 5
 	recDrop      byte = 6
 	recSteps     byte = 8
 )
@@ -197,10 +198,6 @@ func (d *dec) count(minSize int) int {
 	return int(n)
 }
 
-func (d *dec) point() timeseries.Point {
-	return timeseries.Point{T: int64(d.u64()), V: d.f64()}
-}
-
 func (d *dec) points() []timeseries.Point {
 	n := d.count(16)
 	if !d.ok {
@@ -208,7 +205,7 @@ func (d *dec) points() []timeseries.Point {
 	}
 	pts := make([]timeseries.Point, n)
 	for i := range pts {
-		pts[i] = d.point()
+		pts[i] = timeseries.Point{T: int64(d.u64()), V: d.f64()}
 	}
 	return pts
 }
@@ -246,11 +243,6 @@ func decodeRecord(b []byte, names map[string]string) (record, error) {
 		r.metric = d.str()
 		r.omega.Delta = d.f64()
 		r.omega.N = int(d.varint())
-		r.rows = d.rowBatch()
-	case recStep:
-		r.source = d.str()
-		r.pts = []timeseries.Point{d.point()}
-		r.viewName = d.str()
 		r.rows = d.rowBatch()
 	case recSteps:
 		r.source = d.str()

@@ -12,21 +12,10 @@ import (
 	"repro/internal/wal"
 )
 
-// legacyStep encodes a kind-5 step record — one point and its rows — in
-// the shape earlier builds wrote it. Production writes kind 8 instead;
-// recovery still replays kind 5.
-func legacyStep(source string, p timeseries.Point, viewName string, rows []view.Row) []byte {
-	dst := appendStr([]byte{recStep}, source)
-	dst = appendPoint(dst, p)
-	dst = appendStr(dst, viewName)
-	return appendRowBatch(dst, rows)
-}
-
 // TestRecordGoldenBytes pins the on-disk encoding of one fixed record of
 // each kind: a data directory written by any earlier build must decode
 // unchanged, and the bytes a step costs must not drift. Each record also
-// decodes back to what was encoded; a kind-5 step decodes as a one-point
-// steps record.
+// decodes back to what was encoded.
 func TestRecordGoldenBytes(t *testing.T) {
 	meta := storage.ViewMeta{Name: "pv", Source: "raw", MetricName: "m", Omega: view.Omega{Delta: 0.5, N: 2}}
 	viewRow := view.Row{T: 1, Lambda: -1, Lo: 0, Hi: 1, Prob: 0.25}
@@ -44,9 +33,6 @@ func TestRecordGoldenBytes(t *testing.T) {
 		{"store-view", encodeStoreView(meta, []view.Row{viewRow}),
 			"0302707603726177016d000000000000e03f04010100000000000000010000000000000000000000000000f03f000000000000d03f",
 			record{kind: 3, name: "pv", source: "raw", metric: "m", omega: meta.Omega, rows: []view.Row{viewRow}}},
-		{"step", legacyStep("raw", timeseries.Point{T: 2, V: 2.5}, "pv", []view.Row{stepRow}),
-			"05037261770200000000000000000000000000044002707601020000000000000000000000000000f03f0000000000000040000000000000e83f",
-			record{kind: 5, source: "raw", pts: stepsPts[:1], viewName: "pv", rows: []view.Row{stepRow}}},
 		{"drop", encodeDrop("pv"), "06027076", record{kind: 6, name: "pv"}},
 		{"steps", encodeSteps("raw", stepsPts, "pv", []view.Row{stepRow}),
 			"080372617702707602" + // kind, source, view, 2 points:
@@ -67,49 +53,24 @@ func TestRecordGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestLegacyStepRecordReplays: a log written before kind 8 holds kind-5
-// step records; it recovers to the same catalog as the kind-8 log of the
-// same steps, and a steps record that claims no points is malformed.
-func TestLegacyStepRecordReplays(t *testing.T) {
-	meta := storage.ViewMeta{Name: "pv", Source: "raw", MetricName: "m", Omega: view.Omega{Delta: 0.5, N: 2}}
-	rows := []view.Row{{T: 2, Lambda: 0, Lo: 1, Hi: 2, Prob: 0.75}}
-	head := wal.AppendFrame(nil, encodeCreateRaw("raw", "t", "r", []timeseries.Point{{T: 1, V: 2}}))
-	head = wal.AppendFrame(head, encodeStoreView(meta, nil))
-	legacy := wal.AppendFrame(append([]byte(nil), head...), legacyStep("raw", timeseries.Point{T: 2, V: 2.5}, "pv", rows))
-	legacy = wal.AppendFrame(legacy, legacyStep("raw", timeseries.Point{T: 3, V: 3}, "pv", nil))
-	current := wal.AppendFrame(append([]byte(nil), head...), encodeSteps("raw",
-		[]timeseries.Point{{T: 2, V: 2.5}, {T: 3, V: 3}}, "pv", rows))
-	dump := func(log []byte) map[string]tableDump {
-		_, st, err := openWAL(log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		return dumpDB(t, st.DB())
-	}
-	got, want := dump(legacy), dump(current)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("kind-5 log recovered %+v, kind-8 log %+v", got, want)
-	}
-	if n := len(got["raw"].Points); n != 3 || len(got["pv"].Rows) != 1 {
-		t.Fatalf("recovered %d raw points and %d rows, want 3 and 1", n, len(got["pv"].Rows))
-	}
-	empty := encodeSteps("raw", nil, "pv", nil)
-	if _, err := decodeRecord(empty, map[string]string{}); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("decode an empty steps record = %v, want ErrBadRecord", err)
-	}
-}
-
-// TestRetiredRecordKindsRejected: kinds 2 (append-raw), 4 (append-rows) and
-// 7 (reset) are no longer written. Each, in the shape an earlier build
-// wrote it, fails to decode, and a log holding one fails recovery with
-// ErrBadRecord rather than being skipped.
+// TestRetiredRecordKindsRejected: kinds 2 (append-raw), 4 (append-rows),
+// 5 (step) and 7 (reset) are no longer written. Each, in the shape an
+// earlier build wrote it, fails to decode, and a log holding one fails
+// recovery with ErrBadRecord rather than being skipped. A steps record
+// that claims no points is malformed too: no request holds none.
 func TestRetiredRecordKindsRejected(t *testing.T) {
 	appendRaw := appendPoint(appendStr([]byte{2}, "raw"), timeseries.Point{T: 3, V: 3})
 	appendRows := appendRowBatch(append(appendStr([]byte{4}, "pv"), 1),
 		[]view.Row{{T: 3, Lambda: 0, Lo: 2, Hi: 3, Prob: 1}})
+	// A step record: source, the point (2, 2.5), view name, one row at t=2.
+	step, err := hex.DecodeString("0503726177020000000000000000000000000004400270760102" +
+		"0000000000000000000000000000f03f0000000000000040000000000000e83f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptySteps := encodeSteps("raw", nil, "pv", nil)
 	valid := wal.AppendFrame(nil, encodeCreateRaw("raw", "t", "r", []timeseries.Point{{T: 1, V: 2}}))
-	for _, payload := range [][]byte{appendRaw, appendRows, {7}} {
+	for _, payload := range [][]byte{appendRaw, appendRows, step, {7}, emptySteps} {
 		if _, err := decodeRecord(payload, map[string]string{}); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("decode kind %d = %v, want ErrBadRecord", payload[0], err)
 		}

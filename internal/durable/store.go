@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/segment"
 	"repro/internal/storage"
 	"repro/internal/timeseries"
 	"repro/internal/view"
@@ -42,7 +41,7 @@ const defaultCheckpointBytes = 4 << 20
 //
 //	MANIFEST        checkpoint commit point (JSON, atomically replaced)
 //	wal/wal-*.log   write-ahead log files (framed, CRC-checked records)
-//	seg/*.seg       immutable segment files (one block per time group)
+//	seg/*.seg       immutable segment files (one sealed record each)
 type Store struct {
 	fs  wal.FS
 	dir string
@@ -150,20 +149,14 @@ func Open(fs wal.FS, dir string, opt Options) (*Store, error) {
 func (s *Store) loadManifest(m *manifest) error {
 	for _, r := range m.Raw {
 		var pts []timeseries.Point
+		want := record{kind: recCreateRaw, name: r.Name, timeCol: r.TimeCol, valueCol: r.ValueCol}
 		for _, path := range r.Segments {
-			rd, err := segment.Open(s.fs, path)
+			seg, err := readSegment(s.fs, path, want)
 			if err != nil {
 				return fmt.Errorf("durable: raw table %q: %w", r.Name, err)
 			}
 			s.recovery.SegmentsOpened++
-			if rd.Kind != segment.KindRaw {
-				return fmt.Errorf("durable: raw table %q: segment %s has kind %d", r.Name, path, rd.Kind)
-			}
-			ps, err := rd.AllPoints()
-			if err != nil {
-				return fmt.Errorf("durable: raw table %q: %w", r.Name, err)
-			}
-			pts = append(pts, ps...)
+			pts = append(pts, seg.pts...)
 		}
 		if len(pts) != r.Rows {
 			return fmt.Errorf("durable: raw table %q: segments hold %d points, manifest says %d",
@@ -185,7 +178,7 @@ func (s *Store) loadManifest(m *manifest) error {
 			Omega: view.Omega{Delta: v.Delta, N: v.N},
 		}
 		if v.Rows > 0 {
-			p.SetLoader(v.Rows, s.viewLoader(v.Name, v.Rows, append([]string(nil), v.Segments...)))
+			p.SetLoader(v.Rows, s.viewLoader(v))
 		}
 		if err := s.db.StoreView(p); err != nil {
 			return err
@@ -196,27 +189,28 @@ func (s *Store) loadManifest(m *manifest) error {
 	return nil
 }
 
-// viewLoader materialises a view's rows from its segment files, in order.
-func (s *Store) viewLoader(name string, want int, segs []string) storage.RowsLoader {
+// viewLoader materialises a view's rows from the segment files its
+// manifest entry lists, in order.
+func (s *Store) viewLoader(v manifestView) storage.RowsLoader {
+	want := record{kind: recStoreView, name: v.Name, source: v.Source, metric: v.Metric,
+		omega: view.Omega{Delta: v.Delta, N: v.N}}
+	segs := append([]string(nil), v.Segments...)
 	return func() ([]view.Row, error) {
 		var rows []view.Row
 		for _, path := range segs {
-			rd, err := segment.Open(s.fs, path)
+			seg, err := readSegment(s.fs, path, want)
 			if err != nil {
-				return nil, fmt.Errorf("durable: view %q: %w", name, err)
+				return nil, fmt.Errorf("durable: view %q: %w", v.Name, err)
 			}
-			if rd.Kind != segment.KindView {
-				return nil, fmt.Errorf("durable: view %q: segment %s has kind %d", name, path, rd.Kind)
+			if rows == nil {
+				rows = seg.rows // one segment: no copy
+			} else {
+				rows = append(rows, seg.rows...)
 			}
-			rs, err := rd.AllViewRows()
-			if err != nil {
-				return nil, fmt.Errorf("durable: view %q: %w", name, err)
-			}
-			rows = append(rows, rs...)
 		}
-		if len(rows) != want {
+		if len(rows) != v.Rows {
 			return nil, fmt.Errorf("durable: view %q: segments hold %d rows, manifest says %d",
-				name, len(rows), want)
+				v.Name, len(rows), v.Rows)
 		}
 		return rows, nil
 	}
@@ -290,7 +284,7 @@ func (s *Store) apply(payload []byte, names map[string]string) error {
 			return err
 		}
 		s.noteStoreView(r.name)
-	case recStep, recSteps:
+	case recSteps:
 		p, err := db.View(r.viewName)
 		if err != nil {
 			return err
@@ -457,16 +451,14 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 
-	m := &manifest{Version: 1, WalSeq: boundary}
+	m := &manifest{Version: manifestVersion, WalSeq: boundary}
 	newRawSegs := make(map[string][]string)
 	newViewSegs := make(map[string][]string)
 	for _, r := range raws {
 		refs := segsAt[r.Name]
 		if len(r.Points) > 0 {
 			path := s.newSegPath(r.Name)
-			if err := segment.WriteRaw(s.fs, path, segment.RawMeta{
-				Name: r.Name, TimeCol: r.TimeCol, ValueCol: r.ValueCol,
-			}, r.Points); err != nil {
+			if err := writeSegment(s.fs, path, encodeCreateRaw(r.Name, r.TimeCol, r.ValueCol, r.Points)); err != nil {
 				return err
 			}
 			refs = append(refs[:len(refs):len(refs)], path)
@@ -484,10 +476,7 @@ func (s *Store) checkpointLocked() error {
 		refs := segsAt[v.Meta.Name]
 		if len(v.Rows) > 0 {
 			path := s.newSegPath(v.Meta.Name)
-			if err := segment.WriteView(s.fs, path, segment.ViewMeta{
-				Name: v.Meta.Name, Source: v.Meta.Source, MetricName: v.Meta.MetricName,
-				Delta: v.Meta.Omega.Delta, N: v.Meta.Omega.N,
-			}, v.Rows); err != nil {
+			if err := writeSegment(s.fs, path, encodeStoreView(v.Meta, v.Rows)); err != nil {
 				return err
 			}
 			refs = append(refs[:len(refs):len(refs)], path)

@@ -45,7 +45,7 @@ func TestViewRowsReportsFailedLazyLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-1] ^= 0xff // inside the last block: its checksum fails on load
+	b[len(b)-1] ^= 0xff // inside the record payload: the frame's checksum fails on load
 	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
 		t.Fatal(err)
 	}

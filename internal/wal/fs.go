@@ -39,7 +39,6 @@ type File interface {
 // ReadFile is a readable log or segment file.
 type ReadFile interface {
 	io.Reader
-	io.ReaderAt
 	Close() error
 }
 

@@ -37,6 +37,22 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// ParseFrame returns the payload of b when b is exactly one frame: its
+// length field equals the bytes that follow the header and its CRC
+// verifies. Unlike ReadRecords it applies no MaxRecordBytes cap, since the
+// bytes are already in memory.
+func ParseFrame(b []byte) ([]byte, bool) {
+	if len(b) < frameHeader {
+		return nil, false
+	}
+	payload := b[frameHeader:]
+	if uint64(binary.LittleEndian.Uint32(b[0:4])) != uint64(len(payload)) ||
+		crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, false
+	}
+	return payload, true
+}
+
 // ReadRecords scans framed records from r, invoking fn with each verified
 // payload. The payload slice is reused between calls; fn must not retain
 // it.
