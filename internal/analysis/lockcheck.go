@@ -15,10 +15,10 @@ import (
 //
 //  1. Guarded-field access: fields declared BELOW the struct's (first)
 //     mutex may only be touched by methods that acquire the mutex
-//     (directly, or via a helper whose name contains "lock", like
-//     ProbTable.rlockLoaded). Fields ABOVE the mutex are construction-time
-//     immutable: reading them unlocked is fine, but writing them from a
-//     method is flagged.
+//     (directly, or via a receiver helper whose name contains "lock",
+//     which is taken to acquire it). Fields ABOVE the mutex are
+//     construction-time immutable: reading them unlocked is fine, but
+//     writing them from a method is flagged.
 //  2. Write-under-read-lock: a method that only ever RLocks must not
 //     write a guarded field.
 //  3. Leaked locks: a return statement lexically between a non-deferred
@@ -323,7 +323,7 @@ func (st *lockCheckState) checkGuardedAccess(file *ast.File, fd *ast.FuncDecl) {
 		return
 	}
 	if strings.Contains(strings.ToLower(fd.Name.Name), "lock") {
-		return // lock-management helper (rlockLoaded, appendLocked, ...)
+		return // lock-management helper (checkpointLocked, rotateLocked, ...)
 	}
 	if st.commentExempt(file, fd) {
 		return
@@ -453,8 +453,8 @@ func isFieldSyncExempt(pkg *Pkg, e ast.Expr) bool {
 
 // acquisitionLevel scans the body for acquisitions of the receiver's own
 // mutex: recv.mu.Lock() (write), recv.mu.RLock() (read), or a call to a
-// receiver method whose name contains "lock" (a helper like rlockLoaded
-// that encapsulates the acquisition — treated as read-level).
+// receiver method whose name contains "lock" (a helper that encapsulates
+// the acquisition — treated as read-level).
 func (st *lockCheckState) acquisitionLevel(fd *ast.FuncDecl, recvName string, info *structLocks) acquireLevel {
 	level := acquireNone
 	isOwnMutex := func(e ast.Expr) bool {
@@ -492,7 +492,7 @@ func (st *lockCheckState) acquisitionLevel(fd *ast.FuncDecl, recvName string, in
 				level = acquireRead
 			}
 		default:
-			// recv.rlockLoaded() and friends.
+			// recv.rlockX() and other lock-named helpers.
 			if id, ok := sel.X.(*ast.Ident); ok && id.Name == recvName &&
 				strings.Contains(strings.ToLower(sel.Sel.Name), "lock") {
 				if level < acquireRead {

@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/timeseries"
 	"repro/internal/view"
 )
@@ -111,5 +114,51 @@ func TestDurableEngineLifecycle(t *testing.T) {
 	}
 	if err := e2.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint on recovered engine: %v", err)
+	}
+}
+
+// TestOpenEngineFailsOnCorruptViewSegment: a checkpointed view whose
+// segment does not verify fails OpenEngine, naming the view and the file,
+// so no engine ever serves a catalog that has lost the view's rows.
+func TestOpenEngineFailsOnCorruptViewSegment(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, CheckpointBytes: -1}
+	e, err := OpenEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, 160)
+	for i := range vals {
+		vals[i] = 20 + 5*math.Sin(float64(i)*0.17)
+	}
+	if err := e.RegisterSeries("campus", timeseries.FromValues(vals)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Exec(`CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=2 WINDOW 16 FROM campus WHERE t >= 100 AND t <= 110`); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil { // checkpoints pv into a segment
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg", "*-pv.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("pv segments = %v (%v), want one", segs, err)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xff // inside the record payload: the frame's checksum fails
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err = OpenEngine(cfg)
+	if err == nil {
+		e.Close()
+		t.Fatal("OpenEngine over a corrupt view segment succeeded")
+	}
+	if !errors.Is(err, durable.ErrBadRecord) || !strings.Contains(err.Error(), `view "pv"`) || !strings.Contains(err.Error(), segs[0]) {
+		t.Fatalf("OpenEngine: %v; want ErrBadRecord naming view \"pv\" and %s", err, segs[0])
 	}
 }

@@ -104,7 +104,7 @@ func BenchmarkRecoveryReplay200k(b *testing.B) {
 	}
 }
 
-// BenchmarkViewSegmentLoad measures the lazy load of a checkpointed view:
+// BenchmarkViewSegmentLoad measures Open's load of a checkpointed view:
 // one segment of 500 tuples of n = 8 rows, read whole, verified and
 // decoded. The workload and the checkpoint that writes the segment run
 // outside the timer.
@@ -129,16 +129,16 @@ func BenchmarkViewSegmentLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var load storage.RowsLoader
+	var pv8 manifestView
 	for _, v := range m.Views {
 		if v.Name == "pv8" {
-			load = st.viewLoader(v)
+			pv8 = v
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := load()
+		rows, err := st.loadView(pv8)
 		if err != nil || len(rows) != tuples*n {
 			b.Fatalf("loaded %d rows (%v), want %d", len(rows), err, tuples*n)
 		}

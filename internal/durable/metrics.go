@@ -61,8 +61,8 @@ func init() {
 
 // RecoveryStats describes what Open did to reach the acknowledged state.
 type RecoveryStats struct {
-	// SegmentsOpened counts segment files read eagerly while loading the
-	// manifest (raw tables; view segments load lazily on first access).
+	// SegmentsOpened counts segment files read while loading the manifest:
+	// every segment of every raw table and every view.
 	SegmentsOpened int
 	// WALFilesReplayed counts log files whose records were re-applied.
 	WALFilesReplayed int

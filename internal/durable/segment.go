@@ -3,7 +3,6 @@ package durable
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/obs"
@@ -71,12 +70,7 @@ func writeSegment(fs wal.FS, path string, payload []byte) error {
 // the table name and the metadata the manifest lists for the table. Any
 // other file fails with ErrBadRecord.
 func readSegment(fs wal.FS, path string, want record) (record, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return record{}, err
-	}
-	data, err := io.ReadAll(f)
-	f.Close()
+	data, err := fs.ReadFile(path)
 	if err != nil {
 		return record{}, err
 	}

@@ -197,12 +197,12 @@ func TestSegmentMustMatchManifest(t *testing.T) {
 	}
 }
 
-// durableFiles returns the content of every file under data/seg and
-// data/wal.
+// durableFiles returns the content of every file under data: the
+// manifest, and every file under data/seg and data/wal.
 func durableFiles(t *testing.T, fs *faultfs.FS) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	for _, dir := range []string{"data/seg", "data/wal"} {
+	for _, dir := range []string{"data", "data/seg", "data/wal"} {
 		names, err := fs.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -292,6 +292,74 @@ func TestOpenFailsOnUnreadableManifest(t *testing.T) {
 	}
 	if after := durableFiles(t, fs); !reflect.DeepEqual(after, before) {
 		t.Fatalf("files after a failed Open: %d, before %d", len(after), len(before))
+	}
+}
+
+// TestOpenFailsOnBadViewSegment: a view segment that is corrupt, cut
+// short, too long, missing, or that holds a row count other than the
+// manifest's fails Open with an error naming the view and the file, and
+// Open changes no file on disk.
+func TestOpenFailsOnBadViewSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(fs *faultfs.FS, m *manifest, seg string)
+		want error
+	}{
+		{"flipped payload byte", func(fs *faultfs.FS, _ *manifest, seg string) {
+			data, _ := fs.ReadBack(seg)
+			data[len(data)-1] ^= 0x01
+			fs.WriteExisting(seg, data)
+		}, ErrBadRecord},
+		{"truncated", func(fs *faultfs.FS, _ *manifest, seg string) {
+			data, _ := fs.ReadBack(seg)
+			fs.WriteExisting(seg, data[:len(data)/2])
+		}, ErrBadRecord},
+		{"trailing byte", func(fs *faultfs.FS, _ *manifest, seg string) {
+			data, _ := fs.ReadBack(seg)
+			fs.WriteExisting(seg, append(data, 0))
+		}, ErrBadRecord},
+		{"missing", func(fs *faultfs.FS, _ *manifest, seg string) {
+			if err := fs.Remove(seg); err != nil {
+				t.Fatal(err)
+			}
+		}, iofs.ErrNotExist},
+		{"row count", func(fs *faultfs.FS, m *manifest, _ string) {
+			for i := range m.Views {
+				if m.Views[i].Name == "pv" {
+					m.Views[i].Rows++
+				}
+			}
+			if err := writeManifest(fs, "data", m); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrBadRecord},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := checkpointedStore(t)
+			m, err := readManifest(fs, "data")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seg string
+			for _, v := range m.Views {
+				if v.Name == "pv" {
+					seg = v.Segments[0]
+				}
+			}
+			tc.edit(fs, m, seg)
+			before := durableFiles(t, fs)
+			st, err := Open(fs, "data", Options{CheckpointBytes: -1})
+			if err == nil {
+				st.Close()
+				t.Fatal("Open succeeded")
+			}
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), `view "pv"`) || !strings.Contains(err.Error(), seg) {
+				t.Fatalf("Open: %v; want %v naming view \"pv\" and %s", err, tc.want, seg)
+			}
+			if after := durableFiles(t, fs); !reflect.DeepEqual(after, before) {
+				t.Fatalf("files after a failed Open: %d, before %d", len(after), len(before))
+			}
+		})
 	}
 }
 

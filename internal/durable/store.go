@@ -82,11 +82,13 @@ func (s *Store) segDir() string { return filepath.Join(s.dir, "seg") }
 func (s *Store) DB() *storage.DB { return s.db }
 
 // Open recovers (or initialises) the durable state under dir and returns
-// the store with its catalog at exactly the acknowledged state: manifest
-// tables are loaded from segments (raw eagerly, view rows lazily), then
-// the WAL is replayed with the logger detached, truncating a torn tail.
-// A fresh WAL file past every existing sequence number becomes the live
-// log — recovery never appends to a file it did not create.
+// the store with its catalog at exactly the acknowledged state: every
+// manifest table, raw or view, is read whole from its segments, then the
+// WAL is replayed with the logger detached, truncating a torn tail. A
+// fresh WAL file past every existing sequence number becomes the live
+// log — recovery never appends to a file it did not create. A segment that
+// is missing, corrupt or disagrees with the manifest fails Open with an
+// error naming the table and the file, before any file is changed.
 func Open(fs wal.FS, dir string, opt Options) (*Store, error) {
 	start := time.Now()
 	if opt.CheckpointBytes == 0 {
@@ -141,11 +143,10 @@ func Open(fs wal.FS, dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// loadManifest reconstructs the checkpointed catalog: raw tables read
-// their segments eagerly (ingest needs the watermark immediately), view
-// tables get a lazy loader so opening a large catalog does not read
-// every segment. Runs inside Open, before the Store is shared with any
-// goroutine, so no lock is held.
+// loadManifest reconstructs the checkpointed catalog: every raw table and
+// every view is read from its segments and registered resident. Runs
+// inside Open, before the Store is shared with any goroutine, so no lock
+// is held.
 func (s *Store) loadManifest(m *manifest) error {
 	for _, r := range m.Raw {
 		var pts []timeseries.Point
@@ -159,8 +160,8 @@ func (s *Store) loadManifest(m *manifest) error {
 			pts = append(pts, seg.pts...)
 		}
 		if len(pts) != r.Rows {
-			return fmt.Errorf("durable: raw table %q: segments hold %d points, manifest says %d",
-				r.Name, len(pts), r.Rows)
+			return fmt.Errorf("%w: raw table %q: segments %s hold %d points, manifest says %d",
+				ErrBadRecord, r.Name, strings.Join(r.Segments, ", "), len(pts), r.Rows)
 		}
 		series, err := timeseries.New(pts)
 		if err != nil {
@@ -173,14 +174,14 @@ func (s *Store) loadManifest(m *manifest) error {
 		s.rawSegs[r.Name] = append([]string(nil), r.Segments...)
 	}
 	for _, v := range m.Views {
-		p := &storage.ProbTable{
-			Name: v.Name, Source: v.Source, MetricName: v.Metric,
-			Omega: view.Omega{Delta: v.Delta, N: v.N},
+		rows, err := s.loadView(v)
+		if err != nil {
+			return err
 		}
-		if v.Rows > 0 {
-			p.SetLoader(v.Rows, s.viewLoader(v))
-		}
-		if err := s.db.StoreView(p); err != nil {
+		s.recovery.SegmentsOpened += len(v.Segments)
+		meta := storage.ViewMeta{Name: v.Name, Source: v.Source, MetricName: v.Metric,
+			Omega: view.Omega{Delta: v.Delta, N: v.N}}
+		if err := s.db.StoreView(storage.NewProbTable(meta, rows)); err != nil {
 			return err
 		}
 		s.viewWM[v.Name] = v.Rows
@@ -189,31 +190,28 @@ func (s *Store) loadManifest(m *manifest) error {
 	return nil
 }
 
-// viewLoader materialises a view's rows from the segment files its
-// manifest entry lists, in order.
-func (s *Store) viewLoader(v manifestView) storage.RowsLoader {
+// loadView reads a view's rows from the segment files its manifest entry
+// lists, in order, and checks their count against the entry.
+func (s *Store) loadView(v manifestView) ([]view.Row, error) {
 	want := record{kind: recStoreView, name: v.Name, source: v.Source, metric: v.Metric,
 		omega: view.Omega{Delta: v.Delta, N: v.N}}
-	segs := append([]string(nil), v.Segments...)
-	return func() ([]view.Row, error) {
-		var rows []view.Row
-		for _, path := range segs {
-			seg, err := readSegment(s.fs, path, want)
-			if err != nil {
-				return nil, fmt.Errorf("durable: view %q: %w", v.Name, err)
-			}
-			if rows == nil {
-				rows = seg.rows // one segment: no copy
-			} else {
-				rows = append(rows, seg.rows...)
-			}
+	var rows []view.Row
+	for _, path := range v.Segments {
+		seg, err := readSegment(s.fs, path, want)
+		if err != nil {
+			return nil, fmt.Errorf("durable: view %q: %w", v.Name, err)
 		}
-		if len(rows) != v.Rows {
-			return nil, fmt.Errorf("durable: view %q: segments hold %d rows, manifest says %d",
-				v.Name, len(rows), v.Rows)
+		if rows == nil {
+			rows = seg.rows // one segment: no copy
+		} else {
+			rows = append(rows, seg.rows...)
 		}
-		return rows, nil
 	}
+	if len(rows) != v.Rows {
+		return nil, fmt.Errorf("%w: view %q: segments %s hold %d rows, manifest says %d",
+			ErrBadRecord, v.Name, strings.Join(v.Segments, ", "), len(rows), v.Rows)
+	}
+	return rows, nil
 }
 
 // replayWAL applies every log file at or above floor, removes stale files
@@ -470,9 +468,6 @@ func (s *Store) checkpointLocked() error {
 		})
 	}
 	for _, v := range views {
-		if v.Err != nil {
-			return fmt.Errorf("durable: checkpoint view %q: %w", v.Meta.Name, v.Err)
-		}
 		refs := segsAt[v.Meta.Name]
 		if len(v.Rows) > 0 {
 			path := s.newSegPath(v.Meta.Name)

@@ -200,7 +200,7 @@ func TestCheckpointTrimsWALAndSurvivesReopen(t *testing.T) {
 	img := fs.CrashImage()
 	st2 := openStore(t, img, Options{Fsync: true})
 	defer st2.Close()
-	// Row counts are visible before any segment read (lazy loader).
+	// Row counts come back from the segments.
 	if n := mustView(t, st2.DB(), "pv").NumRows(); n != 21 {
 		t.Fatalf("recovered pv rows = %d, want 21", n)
 	}
@@ -423,11 +423,11 @@ func TestReopenPreservesEdgeRows(t *testing.T) {
 	check("segments", st3.DB())
 }
 
-// TestAppendAfterReopenExtendsLazyView: a view recovered from segments is
-// loaded lazily, and a step that arrives before anything has read it must
-// both extend its group index and be logged — a crash right after the step
-// recovers segment rows and appended rows alike.
-func TestAppendAfterReopenExtendsLazyView(t *testing.T) {
+// TestAppendAfterReopenExtendsRecoveredView: a view recovered from
+// segments is resident right after Open, and a step that arrives before
+// anything has read it must both extend its group index and be logged — a
+// crash right after the step recovers segment rows and appended rows alike.
+func TestAppendAfterReopenExtendsRecoveredView(t *testing.T) {
 	fs := faultfs.New()
 	st := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
 	s0, err := timeseries.New([]timeseries.Point{{T: 1, V: 1}, {T: 2, V: 2}})
@@ -449,8 +449,8 @@ func TestAppendAfterReopenExtendsLazyView(t *testing.T) {
 	st2 := openStore(t, fs, Options{Fsync: true, CheckpointBytes: -1})
 	defer st2.Close()
 	q := mustView(t, st2.DB(), "pv")
-	if rows, _ := st2.DB().ViewResident(); rows != 0 || q.NumRows() != 3 {
-		t.Fatalf("reopened view: %d resident of %d rows before any read, want a pending lazy load", rows, q.NumRows())
+	if rows, _ := st2.DB().ViewResident(); rows != 3 || q.NumRows() != 3 {
+		t.Fatalf("reopened view: %d resident of %d rows right after Open, want 3 of 3", rows, q.NumRows())
 	}
 	if err := st2.DB().CommitStep("sensor", timeseries.Point{T: 5, V: 5}, q, []view.Row{{T: 5, Lambda: 0, Prob: 1}}); err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestAppendAfterReopenExtendsLazyView(t *testing.T) {
 	st3 := openStore(t, fs.CrashImage(), Options{Fsync: true})
 	defer st3.Close()
 	if got := dumpDB(t, st3.DB()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("append after lazy reopen lost on recovery:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("append after reopen lost on recovery:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -23,10 +23,7 @@ func eachTuple(p *storage.ProbTable, tLo, tHi int64, query func(rows []view.Row)
 	if p == nil {
 		return fmt.Errorf("%w: nil view", ErrBadArg)
 	}
-	rows, err := p.RowsRange(tLo, tHi)
-	if err != nil {
-		return err
-	}
+	rows := p.RowsRange(tLo, tHi)
 	if len(rows) == 0 {
 		return ErrNoRows
 	}

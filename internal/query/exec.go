@@ -306,11 +306,7 @@ func execSelect(db *storage.DB, s *SelectStmt, opts Options) (*Result, error) {
 			Kind: "rows", Columns: []string{"t", "lambda", "lo", "hi", "prob"},
 			Stats: Stats{Path: "row", Groups: groups, Rows: rows, RowsRead: rows},
 		}
-		span, err := pv.RowsRange(tLo, tHi)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range span {
+		for _, r := range pv.RowsRange(tLo, tHi) {
 			res.Rows = append(res.Rows, []string{
 				strconv.FormatInt(r.T, 10),
 				strconv.Itoa(r.Lambda),

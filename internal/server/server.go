@@ -110,7 +110,7 @@ func New(engine *core.Engine, cfg Config) *Server {
 	s.reg.GaugeFunc("tspdbd_goroutines", "Current goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	s.reg.GaugeFunc("tspdb_storage_view_resident_rows",
-		"View rows resident in memory; rows still behind a lazy segment load are not.",
+		"View rows resident in memory, summed over every view.",
 		func() float64 { rows, _ := engine.DB().ViewResident(); return float64(rows) })
 	s.reg.GaugeFunc("tspdb_storage_view_resident_bytes",
 		"Bytes the resident view rows occupy: capacity of every view's columns and group index.",
@@ -584,10 +584,7 @@ func (s *Server) handleViewRows(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	rows, err := pv.RowsRange(from, to)
-	if err != nil {
-		return err
-	}
+	rows := pv.RowsRange(from, to)
 	if limit, err := intParam(r, "limit", 0); err != nil {
 		return err
 	} else if limit > 0 && len(rows) > limit {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,8 +10,8 @@ import (
 
 // Tests for the column iterators: the spans RangeCols and ForEachGroupCols
 // hand out must agree with the rows the table materialises, through online
-// appends and lazy loads. TestTableMatchesRowModel (model_test.go) is the
-// exhaustive version against an independent model.
+// appends. TestTableMatchesRowModel (model_test.go) is the exhaustive
+// version against an independent model.
 
 // checkColumnsMirrorRows walks the whole table through RangeCols and
 // verifies every column entry against the row SnapshotRows materialises.
@@ -80,34 +79,6 @@ func TestColumnsMirrorRowsIncrementalAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkColumnsMirrorRows(t, p)
-	}
-}
-
-func TestColumnsAfterLazyLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rows := randomRows(rng, 8)
-	p := &ProbTable{Name: "pv"}
-	p.SetLoader(len(rows), func() ([]view.Row, error) {
-		out := make([]view.Row, len(rows))
-		copy(out, rows)
-		return out, nil
-	})
-	if got := p.NumRows(); got != len(rows) {
-		t.Fatalf("NumRows before load = %d, want %d", got, len(rows))
-	}
-	checkColumnsMirrorRows(t, p)
-
-	// A failed load surfaces through the column iterators.
-	bad := &ProbTable{Name: "pv2"}
-	wantErr := errors.New("segment gone")
-	bad.SetLoader(3, func() ([]view.Row, error) { return nil, wantErr })
-	err := bad.RangeCols(0, 100, func([]TimeGroup, Cols) error { return nil })
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("RangeCols on failed load: %v", err)
-	}
-	err = bad.ForEachGroupCols(0, 100, func(GroupCols) error { return nil })
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("ForEachGroupCols on failed load: %v", err)
 	}
 }
 

@@ -222,53 +222,6 @@ func TestCommitLogFailureLeavesStateUnchanged(t *testing.T) {
 	}
 }
 
-// TestLazyLoaderMaterialises covers the segment-backed view path: the row
-// count is visible without triggering the load, the first real access
-// materialises exactly once, and a failed load is sticky without the
-// table appearing to shrink.
-func TestLazyLoaderMaterialises(t *testing.T) {
-	p := &ProbTable{Name: "pv"}
-	calls := 0
-	p.SetLoader(3, func() ([]view.Row, error) {
-		calls++
-		return []view.Row{{T: 1, Lambda: 0}, {T: 1, Lambda: 1}, {T: 4, Lambda: 0}}, nil
-	})
-	if n := p.NumRows(); n != 3 || calls != 0 {
-		t.Fatalf("NumRows = %d (loader calls %d), want 3 rows without loading", n, calls)
-	}
-	if got := p.Times(); !reflect.DeepEqual(got, []int64{1, 4}) {
-		t.Fatalf("Times = %v", got)
-	}
-	if calls != 1 {
-		t.Fatalf("loader ran %d times", calls)
-	}
-	if err := p.AppendRows([]view.Row{{T: 9, Lambda: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.NumRows(); n != 4 || calls != 1 {
-		t.Fatalf("NumRows = %d, loader calls %d", n, calls)
-	}
-
-	bad := &ProbTable{Name: "pv2"}
-	boom := errors.New("segment corrupt")
-	bad.SetLoader(7, func() ([]view.Row, error) { return nil, boom })
-	if got := bad.Times(); got != nil {
-		t.Fatalf("Times on failed load = %v", got)
-	}
-	if n := bad.NumRows(); n != 7 {
-		t.Fatalf("NumRows after failed load = %d, want 7 (table must not shrink)", n)
-	}
-	if err := bad.loadErr; !errors.Is(err, boom) {
-		t.Fatalf("loadErr = %v", err)
-	}
-	if err := bad.ForEachGroupCols(0, 100, func(GroupCols) error { return nil }); !errors.Is(err, boom) {
-		t.Fatalf("ForEachGroupCols = %v", err)
-	}
-	if err := bad.AppendRows([]view.Row{{T: 1}}); !errors.Is(err, boom) {
-		t.Fatalf("AppendRows = %v", err)
-	}
-}
-
 // TestAppendRowsGuardFollowsCatalog: AppendRows is refused exactly while a
 // logged catalog holds the table — from StoreView or SetCommitLog until the
 // log is detached or the table dropped — and a refusal leaves the rows and

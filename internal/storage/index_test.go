@@ -92,8 +92,8 @@ func TestGroupIndexMatchesFlatScan(t *testing.T) {
 			}
 			lo := int64(rng.Intn(int(maxT)+2)) - 1
 			hi := lo + int64(rng.Intn(int(maxT)+2))
-			if got, err := p.RowsRange(lo, hi); err != nil || !reflect.DeepEqual(got, legacyRowsRange(flat, lo, hi)) {
-				t.Fatalf("trial %d: RowsRange(%d,%d) = %v, %v; want %v", trial, lo, hi, got, err, legacyRowsRange(flat, lo, hi))
+			if got := p.RowsRange(lo, hi); !reflect.DeepEqual(got, legacyRowsRange(flat, lo, hi)) {
+				t.Fatalf("trial %d: RowsRange(%d,%d) = %v; want %v", trial, lo, hi, got, legacyRowsRange(flat, lo, hi))
 			}
 			// The iterator must visit exactly the flat-scan rows, in order.
 			var iterated []view.Row
@@ -157,8 +157,8 @@ func TestInvertedRangeIsEmpty(t *testing.T) {
 		p.AppendRows([]view.Row{{T: i, Lambda: 0, Prob: 1}})
 	}
 	// tLo=5, tHi=3 makes the raw binary searches cross (lo=4, hi=3).
-	if got, err := p.RowsRange(5, 3); len(got) != 0 || err != nil {
-		t.Fatalf("RowsRange(5,3) = %v, %v", got, err)
+	if got := p.RowsRange(5, 3); len(got) != 0 {
+		t.Fatalf("RowsRange(5,3) = %v", got)
 	}
 	if got := groupsIn(t, p, 5, 3); len(got) != 0 {
 		t.Fatalf("RangeCols(5,3) groups = %v", got)

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,35 +10,12 @@ import (
 )
 
 // rowModel is the trivially-correct reference for a ProbTable: the rows it
-// holds as a plain slice, plus what a pending lazy load will deliver.
+// holds as a plain slice.
 type rowModel struct {
-	rows    []view.Row
-	armed   bool       // a loader is set and has not run yet
-	loads   []view.Row // what the armed loader returns (nil with loadErr set: it fails)
-	loadN   int        // row count the table reports while the load is pending or failed
-	failing error      // the error the armed loader returns
-	loadErr error      // sticky error of a load that ran and failed
+	rows []view.Row
 }
-
-// touch is what any row-reading accessor does first: run the pending load.
-func (m *rowModel) touch() {
-	if !m.armed {
-		return
-	}
-	m.armed = false
-	if m.failing != nil {
-		m.loadErr = m.failing
-		return
-	}
-	m.rows, m.loadN = m.loads, 0
-}
-
-func (m *rowModel) numRows() int { return m.loadN + len(m.rows) }
 
 func (m *rowModel) lastT() int64 {
-	if m.armed && len(m.loads) > 0 {
-		return m.loads[len(m.loads)-1].T
-	}
 	if len(m.rows) > 0 {
 		return m.rows[len(m.rows)-1].T
 	}
@@ -180,13 +156,11 @@ func zeroNaN(x float64) float64 {
 	return x
 }
 
-// TestTableMatchesRowModel drives random interleavings of appends, lazy
-// loads (successful and failing) and every accessor against rowModel. Odd
-// trials draw grid-ordered batches, so the order flag is seen holding,
-// broken by an extending append, and reset by a lazy load.
+// TestTableMatchesRowModel drives random interleavings of appends and
+// every accessor against rowModel. Odd trials draw grid-ordered batches, so
+// the order flag is seen holding and broken by an extending append.
 func TestTableMatchesRowModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	boom := errors.New("segment unreadable")
 	for trial := 0; trial < 150; trial++ {
 		draw := func(last int64, repeat bool) []view.Row {
 			rows := modelBatch(rng, last, repeat)
@@ -205,54 +179,29 @@ func TestTableMatchesRowModel(t *testing.T) {
 		for op := 0; op < 60; op++ {
 			lo := m.lastT()/2 - 2 + int64(rng.Intn(4))
 			hi := lo + int64(rng.Intn(int(m.lastT())+4)) - 2 // sometimes inverted
-			switch rng.Intn(14) {
+			switch rng.Intn(12) {
 			case 0, 1, 2:
-				batch := draw(m.lastT(), m.numRows() > 0 && rng.Intn(3) == 0)
-				err := p.AppendRows(batch)
-				m.touch()
-				if m.loadErr != nil {
-					if !errors.Is(err, m.loadErr) {
-						t.Fatalf("trial %d op %d: AppendRows after failed load = %v", trial, op, err)
-					}
-					break
-				}
-				if err != nil {
+				batch := draw(m.lastT(), len(m.rows) > 0 && rng.Intn(3) == 0)
+				if err := p.AppendRows(batch); err != nil {
 					t.Fatal(err)
 				}
 				m.rows = append(m.rows, batch...)
 			case 3:
-				loads := draw(0, false)
-				*m = rowModel{armed: true, loadN: len(loads), loads: loads}
-				if rng.Intn(3) == 0 {
-					m.loads, m.failing = nil, boom
-				}
-				fail := m.failing
-				p.SetLoader(m.loadN, func() ([]view.Row, error) { return loads, fail })
-			case 4:
 				at := lo + 1
-				m.touch()
 				want := m.inRange(at, at)
 				got := p.RowsAt(at)
 				if !sameRows(got, want) || (len(want) == 0) != (got == nil) {
 					t.Fatalf("trial %d op %d: RowsAt(%d) = %v, want %v", trial, op, at, got, want)
 				}
-			case 5:
-				m.touch()
-				got, err := p.RowsRange(lo, hi)
-				if m.loadErr != nil {
-					if got != nil || !errors.Is(err, m.loadErr) {
-						t.Fatalf("trial %d op %d: RowsRange on failed load = %v, %v", trial, op, got, err)
-					}
-				} else if want := m.inRange(lo, hi); err != nil || got == nil || !sameRows(got, want) {
-					t.Fatalf("trial %d op %d: RowsRange(%d,%d) = %v, %v; want %v", trial, op, lo, hi, got, err, want)
+			case 4:
+				if got, want := p.RowsRange(lo, hi), m.inRange(lo, hi); got == nil || !sameRows(got, want) {
+					t.Fatalf("trial %d op %d: RowsRange(%d,%d) = %v; want %v", trial, op, lo, hi, got, want)
 				}
-			case 6:
-				m.touch()
+			case 5:
 				if got := p.SnapshotRows(); !sameRows(got, m.rows) {
 					t.Fatalf("trial %d op %d: SnapshotRows = %v, want %v", trial, op, got, m.rows)
 				}
-			case 7:
-				m.touch()
+			case 6:
 				got, want := p.Times(), modelGroups(m.rows)
 				if len(got) != len(want) || p.NumTimes() != len(want) {
 					t.Fatalf("trial %d op %d: Times = %v, want %d groups", trial, op, got, len(want))
@@ -262,15 +211,13 @@ func TestTableMatchesRowModel(t *testing.T) {
 						t.Fatalf("trial %d op %d: Times[%d] = %d, want %d", trial, op, i, got[i], g.T)
 					}
 				}
-			case 8:
-				m.touch()
+			case 7:
 				want := m.inRange(lo, hi)
 				if g, r := p.RangeSize(lo, hi); g != len(modelGroups(want)) || r != len(want) {
 					t.Fatalf("trial %d op %d: RangeSize(%d,%d) = %d, %d; want %d, %d",
 						trial, op, lo, hi, g, r, len(modelGroups(want)), len(want))
 				}
-			case 9:
-				m.touch()
+			case 8:
 				var got []view.Row
 				err := p.ForEachGroupCols(lo, hi, func(g GroupCols) error {
 					if len(g.Lambda) == 0 || len(g.Lo) != len(g.Lambda) || len(g.Hi) != len(g.Lambda) || len(g.Prob) != len(g.Lambda) {
@@ -281,14 +228,13 @@ func TestTableMatchesRowModel(t *testing.T) {
 					}
 					return nil
 				})
-				if !errors.Is(err, m.loadErr) {
-					t.Fatalf("trial %d op %d: ForEachGroupCols err = %v, want %v", trial, op, err, m.loadErr)
+				if err != nil {
+					t.Fatalf("trial %d op %d: ForEachGroupCols err = %v", trial, op, err)
 				}
 				if !sameRows(got, m.inRange(lo, hi)) {
 					t.Fatalf("trial %d op %d: ForEachGroupCols(%d,%d) = %v", trial, op, lo, hi, got)
 				}
-			case 10:
-				m.touch()
+			case 9:
 				called := false
 				err := p.RangeCols(lo, hi, func(groups []TimeGroup, c Cols) error {
 					called = true
@@ -321,35 +267,19 @@ func TestTableMatchesRowModel(t *testing.T) {
 					}
 					return nil
 				})
-				if m.loadErr != nil {
-					if called || !errors.Is(err, m.loadErr) {
-						t.Fatalf("trial %d op %d: RangeCols on failed load: called=%v err=%v", trial, op, called, err)
-					}
-				} else if err != nil || !called {
+				if err != nil || !called {
 					t.Fatalf("trial %d op %d: RangeCols called=%v err=%v", trial, op, called, err)
 				}
-			case 11:
-				// A checkpoint capture does not trigger the load.
-				from := rng.Intn(m.numRows()+3) - 1
+			case 10:
+				from := rng.Intn(len(m.rows)+3) - 1
 				st := p.captureState(from)
-				if m.armed || m.loadErr != nil {
-					if st.From != m.loadN || st.Total != m.loadN || len(st.Rows) != 0 || !errors.Is(st.Err, m.loadErr) {
-						t.Fatalf("trial %d op %d: capture of unloaded table = %+v", trial, op, st)
-					}
-					break
-				}
 				from = max(0, min(from, len(m.rows)))
-				if st.From != from || st.Total != len(m.rows) || st.Err != nil || !sameRows(st.Rows, m.rows[from:]) {
+				if st.From != from || st.Total != len(m.rows) || !sameRows(st.Rows, m.rows[from:]) {
 					t.Fatalf("trial %d op %d: captureState(%d) = %+v", trial, op, from, st)
 				}
-			case 12:
-				// Neither does the row count.
-				if got := p.NumRows(); got != m.numRows() {
-					t.Fatalf("trial %d op %d: NumRows = %d, want %d", trial, op, got, m.numRows())
-				}
-			case 13:
-				if err := p.loadErr; !errors.Is(err, m.loadErr) {
-					t.Fatalf("trial %d op %d: loadErr = %v, want %v", trial, op, err, m.loadErr)
+			case 11:
+				if got := p.NumRows(); got != len(m.rows) {
+					t.Fatalf("trial %d op %d: NumRows = %d, want %d", trial, op, got, len(m.rows))
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -103,22 +102,6 @@ func TestOrderFlag(t *testing.T) {
 		if n := NewProbTable(ViewMeta{Name: "n"}, []view.Row{r}); ordered(n) {
 			t.Fatalf("row %+v is ordered", r)
 		}
-	}
-
-	// SetLoader empties the columns and resets the flag; the load
-	// re-derives it from the rows it delivers.
-	q.SetLoader(4, func() ([]view.Row, error) { return grid(7, 3, 1, 4), nil })
-	if !ordered(q) {
-		t.Fatal("a lazy load of ordered rows after an unordered table is not ordered")
-	}
-	q.SetLoader(2, func() ([]view.Row, error) { return []view.Row{{T: 1, Lo: 1, Hi: 2}, {T: 1, Lo: 0, Hi: 2}}, nil })
-	if ordered(q) {
-		t.Fatal("a lazy load of unordered rows is ordered")
-	}
-	boom := errors.New("segment unreadable")
-	q.SetLoader(1, func() ([]view.Row, error) { return nil, boom })
-	if err := q.RangeCols(0, 9, func([]TimeGroup, Cols) error { return nil }); !errors.Is(err, boom) {
-		t.Fatalf("RangeCols after a failed load = %v", err)
 	}
 }
 

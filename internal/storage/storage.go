@@ -56,11 +56,6 @@ type ViewMeta struct {
 	Omega      view.Omega
 }
 
-// RowsLoader materialises a lazily-loaded view's rows (e.g. from a
-// segment file). It is called at most once, under the table lock, by the
-// first accessor that needs the rows.
-type RowsLoader func() ([]view.Row, error)
-
 // RawTable is a raw-value time-series table with named time and value
 // columns (e.g. <time, r> per Fig. 2).
 type RawTable struct {
@@ -92,9 +87,9 @@ type RawTable struct {
 // checkpoint capture build rows from the columns on demand, one allocation
 // of exactly the rows asked for.
 //
-// Rows enter only by being appended — NewProbTable, AppendRows,
-// DB.CommitSteps and the lazy loader all end in appendCols — so the index
-// and the columns cannot drift apart and nothing is ever rebuilt. While a
+// Rows enter only by being appended — NewProbTable, AppendRows and
+// DB.CommitSteps all end in appendCols — so the index and the columns
+// cannot drift apart and nothing is ever rebuilt. While a
 // logged catalog holds the table, DB.CommitSteps is the only one of these
 // that applies: AppendRows would bypass the log and is refused. A view
 // that backs an online stream grows while readers scan it: every accessor
@@ -121,27 +116,20 @@ type ProbTable struct {
 
 	// unordered is set once a resident row breaks the order Cols.Ordered
 	// promises: a NaN bound, or a Lo or Hi below the previous row's of the
-	// same tuple. Only SetLoader, which empties the columns, clears it.
+	// same tuple. Nothing clears it.
 	unordered bool
 
 	// logged is set when the table enters a logged catalog (StoreView,
 	// SetCommitLog) and cleared by Drop or by detaching the log: appends
 	// must then go through DB.CommitSteps, so AppendRows refuses them.
 	logged bool
-
-	// load defers materialisation of segment-backed rows: until the first
-	// access that needs them, the table only knows it has pending rows.
-	// A failed load is sticky in loadErr; pending keeps reporting the
-	// durable row count so the table does not appear to have shrunk.
-	load    RowsLoader
-	pending int
-	loadErr error
 }
 
 // NewProbTable returns a view table holding rows (ascending timestamps,
 // each timestamp's rows contiguous) — the way a finished offline build or
-// a replayed store-view record becomes a table. The
-// rows are copied into the columns; the caller keeps its slice.
+// a recovered view (a replayed store-view record, or a view's segments at
+// Open) becomes a table. The rows are copied into the columns; the caller
+// keeps its slice.
 func NewProbTable(meta ViewMeta, rows []view.Row) *ProbTable {
 	p := &ProbTable{Name: meta.Name, Source: meta.Source, MetricName: meta.MetricName, Omega: meta.Omega}
 	p.appendCols(rows) // not yet shared: no lock needed
@@ -152,21 +140,6 @@ func NewProbTable(meta ViewMeta, rows []view.Row) *ProbTable {
 // are immutable after construction, so no lock is needed.
 func (p *ProbTable) Meta() ViewMeta {
 	return ViewMeta{Name: p.Name, Source: p.Source, MetricName: p.MetricName, Omega: p.Omega}
-}
-
-// SetLoader makes the table's content n rows that load will fetch on the
-// first access that needs them. Used by recovery to open segment-backed
-// views without reading the segments.
-func (p *ProbTable) SetLoader(n int, load RowsLoader) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.load = load
-	p.pending = n
-	p.loadErr = nil
-	metIndexGroups.Add(-float64(len(p.groups)))
-	p.groups = nil
-	p.colLambda, p.colLo, p.colHi, p.colProb = nil, nil, nil, nil
-	p.unordered = false
 }
 
 func (p *ProbTable) setLogged(logged bool) {
@@ -222,38 +195,6 @@ func (p *ProbTable) appendCols(rows []view.Row) {
 	metIndexGroups.Add(float64(len(p.groups) - groupsBefore))
 }
 
-// loadLocked runs a pending lazy load, exactly once; a failure is sticky
-// and leaves pending in place so the row count holds. Caller holds the
-// write lock.
-func (p *ProbTable) loadLocked() {
-	load := p.load
-	if load == nil {
-		return
-	}
-	p.load = nil
-	metIndexLazyLoads.Inc()
-	rows, err := load()
-	if err != nil {
-		p.loadErr = err
-		return
-	}
-	p.pending = 0
-	p.appendCols(rows)
-}
-
-// rlockLoaded takes the read lock with any pending lazy load done, taking
-// the write lock for the load itself. Callers must release with mu.RUnlock.
-func (p *ProbTable) rlockLoaded() {
-	p.mu.RLock()
-	for p.load != nil {
-		p.mu.RUnlock()
-		p.mu.Lock()
-		p.loadLocked()
-		p.mu.Unlock()
-		p.mu.RLock()
-	}
-}
-
 // AppendRows extends a view no logged catalog holds (an offline build, a
 // bench table). Rows must continue the ascending-timestamp order. A table
 // in a logged catalog is refused with ErrBadSchema and left unchanged: an
@@ -268,27 +209,21 @@ func (p *ProbTable) AppendRows(rows []view.Row) error {
 	if p.logged {
 		return fmt.Errorf("%w: view %q is in a logged catalog; append through DB.CommitSteps", ErrBadSchema, p.Name)
 	}
-	p.loadLocked() // a batch lands after the durable rows, never before
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
 	p.appendCols(rows)
 	metRowsAppended.Add(int64(len(rows)))
 	return nil
 }
 
-// NumRows returns the current row count. Rows pending behind a lazy
-// loader are counted without triggering the load, so listing a catalog of
-// segment-backed views stays cheap.
+// NumRows returns the current row count.
 func (p *ProbTable) NumRows() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.pending + len(p.colProb)
+	return len(p.colProb)
 }
 
 // NumTimes returns the current count of distinct timestamps (tuples).
 func (p *ProbTable) NumTimes() int {
-	p.rlockLoaded()
+	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return len(p.groups)
 }
@@ -306,20 +241,11 @@ func (p *ProbTable) rowsOf(groups []TimeGroup) []view.Row {
 }
 
 // SnapshotRows returns all rows as a fresh slice, isolated from later
-// appends, materialising a pending lazy load first. A failed load yields an
-// empty slice — callers that must distinguish use snapshotRows.
+// appends.
 func (p *ProbTable) SnapshotRows() []view.Row {
-	out, _ := p.snapshotRows()
-	return out
-}
-
-func (p *ProbTable) snapshotRows() ([]view.Row, error) {
-	p.rlockLoaded()
+	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.loadErr != nil {
-		return nil, fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
-	return p.rowsOf(p.groups), nil
+	return p.rowsOf(p.groups)
 }
 
 // groupSpan returns the index positions [lo, hi) of the groups with
@@ -335,22 +261,18 @@ func (p *ProbTable) groupSpan(tLo, tHi int64) (lo, hi int) {
 	return lo, hi
 }
 
-// RowsRange returns the rows with timestamp in [tLo, tHi] as a fresh slice,
-// or the error of a failed lazy load.
-func (p *ProbTable) RowsRange(tLo, tHi int64) ([]view.Row, error) {
-	p.rlockLoaded()
+// RowsRange returns the rows with timestamp in [tLo, tHi] as a fresh slice.
+func (p *ProbTable) RowsRange(tLo, tHi int64) []view.Row {
+	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.loadErr != nil {
-		return nil, fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
 	lo, hi := p.groupSpan(tLo, tHi)
-	return p.rowsOf(p.groups[lo:hi]), nil
+	return p.rowsOf(p.groups[lo:hi])
 }
 
 // RowsAt returns the view rows for timestamp t in arrival (lambda) order,
 // nil when the view has no tuple at t.
 func (p *ProbTable) RowsAt(t int64) []view.Row {
-	p.rlockLoaded()
+	p.mu.RLock()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(t, t)
 	if lo >= hi {
@@ -361,7 +283,7 @@ func (p *ProbTable) RowsAt(t int64) []view.Row {
 
 // Times returns the distinct timestamps present in the view, ascending.
 func (p *ProbTable) Times() []int64 {
-	p.rlockLoaded()
+	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if len(p.groups) == 0 {
 		return nil
@@ -377,7 +299,7 @@ func (p *ProbTable) Times() []int64 {
 // [tLo, tHi] — the scan size a range query will touch — at O(log T) cost.
 // Query explain output uses it to report work without re-walking the range.
 func (p *ProbTable) RangeSize(tLo, tHi int64) (groups, rows int) {
-	p.rlockLoaded()
+	p.mu.RLock()
 	defer p.mu.RUnlock()
 	lo, hi := p.groupSpan(tLo, tHi)
 	return hi - lo, SpanRows(p.groups[lo:hi])
@@ -410,11 +332,8 @@ type Cols struct {
 // retain or mutate them, and must not call back into the table (the lock is
 // held). A non-nil error from fn stops the iteration and is returned.
 func (p *ProbTable) ForEachGroupCols(tLo, tHi int64, fn func(g GroupCols) error) error {
-	p.rlockLoaded()
+	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
 	lo, hi := p.groupSpan(tLo, tHi)
 	for _, g := range p.groups[lo:hi] {
 		end := g.Off + g.Len
@@ -439,11 +358,8 @@ func (p *ProbTable) ForEachGroupCols(tLo, tHi int64, fn func(g GroupCols) error)
 // per-group dispatch. The slices are valid only for the duration of the
 // call; fn must not retain or mutate them, nor call back into the table.
 func (p *ProbTable) RangeCols(tLo, tHi int64, fn func(groups []TimeGroup, c Cols) error) error {
-	p.rlockLoaded()
+	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.loadErr != nil {
-		return fmt.Errorf("view %q: %w", p.Name, p.loadErr)
-	}
 	lo, hi := p.groupSpan(tLo, tHi)
 	return fn(p.groups[lo:hi], Cols{Lo: p.colLo, Hi: p.colHi, Prob: p.colProb, Ordered: !p.unordered})
 }
@@ -617,10 +533,6 @@ func (db *DB) CommitSteps(source string, pts []timeseries.Point, table *ProbTabl
 	}
 	table.mu.Lock()
 	defer table.mu.Unlock()
-	table.loadLocked() // surface a failed lazy load before logging anything
-	if table.loadErr != nil {
-		return fmt.Errorf("view %q: %w", table.Name, table.loadErr)
-	}
 	if db.log != nil {
 		if err := db.log.Steps(source, pts, table.Name, rows); err != nil {
 			return err
@@ -733,11 +645,7 @@ func (db *DB) StoreView(p *ProbTable) error {
 		return fmt.Errorf("%w: %q is a raw table", ErrExists, p.Name)
 	}
 	if db.log != nil {
-		rows, err := p.snapshotRows() // materialises a lazy load; the record needs the rows
-		if err != nil {
-			return err
-		}
-		if err := db.log.StoreView(p.Meta(), rows); err != nil {
+		if err := db.log.StoreView(p.Meta(), p.SnapshotRows()); err != nil {
 			return err
 		}
 	}
@@ -806,7 +714,7 @@ func (db *DB) List() []TableInfo {
 }
 
 // ViewResident sums over the catalog's views the rows resident in memory
-// (pending lazy loads excluded) and the bytes they occupy — the capacity of
+// and the bytes they occupy — the capacity of
 // the four columns plus the group index — what the resident-rows and
 // resident-bytes gauges export.
 func (db *DB) ViewResident() (rows, bytes int) {
@@ -835,15 +743,12 @@ type RawState struct {
 }
 
 // ViewState is a checkpoint capture of one view table: its identity and
-// the rows past the caller's durable watermark. A table whose lazy load
-// is still pending (or failed: Err) captures From == Total and no rows —
-// everything resident is durable already.
+// the rows past the caller's durable watermark.
 type ViewState struct {
 	Meta  ViewMeta
 	From  int // rows already durable in segments
 	Rows  []view.Row
 	Total int
-	Err   error
 }
 
 // CaptureCheckpoint is the atomic snapshot step of a checkpoint: under
@@ -898,15 +803,6 @@ func (db *DB) CaptureCheckpoint(rotate func() error, rawFrom, viewFrom func(name
 func (p *ProbTable) captureState(from int) ViewState {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	st := ViewState{Meta: p.Meta()}
-	if p.load != nil || p.loadErr != nil {
-		// Rows are not resident: everything the table holds is already
-		// durable in segments, so there is nothing new to flush.
-		st.Total = p.pending
-		st.From = st.Total
-		st.Err = p.loadErr
-		return st
-	}
 	total := len(p.colProb)
 	if from < 0 {
 		from = 0
@@ -918,6 +814,5 @@ func (p *ProbTable) captureState(from int) ViewState {
 	// that group already durable (at most one group's rows).
 	gi := sort.Search(len(p.groups), func(i int) bool { return p.groups[i].Off+p.groups[i].Len > from })
 	rows := p.rowsOf(p.groups[gi:])
-	st.From, st.Rows, st.Total = from, rows[len(rows)-(total-from):], total
-	return st
+	return ViewState{Meta: p.Meta(), From: from, Rows: rows[len(rows)-(total-from):], Total: total}
 }

@@ -194,11 +194,6 @@ func TestResidentBytesPerRow(t *testing.T) {
 	if perRow < 32+24.0/n || perRow > 48 {
 		t.Errorf("resident bytes per row = %.1f, want within [35, 48]", perRow)
 	}
-	// A pending lazy load holds nothing.
-	p.SetLoader(tuples*n, func() ([]view.Row, error) { return nil, nil })
-	if rows, bytes := db.ViewResident(); rows != 0 || bytes != 0 {
-		t.Errorf("resident behind a pending load = %d rows, %d bytes; want 0, 0", rows, bytes)
-	}
 }
 
 func TestDrop(t *testing.T) {

@@ -168,6 +168,14 @@ func (f *FS) Create(name string) (wal.File, error) {
 }
 
 func (f *FS) Open(name string) (wal.ReadFile, error) {
+	data, err := f.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return &reader{Reader: bytes.NewReader(data)}, nil
+}
+
+func (f *FS) ReadFile(name string) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.crashed {
@@ -177,7 +185,7 @@ func (f *FS) Open(name string) (wal.ReadFile, error) {
 	if !ok {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	}
-	return &reader{Reader: bytes.NewReader(append([]byte(nil), fl.data...))}, nil
+	return append([]byte(nil), fl.data...), nil
 }
 
 func (f *FS) ReadDir(dir string) ([]string, error) {

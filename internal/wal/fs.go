@@ -55,6 +55,8 @@ type FS interface {
 	Create(name string) (File, error)
 	// Open opens name for reading.
 	Open(name string) (ReadFile, error)
+	// ReadFile reads name whole into one buffer sized from the file.
+	ReadFile(name string) ([]byte, error)
 	// ReadDir lists the file names (not paths) in dir, sorted.
 	ReadDir(dir string) ([]string, error)
 	Rename(oldname, newname string) error
@@ -75,6 +77,8 @@ func (osFS) Create(name string) (File, error) {
 }
 
 func (osFS) Open(name string) (ReadFile, error) { return os.Open(name) }
+
+func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (osFS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
